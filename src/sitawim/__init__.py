@@ -16,8 +16,6 @@ The package follows the pipeline of a structure-constant analysis:
   and dual intersection numbers.
 - :mod:`sitawim.feasibility` — counting, quotient, positivity, and
   sphere-packing screens on proposed parameter sets.
-- :mod:`sitawim.workbench` — catalog storage, fixtures, reproduction
-  scenarios, and the command-line interface.
 """
 
 __version__ = "0.1.0"

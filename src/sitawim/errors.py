@@ -35,7 +35,3 @@ class PositiveDimensionalError(SitawimError):
 
 class SpectralError(SitawimError):
     """Eigendata could not be computed to the requested certified accuracy."""
-
-
-class CatalogCorruptionError(SitawimError):
-    """A catalog entry's stored digest does not match its recomputed content digest."""

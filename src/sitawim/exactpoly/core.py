@@ -430,7 +430,15 @@ class MPoly:
     # -- substitution / evaluation ---------------------------------------------
 
     def subs(self, mapping: Mapping[str, object]) -> "MPoly":
-        """Substitute polynomials or rationals for variables (by name)."""
+        """Substitute polynomials or rationals for variables (by name).
+
+        Returns ``self`` when no substituted variable occurs.  Otherwise the
+        expansion of each term is merged into one accumulating dictionary, so
+        the cost is linear in the number of terms produced; each power of a
+        replacement is computed once.  The merge keeps the term order of a
+        sum of the pieces: when a piece has more terms than the total so far,
+        the piece's order leads.
+        """
         ring = self.ring
         repl: dict[int, MPoly] = {}
         for name, value in mapping.items():
@@ -441,23 +449,36 @@ class MPoly:
                 repl[i] = value
             else:
                 repl[i] = ring.const(value)
-        if not repl:
+        if not any(mono[i] for mono in self.terms for i in repl):
             return self
-        total = ring.zero()
+        indices = sorted(repl)
+        out: dict = {}
         pow_cache: dict[tuple[int, int], MPoly] = {}
         for mono, coeff in self.terms.items():
-            piece = ring.const(coeff)
+            factor = None
             rest = list(mono)
-            for i, e in enumerate(mono):
-                if e and i in repl:
+            for i in indices:
+                e = mono[i]
+                if e:
                     rest[i] = 0
-                    key = (i, e)
-                    if key not in pow_cache:
-                        pow_cache[key] = repl[i] ** e
-                    piece = piece * pow_cache[key]
-            piece = piece.mul_term(tuple(rest), 1)
-            total = total + piece
-        return total
+                    power = pow_cache.get((i, e))
+                    if power is None:
+                        power = pow_cache[(i, e)] = repl[i] ** e
+                    factor = power if factor is None else factor * power
+            if factor is None:
+                piece = {mono: coeff}
+            else:
+                rest = tuple(rest)
+                piece = {mono_mul(fm, rest): coeff * fc for fm, fc in factor.terms.items()}
+            if len(out) < len(piece):
+                out, piece = piece, out
+            for m, c in piece.items():
+                v = out.get(m, Q0) + c
+                if v:
+                    out[m] = v
+                elif m in out:
+                    del out[m]
+        return MPoly(ring, out)
 
     def evaluate(self, point: Mapping[str, object]) -> "_ratio":
         """Exact value at a full rational point (every used variable must be given)."""

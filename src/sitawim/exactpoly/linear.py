@@ -134,6 +134,21 @@ def _poly_sort_key(poly: MPoly) -> tuple:
     return (poly.total_degree(), poly.num_terms(), format_poly(poly))
 
 
+def _solvable_indices(poly: MPoly) -> list[int]:
+    """Indices of the variables ``v`` with ``poly = c*v + B`` for a nonzero
+    rational ``c`` and ``B`` free of ``v``: the variables whose only
+    occurrence is a bare linear term."""
+    lone: list[int] = []
+    blocked: set[int] = set()
+    for mono in poly.terms:
+        hit = [i for i, e in enumerate(mono) if e]
+        if len(hit) == 1 and mono[hit[0]] == 1:
+            lone.append(hit[0])
+        else:
+            blocked.update(hit)
+    return [i for i in lone if i not in blocked]
+
+
 def linear_reduce(
     polys: Iterable[MPoly],
     *,
@@ -153,7 +168,14 @@ def linear_reduce(
     eligible variables, ``direction='high'`` prefers the latest-listed ring
     variable and ``'low'`` the earliest (degree symbols always eliminate
     latest-listed first).  Ties between generators solving the same variable
-    go to the generator with fewest terms, then to canonical text order.
+    go to the generator with fewest terms, then to canonical text order;
+    the text is formatted only for generators still tied after the term
+    count.
+
+    Each step rewrites, strips and re-normalizes only the generators that
+    contain the eliminated variable; the others are already in that form.
+    Every generator then passes through the same first-occurrence dedup, so
+    the surviving list is what rewriting every generator would produce.
 
     ``mode='alias'`` restricts the eliminations to pure renamings: only a
     two-term generator ``a*v + b*w`` (two distinct variables, no constant
@@ -173,68 +195,71 @@ def linear_reduce(
     if not work:
         return LinearReduction(Ring(()), [], [], ())
     ring = work[0].ring
-    keep = set(keep)
-    degree_set = set(degree_symbols)
+    keep, degree_set = set(keep), set(degree_symbols)
+    keep_idx = {i for name, i in ring.index.items() if name in keep}
+    degree_idx = {i for name, i in ring.index.items() if name in degree_set}
     positive = tuple(degree_symbols) if positive is None else tuple(positive)
     positive_idx = [ring.index[name] for name in positive]
 
-    def tidy(batch: Iterable[MPoly]) -> list[MPoly]:
+    def tidy(p: MPoly) -> MPoly:
+        p = _strip_positive_content(p, positive_idx).normalize()
+        if p.is_constant and not p.is_zero:
+            raise InconsistentIdealError(
+                f"reduction produced the nonzero constant {p.constant_value()}"
+            )
+        return p
+
+    def dedup(batch: Iterable[MPoly]) -> list[MPoly]:
         seen: set[MPoly] = set()
         out = []
         for p in batch:
-            p = _strip_positive_content(p, positive_idx).normalize()
-            if p.is_zero:
-                continue
-            if p.is_constant:
-                raise InconsistentIdealError(
-                    f"reduction produced the nonzero constant {p.constant_value()}"
-                )
-            if p not in seen:
+            if not p.is_zero and p not in seen:
                 seen.add(p)
                 out.append(p)
         return out
 
-    work = tidy(work)
+    def candidates(f: MPoly) -> list[tuple[tuple, int]]:
+        """(rank without the text tie-break, variable index) per variable
+        that ``f`` may solve."""
+        if mode == "alias" and not (
+            f.num_terms() == 2 and f.total_degree() == 1 and len(f.variables()) == 2
+        ):
+            return []
+        out = []
+        only_degree = f.variables() <= degree_set
+        for idx in _solvable_indices(f):
+            if idx in keep_idx:
+                continue
+            is_degree = idx in degree_idx
+            if is_degree and not only_degree:
+                continue
+            pos = -idx if (is_degree or direction == "high") else idx
+            # structure constants first
+            out.append(((1 if is_degree else 0, pos, f.num_terms()), idx))
+        return out
+
+    work = dedup(tidy(p) for p in work)
     chain: list[tuple[str, MPoly]] = []
     eliminated: list[str] = []
+    cache: dict[MPoly, list[tuple[tuple, int]]] = {}
 
     while True:
-        candidates: list[tuple[tuple, str, MPoly, MPoly]] = []
-        for f in work:
-            if mode == "alias" and not (
-                f.num_terms() == 2
-                and f.total_degree() == 1
-                and len(f.variables()) == 2
-            ):
-                continue
-            for name in f.variables():
-                if name in keep:
-                    continue
-                if f.degree(name) != 1:
-                    continue
-                is_degree = name in degree_set
-                if is_degree and not (f.variables() <= degree_set):
-                    continue
-                a, b = f.split_linear(name)
-                if not a.is_constant:
-                    continue
-                replacement = b * (-Q1 / a.constant_value())
-                idx = ring.index[name]
-                pos = -idx if (is_degree or direction == "high") else idx
-                rank = (
-                    1 if is_degree else 0,  # structure constants first
-                    pos,
-                    f.num_terms(),
-                    format_poly(f),
-                )
-                candidates.append((rank, name, replacement, f))
-        if not candidates:
+        cache = {f: cache[f] if f in cache else candidates(f) for f in work}
+        ranked = [(rank, idx, f) for f, cands in cache.items() for rank, idx in cands]
+        if not ranked:
             break
-        candidates.sort(key=lambda c: c[0])
-        _, name, replacement, _ = candidates[0]
+        best = min(rank for rank, _, _ in ranked)
+        tied = [(idx, f) for rank, idx, f in ranked if rank == best]
+        idx, f = min(tied, key=lambda c: format_poly(c[1])) if len(tied) > 1 else tied[0]
+        name = ring.names[idx]
+        a, b = f.split_linear(name)
+        replacement = b * (-Q1 / a.constant_value())
         chain.append((name, replacement))
         eliminated.append(name)
-        work = tidy(p.subs({name: replacement}) for p in work)
+        work = dedup(
+            tidy(p.subs({name: replacement})) if any(m[idx] for m in p.terms) else p
+            for p in work
+        )
 
     work.sort(key=_poly_sort_key)
     return LinearReduction(ring, chain, work, tuple(eliminated))

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, isqrt
 from typing import Iterator, Mapping, Optional, Sequence, Union
@@ -533,18 +533,18 @@ def _fmt_point(point: Mapping[str, int]) -> str:
 
 
 def _stripe_worker(
-    cfg: SearchConfig, stripe: int, width: int
+    prep: _Prepared, cfg: SearchConfig, stripe: int, width: int
 ) -> list[tuple[int, str, str, list[Instance]]]:
     """Process-pool entry: sweep every ``width``-th grid point starting at
     ``stripe``.  Striping spreads the expensive high-anchor points evenly;
-    the returned indices let the parent restore the global point order."""
-    sub_cfg = replace(cfg, workers=1)
-    prep = _prepare(sub_cfg)
+    the returned indices let the parent restore the global point order.
+    ``prep`` is the parent's prepared system, shipped pickled, so no worker
+    repeats the template and linear-elimination work."""
     out = []
-    for idx, point in enumerate(_iter_points(sub_cfg)):
+    for idx, point in enumerate(_iter_points(cfg)):
         if idx % width != stripe:
             continue
-        status, found = _solve_point(prep, sub_cfg, point)
+        status, found = _solve_point(prep, cfg, point)
         out.append((idx, _fmt_point(point), status, found))
     return out
 
@@ -565,14 +565,16 @@ def run_search(cfg: SearchConfig) -> list[Instance]:
     except InconsistentIdealError as exc:
         log.warning("assumptions are contradictory, nothing to search: %s", exc)
         return []
-    width = min(cfg.workers, sum(1 for _ in _iter_points(cfg)))
+    width = sum(1 for _ in itertools.islice(_iter_points(cfg), cfg.workers))
     if width <= 1:
         for point in _iter_points(cfg):
             status, found = _solve_point(prep, cfg, point)
             entries.append((_fmt_point(point), status, found))
     else:
         with ProcessPoolExecutor(max_workers=width) as pool:
-            futures = [pool.submit(_stripe_worker, cfg, w, width) for w in range(width)]
+            futures = [
+                pool.submit(_stripe_worker, prep, cfg, w, width) for w in range(width)
+            ]
             indexed = [row for fut in futures for row in fut.result()]
         indexed.sort(key=lambda row: row[0])
         entries = [(text, status, found) for _, text, status, found in indexed]

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import SitawimError
@@ -176,6 +176,16 @@ def enumerate_rational_tables(n: int) -> list[RationalCharTable]:
     compositions of ``n - 1``, and the rational-row values over the
     square-norm budget; the fused-row values are then forced linearly and
     checked for integrality and bounds.
+
+    The arithmetic is integer-only.  The norm condition
+    ``sum(a_j^2 / delta_j) = (n - m1) / m1`` is scaled by
+    ``L = m1 * lcm(delta)`` into ``sum(w_j * a_j^2) = (n - m1) * lcm(delta)``
+    with integer weights ``w_j = L / delta_j``, so the budgets left after
+    ``a1`` and ``a2`` are plain ints and the bounds on ``a1 .. a3`` are
+    integer square roots of exact floors.  Once ``a1`` and ``a2`` are fixed,
+    ``a4 = c - a3`` with ``c = -1 - a1 - a2`` turns the remaining budget
+    into a quadratic in ``a3``; its integer roots (a perfect-square
+    discriminant and an exact division) are the only candidates.
     """
     if n < 5:
         raise SitawimError("rank-5 algebras need order at least 5")
@@ -183,24 +193,39 @@ def enumerate_rational_tables(n: int) -> list[RationalCharTable]:
     out: list[RationalCharTable] = []
     for m2 in range(1, (n - 2) // 3 + 1):
         m1 = n - 1 - 3 * m2
-        target = qq(n) / m1 - 1  # required value of sum(a_j^2 / delta_j)
         for d1 in range(1, (n - 1) // 4 + 1):
             for d2 in range(d1, (n - 1 - d1) // 3 + 1):
                 for d3 in range(d2, (n - 1 - d1 - d2) // 2 + 1):
                     d4 = n - 1 - d1 - d2 - d3
                     delta = (d1, d2, d3, d4)
-                    b1 = min(d1, isqrt(int(target * d1)))
+                    scale = m1 * lcm(*delta)
+                    w1, w2, w3, w4 = (scale // d for d in delta)
+                    w34 = w3 + w4
+                    budget = (n - m1) * (scale // m1)  # sum(w_j * a_j^2)
+                    b1 = min(d1, isqrt((n - m1) * d1 // m1))
                     for a1 in range(-b1, b1 + 1):
-                        s1 = target - qq(a1 * a1) / d1
-                        b2 = min(d2, isqrt(int(s1 * d2)))
+                        s1 = budget - w1 * a1 * a1
+                        b2 = min(d2, isqrt(s1 * d2 // scale))
                         for a2 in range(-b2, b2 + 1):
-                            s2 = s1 - qq(a2 * a2) / d2
-                            b3 = min(d3, isqrt(int(s2 * d3)))
-                            for a3 in range(-b3, b3 + 1):
-                                a4 = -1 - a1 - a2 - a3
-                                if abs(a4) > d4:
+                            s2 = s1 - w2 * a2 * a2
+                            b3 = min(d3, isqrt(s2 * d3 // scale))
+                            c = -1 - a1 - a2
+                            # w3*a3^2 + w4*(c - a3)^2 = s2, i.e.
+                            # w34*a3^2 - 2*c*w4*a3 + (w4*c^2 - s2) = 0
+                            disc = w34 * s2 - w3 * w4 * c * c  # discriminant / 4
+                            if disc < 0:
+                                continue
+                            root = isqrt(disc)
+                            if root * root != disc:
+                                continue
+                            # numerators of the roots, a double root taken once
+                            nums = (c * w4 - root, c * w4 + root) if root else (c * w4,)
+                            for num in nums:
+                                a3, rem = divmod(num, w34)
+                                if rem or abs(a3) > b3:
                                     continue
-                                if qq(a3 * a3) / d3 + qq(a4 * a4) / d4 != s2:
+                                a4 = c - a3
+                                if abs(a4) > d4:
                                     continue
                                 a = (a1, a2, a3, a4)
                                 t = _forced_t(delta, a, m1, m2)

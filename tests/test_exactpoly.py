@@ -353,6 +353,21 @@ def test_ring_laws(f, g, h):
     assert f - f == XYZ.zero()
 
 
+_points = st.tuples(*[st.integers(min_value=-4, max_value=4)] * 3)
+
+
+@given(polys(), polys(), st.sampled_from(XYZ.names), _points)
+def test_subs_commutes_with_evaluation(p, r, v, values):
+    pt = dict(zip(XYZ.names, values))
+    assert p.subs({v: r}).evaluate(pt) == p.evaluate({**pt, v: r.evaluate(pt)})
+
+
+@given(polys(), polys())
+def test_subs_of_an_absent_variable_changes_nothing(p, r):
+    p = p.subs({"x": 0})
+    assert p.subs({"x": r}) == p
+
+
 @given(polys())
 def test_format_parse_roundtrip(f):
     assert XYZ.parse(format_poly(f)) == f

@@ -8,25 +8,29 @@ rank-5 window at m = 62.
 
 from __future__ import annotations
 
+import json
 import logging
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from _fixtures import A1_16_MATRICES, N35_MATRICES, N249_MATRICES
 from sitawim.errors import PositiveDimensionalError, SitawimError
-from sitawim.exactpoly import Ring
+from sitawim.exactpoly import Ring, format_poly
 from sitawim.solver import (
     GridAxis,
     SearchConfig,
     SimplexSpec,
     Solution,
     WindowSpec,
+    _prepare,
     canonical_form,
     run_search,
     specialize_and_solve,
 )
 from sitawim.structcheck import Instance
+from sitawim.varietygen import RationalCharTable
 
 N35 = Instance(N35_MATRICES, itype="5S")
 N249 = Instance(N249_MATRICES, itype="5S")
@@ -257,15 +261,21 @@ class TestRunSearch:
         )
         assert run_search(cfg) == run_search(cfg)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, caplog):
         base = dict(
             itype="4A1",
             assumption="pseudocyclic",
             grid=(GridAxis("k1", 1, 21),),
         )
-        serial = run_search(SearchConfig(**base))
-        parallel = run_search(SearchConfig(**base, workers=2))
-        assert parallel == serial
+        catalogs, logs = [], []
+        for workers in (1, 2):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="sitawim.solver"):
+                catalogs.append(run_search(SearchConfig(**base, workers=workers)))
+            logs.append([m for m in caplog.messages if m.startswith("point=")])
+        assert catalogs[1] == catalogs[0]
+        assert len(logs[0]) == 21
+        assert logs[1] == logs[0]
 
     def test_congruence_filter_restricts_the_sweep(self, caplog):
         cfg = SearchConfig(
@@ -339,3 +349,32 @@ class TestRunSearch:
         assert found.order == 249
         assert found.degrees == (1, 62, 62, 62, 62)
         assert found.matrices == canonical_form(N249).matrices
+
+
+# The n = 35 rationalized table that drives the order-35 search.
+N35_TABLE = RationalCharTable(35, 4, 10, (4, 6, 12, 12), (-1, 6, -3, -3), (0, -3, 0, 0))
+
+PREPARE_PINS = json.loads((Path(__file__).parent / "prepare_pins.json").read_text())
+
+PREPARE_CONFIGS = {
+    "5S-pseudocyclic": SearchConfig(
+        itype="5S",
+        assumption="pseudocyclic",
+        grid=(GridAxis("m", 62, 62),),
+        window=WindowSpec(("x1", "x2", "x3"), anchor="m"),
+    ),
+    "5S-n35-table": SearchConfig(
+        itype="5S",
+        assumption=N35_TABLE,
+        grid=(GridAxis("x22", 5, 7), GridAxis("x23", 2, 4), GridAxis("x24", 4, 6)),
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PREPARE_CONFIGS))
+def test_prepared_system_matches_pinned_text(label):
+    """The reduced system and the elimination chain, as printed, are pinned
+    to the output of the rewrite-everything linear elimination."""
+    prep = _prepare(PREPARE_CONFIGS[label])
+    assert [format_poly(p) for p in prep.polys] == PREPARE_PINS[label]["polys"]
+    assert [[name, format_poly(r)] for name, r in prep.chain] == PREPARE_PINS[label]["chain"]

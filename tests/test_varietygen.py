@@ -623,7 +623,12 @@ def brute_force_tables(n):
     return out
 
 
-@pytest.mark.parametrize("n", [5, 9, 14, 20, 26])
+# Orders chosen for the branches of the integer root step on a3 (the
+# quadratic in a3 left once a1 and a2 are fixed): at n = 8 and 18 a table
+# comes from a double root, at n = 8 and 13 both roots are admissible and
+# give tables, and every table of order 13 has gcd(m1, m2) = 2 (m1 = 6,
+# m2 = 2).
+@pytest.mark.parametrize("n", [5, 8, 9, 13, 14, 18, 20, 26])
 def test_enumeration_matches_brute_force(n):
     got = {
         (tb.m1, tb.m2, tb.delta, tb.a, tb.t)
