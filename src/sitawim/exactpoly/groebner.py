@@ -232,15 +232,42 @@ def interreduce(basis: Sequence[MPoly], order: MonomialOrder | None = None) -> l
 
 
 def is_groebner(basis: Sequence[MPoly], order: MonomialOrder | None = None) -> bool:
-    """Definition check: every S-polynomial reduces to zero (test helper)."""
+    """Whether every S-polynomial has a standard representation (test helper).
+
+    Pairs are settled in ascending order of their lcm.  A pair is skipped
+    when its leading monomials are coprime (Buchberger's product criterion)
+    or when some third element's leading monomial divides its lcm and both
+    pairs through that element are already settled (the chain criterion);
+    every other S-polynomial must reduce to zero.
+    """
     polys = [g for g in basis if not g.is_zero]
     if len(polys) < 2:
         return True
     order = order or polys[0].ring.default_order
+    key = order.key
+    lts = [g.leading(order)[0] for g in polys]
+    pairs = []
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
-            if not normal_form(s_polynomial(polys[i], polys[j], order), polys, order).is_zero:
-                return False
+            lcm = mono_lcm(lts[i], lts[j])
+            pairs.append((mono_total(lcm), key(lcm), i, j, lcm))
+    pairs.sort(key=lambda p: p[:4])
+    settled: set[tuple[int, int]] = set()
+    for _, _, i, j, lcm in pairs:
+        settled.add((i, j))
+        if mono_mul(lts[i], lts[j]) == lcm:
+            continue
+        if any(
+            k != i
+            and k != j
+            and (min(i, k), max(i, k)) in settled
+            and (min(j, k), max(j, k)) in settled
+            and mono_divides(lts[k], lcm)
+            for k in range(len(polys))
+        ):
+            continue
+        if not normal_form(s_polynomial(polys[i], polys[j], order), polys, order).is_zero:
+            return False
     return True
 
 

@@ -518,6 +518,18 @@ def _has_dual_rank2_subset(sd: SpectralData, i: int, zero_eps) -> bool:
     )
 
 
+def _to_fixed(value, bits: int) -> int:
+    """round(value * 2**bits) as an int, exact from the mpf mantissa and
+    exponent (ties away from zero)."""
+    sign, man, exp, _ = mp.mpf(value)._mpf_
+    shift = exp + bits
+    if shift >= 0:
+        n = int(man) << shift
+    else:
+        n = (int(man) + (1 << (-shift - 1))) >> -shift
+    return -n if sign else n
+
+
 def gegenbauer(
     sd: SpectralData,
     i: int,
@@ -536,6 +548,15 @@ def gegenbauer(
     l = 1..bound.  The bound is ``lstar`` when supplied (the externally
     computed threshold), else ``lmax``, else 2*max multiplicity.
 
+    The recurrence runs in fixed point on plain ints: every value is an
+    integer multiple of 2^-F with F = ``sd.precision + 32``.  x = L*_i / m
+    (formed in mpf), m and eps are rounded to that grid from their mpf
+    mantissas and exponents; each step shifts the product x*G_{l-1} back
+    to F bits and divides by l, both rounded to nearest, so entries keep F
+    fractional bits however large their integer part grows, and the fail
+    test compares exact integers.  Column b of G_l depends only on column b
+    of G_{l-1} and G_{l-2}, so under the shortcut only column 0 is carried.
+
     The criterion comes from an embedding into a real unit sphere, which
     exists only when the character row is real; a nonreal row reports
     ``vacuous``.  (The 16-point table with three degree-5 elements is
@@ -545,7 +566,8 @@ def gegenbauer(
     r = sd.rank
     if not 1 <= i < r:
         raise SitawimError(f"dual index {i} out of range for rank {r}")
-    with mp.workprec(sd.precision + 32):
+    bits = sd.precision + 32
+    with mp.workprec(bits):
         if eps is None:
             eps = sd.eps
         if max(abs(mp.im(v)) for v in sd.P[i]) > eps:
@@ -563,32 +585,35 @@ def gegenbauer(
         bound = lstar if lstar is not None else lmax
         if bound is None:
             bound = int(2 * max(sd.Q[0][k] for k in range(1, r)))
-        x = [[sd.krein[i][a][b] / m for b in range(r)] for a in range(r)]
-        prev2 = [[mp.mpf(1 if a == b else 0) for b in range(r)] for a in range(r)]
-        prev1 = [[m * x[a][b] for b in range(r)] for a in range(r)]
+        x = [[_to_fixed(sd.krein[i][a][b] / m, bits) for b in range(r)] for a in range(r)]
+        mfix = _to_fixed(m, bits)
+        floor = -_to_fixed(eps, bits)
+        half = 1 << (bits - 1)
+        # G_l restricted to the checked columns, stored column by column
+        cols = (0,) if first_column_only else tuple(range(r))
+        prev2 = [[int(a == b) << bits for a in range(r)] for b in cols]
+        prev1 = [[(mfix * x[a][b] + half) >> bits for a in range(r)] for b in cols]
         for l in range(1, bound + 1):
             if l == 1:
                 G = prev1
             else:
-                xg = [
-                    [sum(x[a][t] * prev1[t][b] for t in range(r)) for b in range(r)]
-                    for a in range(r)
-                ]
-                G = [
-                    [
-                        ((2 * l + m - 4) * xg[a][b] - (l + m - 4) * prev2[a][b]) / l
-                        for b in range(r)
-                    ]
-                    for a in range(r)
-                ]
+                c1 = ((2 * l - 4) << bits) + mfix
+                c2 = ((l - 4) << bits) + mfix
+                div = l << bits
+                G = []
+                for g1, g2 in zip(prev1, prev2):
+                    col = []
+                    for a in range(r):
+                        xg = (sum(x[a][t] * g1[t] for t in range(r)) + half) >> bits
+                        col.append((2 * (c1 * xg - c2 * g2[a]) + div) // (2 * div))
+                    G.append(col)
                 prev2, prev1 = prev1, G
-            cols = (0,) if first_column_only else tuple(range(r))
-            low = min(G[a][b] for a in range(r) for b in cols)
-            if low < -eps:
+            low = min(min(col) for col in G)
+            if low < floor:
                 return ConditionResult(
                     "gegenbauer",
                     "fail",
-                    witness={"i": i, "l": l, "entry": float(low)},
+                    witness={"i": i, "l": l, "entry": float(mp.ldexp(low, -bits))},
                     detail={
                         "i": i,
                         "bound": bound,

@@ -8,7 +8,11 @@ binary floats (mpmath), 256 bits by default.
 The exact layer anchors the numerics: for an instance whose star is the
 identity all character values are totally real, so each row of P is pinned
 to a root of an irreducible factor of a generator's characteristic
-polynomial, isolated by Sturm bisection with exact rational endpoints.
+polynomial.  Sturm sequences isolate the roots, and each isolating interval
+is then bisected on plain integers: its endpoints are numerators over one
+shared power-of-two-scaled denominator, and every sign comes from one
+homogeneous integer Horner evaluation, so the returned roots are exact
+rationals.
 Instances with an asymmetric pair get the classical fallback: numerically
 diagonalize an integer linear combination of the basis matrices and read
 every b_i off the shared eigenvectors.  In both paths each claimed row is
@@ -20,6 +24,7 @@ Row order is canonical: the degree row first, then Galois orbits by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -79,14 +84,20 @@ class SpectralData:
 # exact root isolation (totally real path)
 
 
-def _sign_at(coeffs: Sequence[int], point: Fraction) -> int:
-    acc = Fraction(0)
+def _sign_at(coeffs: Sequence[int], num: int, den: int) -> int:
+    """Sign of the polynomial at num/den (den > 0), from the homogeneous
+    integer form sum c_i num^i den^(d-i), which has the same sign."""
+    acc = 0
+    scale = 1
     for c in reversed(coeffs):
-        acc = acc * point + c
+        acc = acc * num + c * scale
+        scale *= den
     return (acc > 0) - (acc < 0)
 
 
-def _sturm_chain(coeffs: Sequence[int]) -> list[list[Fraction]]:
+def _sturm_chain(coeffs: Sequence[int]) -> list[list[int]]:
+    """The Sturm sequence of an integer polynomial, each member scaled to
+    integer coefficients by a positive factor (which keeps every sign)."""
     p0 = [Fraction(c) for c in coeffs]
     p1 = [Fraction((i + 1) * c) for i, c in enumerate(coeffs[1:])]
     chain = [p0, p1]
@@ -106,16 +117,17 @@ def _sturm_chain(coeffs: Sequence[int]) -> list[list[Fraction]]:
         if not rem or all(v == 0 for v in rem):
             break
         chain.append([-v for v in rem])
-    return chain
+    scaled = []
+    for poly in chain:
+        den = math.lcm(*(v.denominator for v in poly))
+        scaled.append([int(v * den) for v in poly])
+    return scaled
 
 
-def _sign_changes(chain: list[list[Fraction]], point: Fraction) -> int:
+def _sign_changes(chain: list[list[int]], point: Fraction) -> int:
     signs = []
     for poly in chain:
-        acc = Fraction(0)
-        for c in reversed(poly):
-            acc = acc * point + c
-        s = (acc > 0) - (acc < 0)
+        s = _sign_at(poly, point.numerator, point.denominator)
         if s:
             signs.append(s)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -123,7 +135,13 @@ def _sign_changes(chain: list[list[Fraction]], point: Fraction) -> int:
 
 def _real_roots(poly: IntPoly, precision: int) -> list[Fraction]:
     """All real roots of a squarefree integer polynomial, as rational
-    midpoints of bisected isolating intervals of width < 2^-(precision+16)."""
+    midpoints of bisected isolating intervals of width < 2^-(precision+16).
+
+    Isolation runs on Fractions; the refinement, which makes almost every
+    step, keeps an interval as integer numerators A < B over one common
+    denominator D and halves it by doubling all three around the midpoint
+    A + B, so the midpoints are the same rationals (lo+hi)/2 and each sign
+    is an integer Horner evaluation."""
     coeffs = list(poly.coeffs)
     if len(coeffs) == 2:
         return [Fraction(-coeffs[0], coeffs[1])]
@@ -140,7 +158,7 @@ def _real_roots(poly: IntPoly, precision: int) -> list[Fraction]:
             intervals.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        if _sign_at(coeffs, mid) == 0:
+        if _sign_at(coeffs, mid.numerator, mid.denominator) == 0:
             # rational root dead on the midpoint: shave it into its own box
             width = Fraction(1, 4 * mid.denominator * (1 + abs(mid.numerator)))
             intervals.append((mid - width, mid + width))
@@ -150,20 +168,24 @@ def _real_roots(poly: IntPoly, precision: int) -> list[Fraction]:
         pending.append((lo, mid))
         pending.append((mid, hi))
     roots = []
-    limit = Fraction(1, 2 ** (precision + 16))
+    steps = precision + 16
     for lo, hi in intervals:
-        slo = _sign_at(coeffs, lo)
-        while hi - lo > limit:
-            mid = (lo + hi) / 2
-            smid = _sign_at(coeffs, mid)
+        D = math.lcm(lo.denominator, hi.denominator)
+        A, B = lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator)
+        slo = _sign_at(coeffs, A, D)
+        # hi - lo > 2^-steps, i.e. (B - A) * 2^steps > D
+        while (B - A) << steps > D:
+            A, B, D = A << 1, B << 1, D << 1
+            M = (A + B) >> 1
+            smid = _sign_at(coeffs, M, D)
             if smid == 0:
-                lo = hi = mid
+                A = B = M
                 break
             if smid == slo:
-                lo = mid
+                A = M
             else:
-                hi = mid
-        roots.append((lo + hi) / 2)
+                B = M
+        roots.append(Fraction(A + B, 2 * D))
     return sorted(roots)
 
 
@@ -395,7 +417,8 @@ def krein(sd: SpectralData, inst: Instance) -> SpectralData:
     if sd.Q is None:
         sd = eigenmatrix_Q(sd, inst)
     with mp.workprec(sd.precision + _GUARD_BITS):
-        m = [_mpf_of(q) for q in row_multiplicities(sd, inst)]
+        # Q[0][i] = m_i * conj(P[i][0]) / k_0 with P[i][0] = k_0 = 1
+        m = sd.Q[0]
         deg2 = [mp.mpf(k) ** 2 for k in inst.degrees]
         kappa = [[[None] * r for _ in range(r)] for _ in range(r)]
         for i in range(r):

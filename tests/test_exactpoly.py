@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sitawim.errors import InconsistentIdealError, ResourceCapExceeded
+from sitawim.exactpoly import groebner
 from sitawim.exactpoly import (
     MPoly,
     Ring,
@@ -188,6 +189,34 @@ def test_buchberger_uniqueness_and_membership():
         assert ideal_contains(g, gb1, grev)
     assert ideals_equal(gens, gb1, grev)
     assert not ideal_contains(XYZ.one(), gb1, grev)
+
+
+def test_is_groebner_rejects_a_non_basis():
+    x, y, z = XYZ.gens()
+    lex = XYZ.order("lex")
+    gens = [x**2 - y, x * y - 1]
+    assert not is_groebner(gens, lex)
+    assert not all_pairs_is_groebner(gens, lex)
+
+
+def test_is_groebner_skips_a_chain_pair_and_still_fails(monkeypatch):
+    """(yz, xz) is settled through xy by the chain criterion; the pair
+    (xy, x^2 - y^2) has non-coprime leading monomials and leaves y^3."""
+    x, y, z = XYZ.gens()
+    grev = XYZ.default_order
+    basis = [x * y, y * z, x * z, x**2 - y**2]
+    formed = []
+    real = groebner.s_polynomial
+
+    def spy(f, g, order=None):
+        formed.append((basis.index(f), basis.index(g)))
+        return real(f, g, order)
+
+    monkeypatch.setattr(groebner, "s_polynomial", spy)
+    assert not is_groebner(basis, grev)
+    assert formed[-1] == (0, 3)
+    assert (1, 2) not in formed
+    assert not all_pairs_is_groebner(basis, grev)
 
 
 def test_buchberger_unit_and_zero_ideal():
@@ -382,6 +411,29 @@ def test_normalize_idempotent(f):
         c, prim = f.content_and_primitive()
         assert c > 0
         assert prim * c == f
+
+
+def all_pairs_is_groebner(basis, order) -> bool:
+    """Definition check: every S-polynomial reduces to zero."""
+    polys = [g for g in basis if not g.is_zero]
+    return all(
+        normal_form(s_polynomial(polys[i], polys[j], order), polys, order).is_zero
+        for i in range(len(polys))
+        for j in range(i + 1, len(polys))
+    )
+
+
+_monomials = st.builds(lambda m, c: XYZ.poly({m: c}), _monos, _coeffs.filter(bool))
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.one_of(polys(), _monomials), min_size=1, max_size=4),
+    st.sampled_from(["lex", "grevlex"]),
+)
+def test_is_groebner_matches_all_pairs_check(gens, name):
+    order = XYZ.order(name)
+    assert is_groebner(gens, order) == all_pairs_is_groebner(gens, order)
 
 
 @settings(max_examples=25, deadline=None)

@@ -11,6 +11,7 @@ from mpmath import mp
 from sitawim.errors import SitawimError
 from sitawim.feasibility import (
     CONDITIONS,
+    KREIN_ZERO_EPS,
     ConditionResult,
     FeasibilityReport,
     absolute_bound,
@@ -25,7 +26,7 @@ from sitawim.feasibility import (
     sub_instance,
     triangle_count,
 )
-from sitawim.feasibility import _closed_subsets, _structural_star
+from sitawim.feasibility import _closed_subsets, _has_dual_rank2_subset, _structural_star
 from sitawim.spectra import SpectralData, eigenmatrix_P, eigenmatrix_Q, krein
 from sitawim.structcheck import Instance, IntPoly, verify_sita
 
@@ -482,6 +483,99 @@ class TestGegenbauer:
     def test_requires_krein(self, n35):
         with pytest.raises(SitawimError):
             gegenbauer(eigenmatrix_P(n35), 1)
+
+
+# reference Gegenbauer recurrence: r x r matrix steps on mpf values ---------
+
+
+def reference_gegenbauer(sd, i, lmax=None, *, lstar=None, first_column_only=None, eps=None):
+    """The criterion evaluated on full mpf matrices at sd.precision + 32 bits."""
+    r = sd.rank
+    with mp.workprec(sd.precision + 32):
+        if eps is None:
+            eps = sd.eps
+        if max(abs(mp.im(v)) for v in sd.P[i]) > eps:
+            return ConditionResult(
+                "gegenbauer", "vacuous", detail={"i": i, "reason": "nonreal character row"}
+            )
+        if first_column_only is None:
+            first_column_only = _has_dual_rank2_subset(sd, i, mp.mpf(KREIN_ZERO_EPS))
+        m = sd.Q[0][i]
+        bound = lstar if lstar is not None else lmax
+        if bound is None:
+            bound = int(2 * max(sd.Q[0][k] for k in range(1, r)))
+        detail = {"i": i, "bound": bound, "first_column_only": first_column_only}
+        x = [[sd.krein[i][a][b] / m for b in range(r)] for a in range(r)]
+        prev2 = [[mp.mpf(1 if a == b else 0) for b in range(r)] for a in range(r)]
+        prev1 = [[m * x[a][b] for b in range(r)] for a in range(r)]
+        for l in range(1, bound + 1):
+            if l == 1:
+                G = prev1
+            else:
+                xg = [
+                    [sum(x[a][t] * prev1[t][b] for t in range(r)) for b in range(r)]
+                    for a in range(r)
+                ]
+                G = [
+                    [
+                        ((2 * l + m - 4) * xg[a][b] - (l + m - 4) * prev2[a][b]) / l
+                        for b in range(r)
+                    ]
+                    for a in range(r)
+                ]
+                prev2, prev1 = prev1, G
+            cols = (0,) if first_column_only else tuple(range(r))
+            low = min(G[a][b] for a in range(r) for b in cols)
+            if low < -eps:
+                return ConditionResult(
+                    "gegenbauer",
+                    "fail",
+                    witness={"i": i, "l": l, "entry": float(low)},
+                    detail=detail,
+                )
+    return ConditionResult("gegenbauer", "pass", detail=detail)
+
+
+# G_1 has a negative entry; with m = 4, G_2 = (K^2 - 2I)/2 is the first
+# level below zero
+GEGENBAUER_FAILS = {
+    "level-one": ([[[1, 0], [0, 1]], [[-0.1, 1], [1, 1]]], (1, 2)),
+    "level-two": ([[[1, 0], [0, 1]], [[0, 1], [1, 0.2]]], (1, 4)),
+}
+
+
+class TestGegenbauerReference:
+    def check(self, sd, i, **kw):
+        got = gegenbauer(sd, i, **kw)
+        want = reference_gegenbauer(sd, i, **kw)
+        assert (got.verdict, got.detail) == (want.verdict, want.detail)
+        if want.witness is not None:
+            assert got.witness["l"] == want.witness["l"]
+            entry = pytest.approx(want.witness["entry"], rel=1e-12, abs=1e-12)
+            assert got.witness["entry"] == entry
+        return got
+
+    @pytest.mark.parametrize("name", ["sd35", "sd249", "a1_16"])
+    @pytest.mark.parametrize("first_column_only", [None, False])
+    def test_matches_mpf_recurrence(self, request, name, first_column_only):
+        sd = request.getfixturevalue(name)
+        if name == "a1_16":
+            sd = full(sd)
+        for i in range(1, sd.rank):
+            for kw in ({}, {"lmax": 1}, {"lstar": 7}):
+                self.check(sd, i, first_column_only=first_column_only, **kw)
+
+    @pytest.mark.parametrize("name", sorted(GEGENBAUER_FAILS))
+    @pytest.mark.parametrize("first_column_only", [None, False])
+    def test_matches_mpf_recurrence_on_failures(self, name, first_column_only):
+        tensor, Q0 = GEGENBAUER_FAILS[name]
+        sd = fabricated_sd(tensor, Q0)
+        res, *_ = [
+            self.check(sd, 1, first_column_only=first_column_only, **kw)
+            for kw in ({}, {"lmax": 1}, {"lstar": 7})
+        ]
+        assert res.verdict == "fail"
+        assert res.witness["l"] == (1 if name == "level-one" else 2)
 
 
 class TestBattery:

@@ -5,20 +5,22 @@ published six-significant-digit displays for the orders 35 and 249."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
 from sitawim.errors import SitawimError, SpectralError
+from sitawim import spectra
 from sitawim.spectra import (
     SpectralData,
+    _real_roots,
     as_rational,
     eigenmatrix_P,
     eigenmatrix_Q,
     krein,
     render_matrix,
 )
-from sitawim.structcheck import Instance, multiplicities
+from sitawim.structcheck import Instance, IntPoly, _poly_gcd_degree, multiplicities
 
 from _fixtures import A1_16_MATRICES, N249_MATRICES, N35_MATRICES
 
@@ -426,3 +428,147 @@ class TestPrecisionPlumbing:
     def test_eps_recorded(self):
         sd = eigenmatrix_P(N249)
         assert sd.eps == mp.ldexp(1, -100) * 249
+
+
+class TestKreinMultiplicities:
+    def test_krein_reads_multiplicities_from_Q(self, monkeypatch):
+        for inst in (N35, N249, A1_16):
+            sd = eigenmatrix_Q(eigenmatrix_P(inst), inst)
+            expected = krein(sd, inst).krein
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("krein recomputed the multiplicities")
+
+            monkeypatch.setattr(spectra, "multiplicities", refuse)
+            assert krein(sd, inst).krein == expected
+            monkeypatch.undo()
+
+
+# reference root isolation: Sturm bisection on Fraction endpoints -------------
+
+
+def _ref_sign_at(coeffs, point):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * point + c
+    return (acc > 0) - (acc < 0)
+
+
+def _ref_sturm_chain(coeffs):
+    p0 = [Fraction(c) for c in coeffs]
+    p1 = [Fraction((i + 1) * c) for i, c in enumerate(coeffs[1:])]
+    chain = [p0, p1]
+    while len(chain[-1]) > 1 or (len(chain[-1]) == 1 and chain[-1][0] != 0):
+        a, b = chain[-2], chain[-1]
+        rem = list(a)
+        while len(rem) >= len(b) and any(v != 0 for v in rem):
+            if rem[-1] == 0:
+                rem.pop()
+                continue
+            q = rem[-1] / b[-1]
+            shift = len(rem) - len(b)
+            for i, bi in enumerate(b):
+                rem[shift + i] -= q * bi
+            while rem and rem[-1] == 0:
+                rem.pop()
+        if not rem or all(v == 0 for v in rem):
+            break
+        chain.append([-v for v in rem])
+    return chain
+
+
+def _ref_sign_changes(chain, point):
+    signs = [s for s in (_ref_sign_at(poly, point) for poly in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def reference_real_roots(poly: IntPoly, precision: int) -> list:
+    """Sturm isolation and bisection with Fraction endpoints throughout."""
+    coeffs = list(poly.coeffs)
+    if len(coeffs) == 2:
+        return [Fraction(-coeffs[0], coeffs[1])]
+    chain = _ref_sturm_chain(coeffs)
+    bound = 1 + Fraction(max(abs(c) for c in coeffs[:-1]), abs(coeffs[-1]))
+    intervals = []
+    pending = [(-bound - 1, bound + 1)]
+    while pending:
+        lo, hi = pending.pop()
+        count = _ref_sign_changes(chain, lo) - _ref_sign_changes(chain, hi)
+        if count == 0:
+            continue
+        if count == 1:
+            intervals.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        if _ref_sign_at(coeffs, mid) == 0:
+            width = Fraction(1, 4 * mid.denominator * (1 + abs(mid.numerator)))
+            intervals.append((mid - width, mid + width))
+            pending.append((lo, mid - width))
+            pending.append((mid + width, hi))
+            continue
+        pending.append((lo, mid))
+        pending.append((mid, hi))
+    roots = []
+    limit = Fraction(1, 2 ** (precision + 16))
+    for lo, hi in intervals:
+        slo = _ref_sign_at(coeffs, lo)
+        while hi - lo > limit:
+            mid = (lo + hi) / 2
+            smid = _ref_sign_at(coeffs, mid)
+            if smid == 0:
+                lo = hi = mid
+                break
+            if smid == slo:
+                lo = mid
+            else:
+                hi = mid
+        roots.append((lo + hi) / 2)
+    return sorted(roots)
+
+
+@st.composite
+def squarefree_polys(draw) -> IntPoly:
+    degree = draw(st.integers(min_value=2, max_value=5))
+    coeffs = draw(st.lists(st.integers(-40, 40), min_size=degree, max_size=degree))
+    coeffs.append(draw(st.integers(1, 6)))
+    poly = IntPoly(tuple(coeffs))
+    derivative = [i * c for i, c in enumerate(poly.coeffs)][1:]
+    assume(poly.degree >= 2 and _poly_gcd_degree(poly.coeffs, derivative) == 0)
+    return poly
+
+
+# x^3 - x: the first isolation midpoint, 0, is a root (the "shave" branch);
+# x^2 - 5x - 6: bisecting the boxes (-8, 0) and (0, 8) lands on -1 and 6
+MIDPOINT_ROOTS = [
+    (IntPoly((0, -1, 0, 1)), [Fraction(0)]),
+    (IntPoly((-6, -5, 1)), [Fraction(-1), Fraction(6)]),
+]
+
+
+class TestRealRoots:
+    @pytest.mark.parametrize("poly, exact", MIDPOINT_ROOTS)
+    def test_rational_midpoint_roots_are_exact(self, poly, exact):
+        roots = _real_roots(poly, 256)
+        assert roots == reference_real_roots(poly, 256)
+        assert [q for q in roots if poly(q) == 0] == exact
+
+    @settings(max_examples=60, deadline=None)
+    @given(squarefree_polys(), st.sampled_from([64, 256]))
+    def test_matches_fraction_bisection(self, poly, precision):
+        assert _real_roots(poly, precision) == reference_real_roots(poly, precision)
+
+    @settings(max_examples=30, deadline=None)
+    @given(squarefree_polys())
+    def test_agrees_with_sympy(self, poly):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        sp = sympy.Poly(list(reversed(poly.coeffs)), x)
+        roots = _real_roots(poly, 256)
+        assert len(roots) == len(sp.real_roots())
+        tol = Fraction(1, 2 ** (256 + 16))
+        boxes = sorted(
+            (Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q)))
+            for (a, b), _ in sp.intervals()
+        )
+        for root, (a, b) in zip(roots, boxes):
+            assert a - tol <= root <= b + tol
