@@ -15,12 +15,32 @@ has integer coefficients, content 1, and positive leading coefficient
 under the active order.  The plain-text format is ``c*x1^e1*...*xn^en``
 terms joined by ``+``/``-``; :meth:`Ring.parse` and ``str()`` round-trip
 bit-exactly.
+
+Integer kernels.  The rational API is unchanged: every polynomial a public
+function returns carries rational coefficients.  The hot loops underneath
+run on plain ``int`` term dictionaries instead, because a rational
+operation costs tens of integer ones:
+
+- monomial products, quotients and divisibility are C-level ``map`` calls,
+  and every :class:`MonomialOrder` builds its sort keys once, from
+  ``operator.itemgetter`` over its priority permutation;
+- ``normalize`` and ``content_and_primitive`` take an all-integer path,
+  and so do ``subs`` and ``evaluate`` when the polynomial and the values
+  put in are integers;
+- :func:`int_terms`, :func:`cleared_terms`, :func:`mul_terms_into`,
+  :func:`primitive_terms` and :func:`from_int_terms` are the integer term
+  kernels behind ``emit_structure_polys``, ``linear_reduce``'s
+  fraction-free substitution, ``rational_span_basis``'s fraction-free
+  elimination and the fraction-free division of ``normal_form`` and
+  ``buchberger``.  Each scales by nonzero integers only where the result
+  is normalized or divided back, so results equal the rational ones.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from operator import add, itemgetter, le, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 # --------------------------------------------------------------------------
@@ -78,26 +98,23 @@ Monomial = tuple  # tuple[int, ...]
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True iff monomial ``a`` divides ``b`` coordinatewise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
     """``a / b`` as a monomial, or None when ``b`` does not divide ``a``."""
-    out = []
-    for x, y in zip(a, b):
-        if y > x:
-            return None
-        out.append(x - y)
-    return tuple(out)
+    if all(map(le, b, a)):
+        return tuple(map(sub, a, b))
+    return None
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_total(a: Monomial) -> int:
@@ -109,18 +126,30 @@ def mono_total(a: Monomial) -> int:
 # --------------------------------------------------------------------------
 
 
+def _picker(idx: tuple[int, ...]):
+    """``m -> tuple(m[i] for i in idx)`` at C level.  The identity (which
+    covers zero and one variables) is ``tuple`` itself, because a
+    one-index ``itemgetter`` returns a scalar and a zero-index one fails."""
+    if idx == tuple(range(len(idx))):
+        return tuple
+    return itemgetter(*idx)
+
+
 class MonomialOrder:
     """A term order on a fixed ring, exposed as a sort key on exponent tuples.
 
     ``key(m)`` returns a tuple that compares consistently with the order:
-    ``key(a) > key(b)`` iff monomial ``a`` is larger.  Supported kinds:
+    ``key(a) > key(b)`` iff monomial ``a`` is larger.  ``desc_key(m)``
+    compares the other way round (``desc_key(a) < desc_key(b)`` iff ``a``
+    is larger), so a min-heap on it pops the largest monomial first.  Both
+    are built once, in ``__init__``.  Supported kinds:
 
     - ``lex``: pure lexicographic in priority sequence.
     - ``grevlex``: graded reverse lexicographic (default everywhere).
     - ``weighted``: integer weight vector degree first, grevlex tie-break.
     """
 
-    __slots__ = ("ring", "kind", "priority", "weights", "_perm", "_wvec")
+    __slots__ = ("ring", "kind", "priority", "weights", "_perm", "_wvec", "key", "desc_key")
 
     def __init__(
         self,
@@ -152,16 +181,23 @@ class MonomialOrder:
         self._wvec = None
         if weights:
             self._wvec = tuple(weights.get(name, 0) for name in ring.names)
+        if kind == "lex":
+            pick = _picker(self._perm)
+            self.key = pick
+            self.desc_key = lambda m: tuple(map(neg, pick(m)))
+            return
+        rpick = _picker(self._perm[::-1])
+        if kind == "grevlex":
+            self.key = lambda m: (sum(m), tuple(map(neg, rpick(m))))
+            self.desc_key = lambda m: (-sum(m), rpick(m))
+            return
+        w = self._wvec
+        self.key = lambda m: (sum(map(mul, w, m)), sum(m), tuple(map(neg, rpick(m))))
+        self.desc_key = lambda m: (-sum(map(mul, w, m)), -sum(m), rpick(m))
 
-    def key(self, mono: Monomial):
-        perm = self._perm
-        if self.kind == "lex":
-            return tuple(mono[i] for i in perm)
-        grev = (sum(mono), tuple(-mono[i] for i in reversed(perm)))
-        if self.kind == "grevlex":
-            return grev
-        wdeg = sum(w * e for w, e in zip(self._wvec, mono))
-        return (wdeg,) + grev
+    def __reduce__(self):
+        # the key functions are closures; pickle the constructor arguments
+        return (MonomialOrder, (self.ring, self.kind, self.priority, self.weights))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MonomialOrder({self.kind}, {'>'.join(self.priority)})"
@@ -193,6 +229,9 @@ class Ring:
         self.nvars = len(names)
         self._zero_mono = (0,) * len(names)
         self._default_order = MonomialOrder(self, "grevlex")
+
+    def __reduce__(self):
+        return (Ring, (self.names,))
 
     # -- constructors ------------------------------------------------------
 
@@ -298,12 +337,7 @@ class MPoly:
         return max(m[i] for m in self.terms)
 
     def variables(self) -> set[str]:
-        used = [False] * self.ring.nvars
-        for mono in self.terms:
-            for i, e in enumerate(mono):
-                if e:
-                    used[i] = True
-        return {self.ring.names[i] for i, flag in enumerate(used) if flag}
+        return {name for name, col in zip(self.ring.names, zip(*self.terms)) if any(col)}
 
     def num_terms(self) -> int:
         return len(self.terms)
@@ -451,6 +485,12 @@ class MPoly:
                 repl[i] = ring.const(value)
         if not any(mono[i] for mono in self.terms for i in repl):
             return self
+        ints = int_terms(self.terms)
+        if ints is not None and all(
+            r.is_constant and r.constant_value().denominator == 1 for r in repl.values()
+        ):
+            values = {i: int(r.constant_value()) for i, r in repl.items()}
+            return from_int_terms(ring, _subs_int_values(ints, values))
         indices = sorted(repl)
         out: dict = {}
         pow_cache: dict[tuple[int, int], MPoly] = {}
@@ -485,7 +525,14 @@ class MPoly:
         ring = self.ring
         vals: list = [None] * ring.nvars
         for name, value in point.items():
-            vals[ring.index[name]] = qq(value)
+            vals[ring.index[name]] = value if type(value) is int else qq(value)
+        if all(v is None or v.denominator == 1 for v in vals):
+            ints, den = cleared_terms(self.terms)
+            values = {i: int(v) for i, v in enumerate(vals) if v is not None}
+            for i, col in enumerate(zip(*ints)):
+                if i not in values and any(col):
+                    raise ValueError(f"no value supplied for {ring.names[i]}")
+            return _ratio(sum(_subs_int_values(ints, values).values()), den)
         acc = Q0
         for mono, coeff in self.terms.items():
             term = coeff
@@ -557,6 +604,10 @@ class MPoly:
         """Positive rational c and primitive integer-coefficient p with self = c*p."""
         if not self.terms:
             return Q1, self
+        ints = int_terms(self.terms)
+        if ints is not None:
+            g = math.gcd(*ints.values())
+            return _ratio(g), MPoly(self.ring, {m: _ratio(c // g) for m, c in ints.items()})
         den_lcm = 1
         for c in self.terms.values():
             den_lcm = math.lcm(den_lcm, int(c.denominator))
@@ -572,8 +623,11 @@ class MPoly:
         leading coefficient under ``order`` (ring default when omitted)."""
         if not self.terms:
             return self
-        _, prim = self.content_and_primitive()
         order = order or self.ring.default_order
+        ints = int_terms(self.terms)
+        if ints is not None:
+            return from_int_terms(self.ring, primitive_terms(ints, order))
+        _, prim = self.content_and_primitive()
         if prim.leading(order)[1] < 0:
             prim = -prim
         return prim
@@ -605,6 +659,79 @@ class MPoly:
 
 
 # --------------------------------------------------------------------------
+# integer term kernels
+# --------------------------------------------------------------------------
+
+
+def int_terms(terms: Mapping[Monomial, object]) -> dict | None:
+    """``{mono: int}`` when every coefficient is an integer, else None."""
+    out = {}
+    for mono, c in terms.items():
+        if type(c) is not int:
+            if c.denominator != 1:
+                return None
+            c = int(c.numerator)
+        out[mono] = c
+    return out
+
+
+def cleared_terms(terms: Mapping[Monomial, object]) -> tuple[dict, int]:
+    """``(ints, d)``: the terms times their positive common denominator
+    ``d``, as ``{mono: int}``."""
+    ints = int_terms(terms)
+    if ints is not None:
+        return ints, 1
+    den = 1
+    for c in terms.values():
+        den = math.lcm(den, int(c.denominator))
+    return {m: int(c.numerator) * (den // int(c.denominator)) for m, c in terms.items()}, den
+
+
+def mul_terms_into(out: dict, a: Mapping, b: Mapping, scale: int = 1) -> dict:
+    """``out += scale * a * b`` on term dictionaries, in place.  Terms that
+    cancel are left in ``out`` with coefficient 0 for the caller to drop."""
+    get = out.get
+    for ma, ca in a.items():
+        ca *= scale
+        for mb, cb in b.items():
+            mono = tuple(map(add, ma, mb))
+            out[mono] = get(mono, 0) + ca * cb
+    return out
+
+
+def _subs_int_values(terms: Mapping[Monomial, int], values: Mapping[int, int]) -> dict:
+    """Integer terms with the integer ``values[i]`` put in for the variables
+    at the indices ``i``; zero terms are dropped."""
+    out: dict = {}
+    for mono, c in terms.items():
+        rest = list(mono)
+        for i, v in values.items():
+            e = mono[i]
+            if e:
+                c *= v**e
+                rest[i] = 0
+        rest = tuple(rest)
+        out[rest] = out.get(rest, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def primitive_terms(terms: Mapping[Monomial, int], order: MonomialOrder) -> dict:
+    """The nonzero integer terms divided by their content, signed so that
+    the leading coefficient under ``order`` is positive."""
+    g = math.gcd(*terms.values())
+    if terms[max(terms, key=order.key)] < 0:
+        g = -g
+    if g == 1:
+        return dict(terms)
+    return {m: c // g for m, c in terms.items()}
+
+
+def from_int_terms(ring: "Ring", terms: Mapping[Monomial, int]) -> "MPoly":
+    """An :class:`MPoly` with rational coefficients from nonzero integer terms."""
+    return MPoly(ring, {m: _ratio(c) for m, c in terms.items()})
+
+
+# --------------------------------------------------------------------------
 # plain-text format
 # --------------------------------------------------------------------------
 
@@ -633,6 +760,12 @@ def format_poly(poly: MPoly, order: MonomialOrder | None = None) -> str:
         else:
             parts.append(("+ " if coeff > 0 else "- ") + body)
     return " ".join(parts)
+
+
+def poly_sort_key(poly: MPoly) -> tuple:
+    """The canonical sort key of generator lists: total degree, number of
+    terms, then the text."""
+    return (poly.total_degree(), poly.num_terms(), format_poly(poly))
 
 
 _TOKEN_RE = re.compile(

@@ -7,6 +7,12 @@ product criterion).  The final basis is fully interreduced, so for a
 fixed monomial order the output is *the* reduced Groebner basis,
 independent of generator order — tests rely on that uniqueness.
 
+Reduction, S-polynomials and interreduction run fraction-free on integer
+polynomials (:func:`_reduce` is the one division loop); the public
+functions take and return rational polynomials, and every element a
+basis admits is normalized, so the results are those of the same steps
+over Q.
+
 Degree and term-count caps guard every reduction; blowing a cap raises
 :class:`~sitawim.errors.ResourceCapExceeded` rather than thrashing.
 The defaults (total degree 60, one million terms) are far above
@@ -15,19 +21,26 @@ anything a sane run needs.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from ..errors import ResourceCapExceeded
 from .core import (
     MPoly,
+    Monomial,
     MonomialOrder,
-    Q0,
-    Q1,
+    _ratio,
+    cleared_terms,
+    from_int_terms,
     mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
     mono_total,
+    mul_terms_into,
+    primitive_terms,
 )
 
 DEFAULT_MAX_DEGREE = 60
@@ -39,6 +52,75 @@ def _check_caps(degree: int, nterms: int, max_degree: int | None, max_terms: int
         raise ResourceCapExceeded("intermediate total degree", degree, max_degree)
     if max_terms is not None and nterms > max_terms:
         raise ResourceCapExceeded("intermediate term count", nterms, max_terms)
+
+
+def _reducer(terms: dict, order: MonomialOrder) -> tuple:
+    """``(lm, lc, tail)`` of a nonzero integer polynomial, negated if need
+    be so that ``lc > 0``; ``tail`` holds the other terms."""
+    lm = max(terms, key=order.key)
+    sign = -1 if terms[lm] < 0 else 1
+    tail = {m: sign * c for m, c in terms.items() if m != lm}
+    return lm, sign * terms[lm], tail
+
+
+def _reduce(
+    terms: dict,
+    reducers: Sequence[tuple],
+    order: MonomialOrder,
+    max_degree: int | None,
+    max_terms: int | None,
+) -> tuple[dict, int]:
+    """Fraction-free multivariate division of integer terms by integer
+    reducers ``(lm, lc, tail)`` with ``lc > 0``.
+
+    Returns ``(remainder, scale)`` with ``scale > 0``: the remainder of the
+    division over Q is ``remainder / scale``.  The steps are those of the
+    division over Q: the largest term of the work polynomial is taken off a
+    heap keyed by ``order.desc_key`` and reduced by the first reducer whose
+    leading monomial divides it, and otherwise moved to the remainder.
+    Before a step whose quotient ``coeff / lc`` is not an integer, the work
+    polynomial is multiplied by ``lc / gcd(coeff, lc)``; a remainder term
+    records the scale at which it left, and is brought to the final scale
+    at the end.
+    """
+    desc = order.desc_key
+    work = dict(terms)
+    heap = [(desc(m), m) for m in work]
+    heapify(heap)
+    moved: list[tuple[Monomial, int, int]] = []
+    scale = 1
+    while work:
+        mono = heappop(heap)[1]
+        coeff = work.pop(mono, None)
+        if coeff is None:  # cancelled after it was queued
+            continue
+        _check_caps(sum(mono), len(work) + len(moved), max_degree, max_terms)
+        for lm, lc, tail in reducers:
+            if not all(map(le, lm, mono)):
+                continue
+            quot = tuple(map(sub, mono, lm))
+            g = gcd(coeff, lc)
+            mult, coeff = lc // g, coeff // g
+            if mult != 1:
+                scale *= mult
+                for m in work:
+                    work[m] *= mult
+            for gm, gc in tail.items():
+                mm = tuple(map(add, gm, quot))
+                v = work.get(mm)
+                if v is None:
+                    work[mm] = -coeff * gc
+                    heappush(heap, (desc(mm), mm))
+                else:
+                    v -= coeff * gc
+                    if v:
+                        work[mm] = v
+                    else:
+                        del work[mm]
+            break
+        else:
+            moved.append((mono, coeff, scale))
+    return {m: c * (scale // at) for m, c, at in moved}, scale
 
 
 def normal_form(
@@ -54,43 +136,37 @@ def normal_form(
     Every term of the result is divisible by no leading term of the basis.
     Reducers are tried in the order given, so the remainder is deterministic
     (and basis-order independent exactly when the basis is a Groebner basis).
+    The division runs fraction-free on the integer multiples of ``f`` and of
+    the basis elements (see :func:`_reduce`); the rational remainder is
+    divided back out at the end.
     """
     order = order or f.ring.default_order
-    key = order.key
-    reducers = [(g.leading(order), g.terms) for g in basis if not g.is_zero]
-    work = dict(f.terms)
-    remainder: dict = {}
-    while work:
-        mono = max(work, key=key)
-        coeff = work.pop(mono)
-        _check_caps(mono_total(mono), len(work) + len(remainder), max_degree, max_terms)
-        for (lt_mono, lt_coeff), terms in reducers:
-            quot = mono_div(mono, lt_mono)
-            if quot is None:
-                continue
-            scale = coeff / lt_coeff
-            for gm, gc in terms.items():
-                if gm == lt_mono:
-                    continue
-                mm = mono_mul(gm, quot)
-                v = work.get(mm, Q0) - scale * gc
-                if v:
-                    work[mm] = v
-                elif mm in work:
-                    del work[mm]
-            break
-        else:
-            remainder[mono] = coeff
-    return MPoly(f.ring, remainder)
+    reducers = [_reducer(cleared_terms(g.terms)[0], order) for g in basis if not g.is_zero]
+    work, den = cleared_terms(f.terms)
+    rem, scale = _reduce(work, reducers, order, max_degree, max_terms)
+    scale *= den
+    return MPoly(f.ring, {m: _ratio(c, scale) for m, c in rem.items()})
 
 
 def s_polynomial(f: MPoly, g: MPoly, order: MonomialOrder | None = None) -> MPoly:
     """The S-polynomial: both leading terms scaled to their lcm and cancelled."""
     order = order or f.ring.default_order
-    (fm, fc) = f.leading(order)
-    (gm, gc) = g.leading(order)
-    lcm = mono_lcm(fm, gm)
-    return f.mul_term(mono_div(lcm, fm), Q1 / fc) - g.mul_term(mono_div(lcm, gm), Q1 / gc)
+    fr = _reducer(cleared_terms(f.terms)[0], order)
+    gr = _reducer(cleared_terms(g.terms)[0], order)
+    scale = lcm(fr[1], gr[1])
+    return MPoly(f.ring, {m: _ratio(c, scale) for m, c in _s_terms(fr, gr).items()})
+
+
+def _s_terms(f: tuple, g: tuple) -> dict:
+    """The S-polynomial of two reducers times ``lcm(lc_f, lc_g)``; it does
+    not change when either polynomial is scaled by a nonzero rational."""
+    (fm, fc, ftail), (gm, gc, gtail) = f, g
+    top = mono_lcm(fm, gm)
+    d = gcd(fc, gc)
+    out: dict = {}
+    mul_terms_into(out, {mono_div(top, fm): gc // d}, ftail)
+    mul_terms_into(out, {mono_div(top, gm): -(fc // d)}, gtail)
+    return {m: c for m, c in out.items() if c}
 
 
 class _PairQueue:
@@ -100,7 +176,7 @@ class _PairQueue:
         self.order = order
         self.pairs: list[tuple] = []  # (sugar, lcm_deg, lcm_key, i, j, lcm)
 
-    def update(self, basis: list[MPoly], sugars: list[int], lts: list[tuple]) -> None:
+    def update(self, basis: list, sugars: list[int], lts: list[tuple]) -> None:
         """Register the newest basis element (already appended) and prune."""
         t = len(basis) - 1
         lt_new = lts[t]
@@ -175,37 +251,51 @@ def buchberger(
     ring = gens[0].ring
     order = order or ring.default_order
 
-    basis: list[MPoly] = []
+    # the basis is kept as integer reducers (lm, lc, tail); every element is
+    # the normalized polynomial the rational algorithm would admit
+    basis: list[tuple] = []
     sugars: list[int] = []
     lts: list[tuple] = []
     queue = _PairQueue(order)
 
-    def admit(h: MPoly, sugar: int) -> None:
-        h = h.normalize(order)
-        _check_caps(h.total_degree(), h.num_terms(), max_degree, max_terms)
+    def admit(terms: dict, sugar: int) -> None:
+        h = _reducer(primitive_terms(terms, order), order)
+        _check_caps(max(map(sum, terms)), len(terms), max_degree, max_terms)
         basis.append(h)
         sugars.append(sugar)
-        lts.append(h.leading(order)[0])
+        lts.append(h[0])
         queue.update(basis, sugars, lts)
 
     for g in gens:
-        h = normal_form(g, basis, order, max_degree=max_degree, max_terms=max_terms)
-        if not h.is_zero:
-            admit(h, h.total_degree())
+        rem, _ = _reduce(cleared_terms(g.terms)[0], basis, order, max_degree, max_terms)
+        if rem:
+            admit(rem, max(map(sum, rem)))
 
     while queue:
         sugar, _, _, i, j, _ = queue.pop()
-        h = normal_form(
-            s_polynomial(basis[i], basis[j], order),
-            basis,
-            order,
-            max_degree=max_degree,
-            max_terms=max_terms,
-        )
-        if not h.is_zero:
-            admit(h, max(sugar, h.total_degree()))
+        rem, _ = _reduce(_s_terms(basis[i], basis[j]), basis, order, max_degree, max_terms)
+        if rem:
+            admit(rem, max(sugar, max(map(sum, rem))))
 
-    return interreduce(basis, order)
+    return [from_int_terms(ring, terms) for terms in _interreduce(basis, order)]
+
+
+def _interreduce(basis: Sequence[tuple], order: MonomialOrder) -> list[dict]:
+    """The reduced basis from integer reducers, as normalized integer
+    terms sorted ascending by leading monomial."""
+    key = order.key
+    minimal: list[tuple] = []
+    for g in sorted(basis, key=lambda g: key(g[0])):
+        if not any(mono_divides(h[0], g[0]) for h in minimal):
+            minimal.append(g)
+    reduced = []
+    for idx, (lm, lc, tail) in enumerate(minimal):
+        others = minimal[:idx] + minimal[idx + 1 :]
+        rem, _ = _reduce({lm: lc, **tail}, others, order, None, None)
+        if rem:
+            reduced.append(primitive_terms(rem, order))
+    reduced.sort(key=lambda t: key(max(t, key=key)))
+    return reduced
 
 
 def interreduce(basis: Sequence[MPoly], order: MonomialOrder | None = None) -> list[MPoly]:
@@ -213,22 +303,10 @@ def interreduce(basis: Sequence[MPoly], order: MonomialOrder | None = None) -> l
     polys = [g for g in basis if not g.is_zero]
     if not polys:
         return []
-    order = order or polys[0].ring.default_order
-    key = order.key
-    polys.sort(key=lambda g: key(g.leading(order)[0]))
-    minimal: list[MPoly] = []
-    for g in polys:
-        lt = g.leading(order)[0]
-        if not any(mono_divides(h.leading(order)[0], lt) for h in minimal):
-            minimal.append(g)
-    reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        h = normal_form(g, others, order)
-        if not h.is_zero:
-            reduced.append(h.normalize(order))
-    reduced.sort(key=lambda g: key(g.leading(order)[0]))
-    return reduced
+    ring = polys[0].ring
+    order = order or ring.default_order
+    reducers = [_reducer(cleared_terms(g.terms)[0], order) for g in polys]
+    return [from_int_terms(ring, terms) for terms in _interreduce(reducers, order)]
 
 
 def is_groebner(basis: Sequence[MPoly], order: MonomialOrder | None = None) -> bool:

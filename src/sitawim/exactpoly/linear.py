@@ -26,10 +26,22 @@ are nonzero, which is the only locus that matters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from ..errors import InconsistentIdealError
-from .core import MPoly, MonomialOrder, Q0, Q1, Ring, format_poly
+from .core import (
+    MPoly,
+    MonomialOrder,
+    Ring,
+    _ratio,
+    cleared_terms,
+    format_poly,
+    from_int_terms,
+    mul_terms_into,
+    poly_sort_key,
+    primitive_terms,
+)
 
 
 def rational_span_basis(
@@ -41,6 +53,13 @@ def rational_span_basis(
     ``order``; rows are fully reduced (RREF), then renormalized to integer
     content-1 form.  Output rows are sorted by pivot, so the result is a
     canonical generating set for the span; its length is the span's dimension.
+
+    The elimination is fraction-free Gauss-Jordan over Z (Bareiss 1968):
+    with pivot ``p`` and previous pivot ``q``, every other row becomes
+    ``(p*row - b*pivot_row) / q``, where ``b`` is its entry in the pivot
+    column, and the division is exact.  Each final row is a nonzero
+    multiple of the RREF row with the same pivot, so making it primitive
+    gives the normalized RREF row.
     """
     polys = [p for p in polys if not p.is_zero]
     if not polys:
@@ -49,39 +68,34 @@ def rational_span_basis(
     order = order or ring.default_order
     monos = sorted({m for p in polys for m in p.terms}, key=order.key, reverse=True)
     col = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for p in polys:
-        row = [Q0] * len(monos)
-        for m, c in p.terms.items():
-            row[col[m]] = c
-        rows.append(row)
+    rows = [{col[m]: c for m, c in cleared_terms(p.terms)[0].items()} for p in polys]
 
-    ncols = len(monos)
-    pivots: list[int] = []
-    rank = 0
-    for j in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(rows)):
-            if rows[i][j]:
-                pivot_row = i
-                break
+    rank, prev = 0, 1
+    for j in range(len(monos)):
+        pivot_row = next((i for i in range(rank, len(rows)) if j in rows[i]), None)
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = Q1 / rows[rank][j]
-        rows[rank] = [c * inv for c in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][j]:
-                factor = rows[i][j]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
-        pivots.append(j)
+        top = rows[rank]
+        piv = top[j]
+        for i, row in enumerate(rows):
+            if i == rank:
+                continue
+            b = row.get(j)
+            if b:
+                new = {c: piv * v for c, v in row.items()}
+                for c, v in top.items():
+                    new[c] = new.get(c, 0) - b * v
+                rows[i] = {c: v // prev for c, v in new.items() if v}
+            elif piv != prev:
+                rows[i] = {c: piv * v // prev for c, v in row.items()}
+        prev = piv
         rank += 1
 
-    out = []
-    for i in range(rank):
-        terms = {monos[j]: c for j, c in enumerate(rows[i]) if c}
-        out.append(MPoly(ring, terms).normalize(order))
-    return out
+    return [
+        from_int_terms(ring, primitive_terms({monos[c]: v for c, v in row.items()}, order))
+        for row in rows[:rank]
+    ]
 
 
 @dataclass
@@ -112,11 +126,10 @@ class LinearReduction:
         return used
 
 
-def _strip_positive_content(poly: MPoly, positive_idx: Sequence[int]) -> MPoly:
+def _strip_positive_content(terms: dict, positive_idx: Sequence[int]) -> dict:
     """Divide out any strictly positive variable dividing every term."""
-    terms = poly.terms
     if not terms:
-        return poly
+        return terms
     changed = True
     while changed:
         changed = False
@@ -127,25 +140,41 @@ def _strip_positive_content(poly: MPoly, positive_idx: Sequence[int]) -> MPoly:
                     m[:i] + (m[i] - shift,) + m[i + 1 :]: c for m, c in terms.items()
                 }
                 changed = True
-    return MPoly(poly.ring, dict(terms)) if terms is not poly.terms else poly
+    return terms
 
 
-def _poly_sort_key(poly: MPoly) -> tuple:
-    return (poly.total_degree(), poly.num_terms(), format_poly(poly))
+def _substitute(terms: dict, idx: int, a: int, powers: list[dict]) -> dict:
+    """``a^d * p(v = -B/a)`` for the integer polynomial ``p`` of degree ``d``
+    in the variable ``v`` at index ``idx``, where ``powers[e]`` holds
+    ``(-B)^e`` and is extended as needed; zero terms are dropped."""
+    d = max(m[idx] for m in terms)
+    while len(powers) <= d:
+        powers.append({m: c for m, c in mul_terms_into({}, powers[-1], powers[1]).items() if c})
+    apow = [a**k for k in range(d + 1)]
+    out: dict = {}
+    get = out.get
+    for mono, c in terms.items():
+        e = mono[idx]
+        if not e:
+            out[mono] = get(mono, 0) + c * apow[d]
+            continue
+        rest = mono[:idx] + (0,) + mono[idx + 1 :]
+        c *= apow[d - e]
+        for fm, fc in powers[e].items():
+            m = tuple(map(add, rest, fm))
+            out[m] = get(m, 0) + c * fc
+    return {m: c for m, c in out.items() if c}
 
 
 def _solvable_indices(poly: MPoly) -> list[int]:
     """Indices of the variables ``v`` with ``poly = c*v + B`` for a nonzero
     rational ``c`` and ``B`` free of ``v``: the variables whose only
     occurrence is a bare linear term."""
-    lone: list[int] = []
-    blocked: set[int] = set()
-    for mono in poly.terms:
-        hit = [i for i, e in enumerate(mono) if e]
-        if len(hit) == 1 and mono[hit[0]] == 1:
-            lone.append(hit[0])
-        else:
-            blocked.update(hit)
+    lone = [m.index(1) for m in poly.terms if sum(m) == 1]
+    if not lone:
+        return []
+    others = zip(*(m for m in poly.terms if sum(m) != 1))
+    blocked = {i for i, col in enumerate(others) if any(col)}
     return [i for i in lone if i not in blocked]
 
 
@@ -163,6 +192,10 @@ def linear_reduce(
     A generator ``f`` solves variable ``v`` when ``f`` has degree exactly 1
     in ``v`` and the coefficient of ``v`` is a nonzero rational constant;
     then ``v := -B/A`` (for ``f = A*v + B``) is substituted into everything.
+    The generators are kept as primitive integer polynomials, so ``A`` is an
+    integer and the substitution runs fraction-free: a generator ``p`` of
+    degree ``d`` in ``v`` becomes ``A^d * p(v = -B/A)``, whose normalized
+    form is that of ``p(v = -B/A)``.
 
     Structure-constant variables are eliminated before degree symbols; among
     eligible variables, ``direction='high'`` prefers the latest-listed ring
@@ -201,9 +234,15 @@ def linear_reduce(
     positive = tuple(degree_symbols) if positive is None else tuple(positive)
     positive_idx = [ring.index[name] for name in positive]
 
-    def tidy(p: MPoly) -> MPoly:
-        p = _strip_positive_content(p, positive_idx).normalize()
-        if p.is_constant and not p.is_zero:
+    order = ring.default_order
+
+    def tidy(terms: dict) -> MPoly:
+        """Stripped and normalized, with integer coefficients."""
+        terms = _strip_positive_content(terms, positive_idx)
+        if not terms:
+            return MPoly(ring, terms)
+        p = MPoly(ring, primitive_terms(terms, order))
+        if p.is_constant:
             raise InconsistentIdealError(
                 f"reduction produced the nonzero constant {p.constant_value()}"
             )
@@ -238,7 +277,7 @@ def linear_reduce(
             out.append(((1 if is_degree else 0, pos, f.num_terms()), idx))
         return out
 
-    work = dedup(tidy(p) for p in work)
+    work = dedup(tidy(cleared_terms(p.terms)[0]) for p in work)
     chain: list[tuple[str, MPoly]] = []
     eliminated: list[str] = []
     cache: dict[MPoly, list[tuple[tuple, int]]] = {}
@@ -252,14 +291,17 @@ def linear_reduce(
         tied = [(idx, f) for rank, idx, f in ranked if rank == best]
         idx, f = min(tied, key=lambda c: format_poly(c[1])) if len(tied) > 1 else tied[0]
         name = ring.names[idx]
-        a, b = f.split_linear(name)
-        replacement = b * (-Q1 / a.constant_value())
-        chain.append((name, replacement))
+        unit = tuple(int(i == idx) for i in range(ring.nvars))
+        a = f.terms[unit]
+        neg_b = {m: -c for m, c in f.terms.items() if m != unit}
+        chain.append((name, MPoly(ring, {m: _ratio(c, a) for m, c in neg_b.items()})))
         eliminated.append(name)
+        powers = [{ring._zero_mono: 1}, neg_b]
         work = dedup(
-            tidy(p.subs({name: replacement})) if any(m[idx] for m in p.terms) else p
+            tidy(_substitute(p.terms, idx, a, powers)) if any(m[idx] for m in p.terms) else p
             for p in work
         )
 
-    work.sort(key=_poly_sort_key)
-    return LinearReduction(ring, chain, work, tuple(eliminated))
+    work.sort(key=poly_sort_key)
+    polys = [from_int_terms(ring, p.terms) for p in work]
+    return LinearReduction(ring, chain, polys, tuple(eliminated))

@@ -27,7 +27,7 @@ import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, isqrt
+from math import ceil, floor, isqrt, lcm
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -237,29 +237,19 @@ class Solution:
 # zero-dimensional solving
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return []
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _integer_roots(coeffs: Sequence) -> list[int]:
     """All integer roots of a univariate polynomial with rational
     coefficients (ascending order), via the divisor test on the constant
-    term with a Cauchy sign-bound prune."""
+    term with a Cauchy sign-bound prune.
+
+    A root ``r`` divides the constant term ``c0`` and has ``|r|`` at most
+    the Cauchy bound, so trial division runs only up to
+    ``min(bound, isqrt(|c0|))``; each divisor found there is paired with
+    its cofactor ``|c0| / d``, which is a candidate when within the bound.
+    """
     den = 1
     for v in coeffs:
-        d = int(v.denominator)
-        den = den * d // _gcd(den, d)
+        den = lcm(den, int(v.denominator))
     c = [int(v.numerator) * (den // int(v.denominator)) for v in coeffs]
     while c and c[-1] == 0:
         c.pop()
@@ -276,9 +266,14 @@ def _integer_roots(coeffs: Sequence) -> list[int]:
     bound = 1 + max(abs(v) for v in c[:-1]) // lead
     f1 = sum(c)
     fm1 = sum(v if i % 2 == 0 else -v for i, v in enumerate(c))
-    for d in _divisors(c[0]):
-        if d > bound:
-            break
+    n = abs(c[0])
+    candidates = []
+    for d in range(1, min(bound, isqrt(n)) + 1):
+        if n % d == 0:
+            candidates.append(d)
+            if d * d != n and n // d <= bound:
+                candidates.append(n // d)
+    for d in candidates:
         for r in (d, -d):
             if r != 1 and f1 % (r - 1):
                 continue
@@ -290,12 +285,6 @@ def _integer_roots(coeffs: Sequence) -> list[int]:
             if acc == 0:
                 roots.append(r)
     return sorted(roots)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _leading_vars(poly: MPoly, order) -> list[int]:

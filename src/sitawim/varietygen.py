@@ -42,7 +42,8 @@ from math import isqrt, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import SitawimError
-from .exactpoly import MPoly, Ring, format_poly, qq
+from .exactpoly import MPoly, Ring, qq
+from .exactpoly.core import cleared_terms, mul_terms_into, poly_sort_key
 
 __all__ = [
     "INVOLUTION_TYPES",
@@ -465,38 +466,26 @@ def build_template(
     )
 
 
-def _matmul(
-    A: Sequence[Sequence[MPoly]], B: Sequence[Sequence[MPoly]], zero: MPoly
-) -> list[list[MPoly]]:
-    r = len(A)
-    out = [[zero] * r for _ in range(r)]
-    for i in range(r):
-        for k in range(r):
-            acc = zero
-            for l in range(r):
-                acc = acc + A[i][l] * B[l][k]
-            out[i][k] = acc
-    return out
-
-
-def _poly_key(poly: MPoly) -> tuple:
-    return (poly.total_degree(), poly.num_terms(), format_poly(poly))
-
-
 def _tidy(polys: Iterable[MPoly]) -> list[MPoly]:
     """Normalize, drop zeros, dedupe, sort canonically."""
-    seen = set()
+    seen: set[MPoly] = set()
     out = []
     for p in polys:
         if p.is_zero:
             continue
         q = p.normalize()
-        key = format_poly(q)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(q)
-    out.sort(key=_poly_key)
+        if q not in seen:
+            seen.add(q)
+            out.append(q)
+    out.sort(key=poly_sort_key)
+    return out
+
+
+def _add_product(out: dict, A, B, a: int, b: int, scale: int = 1) -> dict:
+    """``out += scale * (A B)[a][b]`` on term dictionaries, zeros kept."""
+    for l in range(len(A)):
+        if A[a][l] and B[l][b]:
+            mul_terms_into(out, A[a][l], B[l][b], scale)
     return out
 
 
@@ -519,31 +508,42 @@ def emit_structure_polys(
     out by the rest.  Results are normalized (integer content 1,
     positive leading coefficient), deduplicated, and canonically sorted.
     ``pairs`` restricts to the listed ``(i, j)`` products, mainly for
-    tests and demos.
+    tests and demos.  The products are formed on integer coefficients
+    (each entry times the common denominator of the template, which is 1
+    for every template :func:`build_template` makes).
     """
     r = template.itype.rank
-    Ms = template.matrices
-    zero = template.ring.zero()
+    ring = template.ring
+    den = 1
+    for mat in template.matrices:
+        for row in mat:
+            for entry in row:
+                den = lcm(den, cleared_terms(entry.terms)[1])
+    # Ms[j][a][b]: integer terms of den * matrices[j][a][b]
+    Ms = [
+        [[{m: c * den for m, c in cleared_terms(e.terms)[0].items()} for e in row] for row in mat]
+        for mat in template.matrices
+    ]
     if pairs is None:
         pairs = [(i, j) for i in range(1, r) for j in range(i, r)]
     raw: list[MPoly] = []
     for (i, j) in pairs:
         if not (1 <= i <= j < r):
             raise SitawimError(f"bad product pair ({i}, {j})")
-        prod = _matmul(Ms[i], Ms[j], zero)
+        prod = [[_add_product({}, Ms[i], Ms[j], a, b) for b in range(r)] for a in range(r)]
         for a in range(r):
             for b in range(r):
-                rhs = zero
+                # den^2 * (M_i M_j - sum_l lam(i, j, l) M_l)[a][b]
+                acc = dict(prod[a][b])
                 for l in range(r):
-                    coeff = Ms[i][l][j]
-                    if not coeff.is_zero:
-                        rhs = rhs + coeff * Ms[l][a][b]
-                raw.append(prod[a][b] - rhs)
+                    if Ms[i][l][j] and Ms[l][a][b]:
+                        mul_terms_into(acc, Ms[i][l][j], Ms[l][a][b], -1)
+                raw.append(MPoly(ring, {m: c for m, c in acc.items() if c}))
         if i != j:
-            back = _matmul(Ms[j], Ms[i], zero)
             for a in range(r):
                 for b in range(1, r):
-                    raw.append(prod[a][b] - back[a][b])
+                    acc = _add_product(dict(prod[a][b]), Ms[j], Ms[i], a, b, -1)
+                    raw.append(MPoly(ring, {m: c for m, c in acc.items() if c}))
     return _tidy(raw)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import time
 from pathlib import Path
 
 import pytest
@@ -17,13 +18,14 @@ from hypothesis import given, settings, strategies as st
 
 from _fixtures import A1_16_MATRICES, N35_MATRICES, N249_MATRICES
 from sitawim.errors import PositiveDimensionalError, SitawimError
-from sitawim.exactpoly import Ring, format_poly
+from sitawim.exactpoly import Ring, format_poly, qq
 from sitawim.solver import (
     GridAxis,
     SearchConfig,
     SimplexSpec,
     Solution,
     WindowSpec,
+    _integer_roots,
     _prepare,
     canonical_form,
     run_search,
@@ -212,6 +214,43 @@ class TestSpecializeAndSolve:
             f = f * (x**2 + 1)  # irreducible tail must not add roots
         sols = specialize_and_solve([f], {})
         assert [s["x"] for s in sols] == sorted(roots)
+
+
+def reference_integer_roots(c: list[int]) -> list[int]:
+    """Every divisor of the constant term tried as a root: the earlier,
+    unbounded search."""
+    while c[-1] == 0:
+        c = c[:-1]
+    roots = [0] if c[0] == 0 else []
+    while c[0] == 0:
+        c = c[1:]
+    n = abs(c[0])
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        roots += [r for r in (d, -d) if sum(v * r**i for i, v in enumerate(c)) == 0]
+    return sorted(roots)
+
+
+class TestIntegerRoots:
+    def test_huge_constant_term_stops_at_the_cauchy_bound(self):
+        """(p*x - p)(x - 2) with p near 10^15 has Cauchy bound 4; trial
+        division to sqrt(2p) would take seconds."""
+        p = 10**15 + 37
+        start = time.perf_counter()
+        assert _integer_roots([qq(2 * p), qq(-3 * p), qq(p)]) == [1, 2]
+        assert time.perf_counter() - start < 2.0
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        roots=st.lists(st.integers(-12, 12), max_size=3),
+        tail=st.lists(st.integers(-20, 20), min_size=1, max_size=3).filter(any),
+    )
+    def test_matches_every_divisor_tried(self, roots, tail):
+        c = tail
+        for r in roots:  # multiply by (x - r)
+            c = [(c[i - 1] if i else 0) - r * (c[i] if i < len(c) else 0) for i in range(len(c) + 1)]
+        while c[-1] == 0:
+            c = c[:-1]
+        assert _integer_roots([qq(v) for v in c]) == reference_integer_roots(c)
 
 
 class TestCanonicalForm:
