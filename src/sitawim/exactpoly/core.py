@@ -24,9 +24,10 @@ operation costs tens of integer ones:
 - monomial products, quotients and divisibility are C-level ``map`` calls,
   and every :class:`MonomialOrder` builds its sort keys once, from
   ``operator.itemgetter`` over its priority permutation;
-- ``normalize`` and ``content_and_primitive`` take an all-integer path,
-  and so do ``subs`` and ``evaluate`` when the polynomial and the values
-  put in are integers;
+- ``normalize`` and ``content_and_primitive`` clear denominators once
+  and work on the integer terms; ``subs`` and ``evaluate`` take an
+  all-integer path when the polynomial and the values put in are
+  integers;
 - :func:`int_terms`, :func:`cleared_terms`, :func:`mul_terms_into`,
   :func:`primitive_terms` and :func:`from_int_terms` are the integer term
   kernels behind ``emit_structure_polys``, ``linear_reduce``'s
@@ -469,9 +470,7 @@ class MPoly:
         Returns ``self`` when no substituted variable occurs.  Otherwise the
         expansion of each term is merged into one accumulating dictionary, so
         the cost is linear in the number of terms produced; each power of a
-        replacement is computed once.  The merge keeps the term order of a
-        sum of the pieces: when a piece has more terms than the total so far,
-        the piece's order leads.
+        replacement is computed once.
         """
         ring = self.ring
         repl: dict[int, MPoly] = {}
@@ -604,19 +603,9 @@ class MPoly:
         """Positive rational c and primitive integer-coefficient p with self = c*p."""
         if not self.terms:
             return Q1, self
-        ints = int_terms(self.terms)
-        if ints is not None:
-            g = math.gcd(*ints.values())
-            return _ratio(g), MPoly(self.ring, {m: _ratio(c // g) for m, c in ints.items()})
-        den_lcm = 1
-        for c in self.terms.values():
-            den_lcm = math.lcm(den_lcm, int(c.denominator))
-        num_gcd = 0
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(int(c.numerator * (den_lcm // c.denominator))))
-        content = qq(num_gcd) / den_lcm
-        inv = Q1 / content
-        return content, MPoly(self.ring, {m: c * inv for m, c in self.terms.items()})
+        ints, den = cleared_terms(self.terms)
+        g = math.gcd(*ints.values())
+        return _ratio(g, den), from_int_terms(self.ring, {m: c // g for m, c in ints.items()})
 
     def normalize(self, order: MonomialOrder | None = None) -> "MPoly":
         """Canonical representative: integer coefficients, content 1, positive
@@ -624,13 +613,7 @@ class MPoly:
         if not self.terms:
             return self
         order = order or self.ring.default_order
-        ints = int_terms(self.terms)
-        if ints is not None:
-            return from_int_terms(self.ring, primitive_terms(ints, order))
-        _, prim = self.content_and_primitive()
-        if prim.leading(order)[1] < 0:
-            prim = -prim
-        return prim
+        return from_int_terms(self.ring, primitive_terms(cleared_terms(self.terms)[0], order))
 
     # -- comparisons / hashing -----------------------------------------------------
 

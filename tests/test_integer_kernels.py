@@ -24,6 +24,7 @@ from sitawim.exactpoly import (
     Q1,
     Ring,
     buchberger,
+    interreduce,
     linear_reduce,
     normal_form,
     qq,
@@ -395,6 +396,12 @@ def test_buchberger_matches_the_rational_algorithm(gens, order):
             buchberger(gens, order, **caps)
         return
     assert buchberger(gens, order, **caps) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_polys(XYZ), min_size=1, max_size=4), _orders(XYZ))
+def test_interreduce_matches_the_rational_one(polys, order):
+    assert interreduce(polys, order) == reference_interreduce(polys, order)
 
 
 @settings(max_examples=60, deadline=None)
