@@ -9,9 +9,11 @@ The package follows the pipeline of a structure-constant analysis:
   character tables.
 - :mod:`sitawim.solver` — specialization to integer points, zero-dimensional
   solving, and deterministic parallel grid searches.
-- :mod:`sitawim.structcheck` — exact invariants of a realized table:
+- :mod:`sitawim.intpoly` — dense integer polynomials in one variable:
   characteristic polynomials, factorization, Galois classification,
-  cyclotomy, and standard-module multiplicities.
+  integer roots, and real-root isolation.
+- :mod:`sitawim.structcheck` — exact invariants of a realized table: the
+  axiom check, cyclotomy, and standard-module multiplicities.
 - :mod:`sitawim.spectra` — certified high-precision eigendata, eigenmatrices,
   and dual intersection numbers.
 - :mod:`sitawim.feasibility` — counting, quotient, positivity, and

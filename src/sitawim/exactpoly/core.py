@@ -6,9 +6,9 @@ rational coefficients.  All arithmetic is exact: coefficients are
 otherwise; the two are interchangeable for everything done here.
 
 A :class:`Ring` fixes an ordered tuple of variable names.  Monomial
-orders (lex, graded reverse lex, weighted-degree with grevlex
-tie-break) are first-class objects created by :meth:`Ring.order`; the
-variable listed first in an order's priority is the largest.
+orders (lex and graded reverse lex, the two kinds the pipeline uses) are
+first-class objects created by :meth:`Ring.order`; the variable listed
+first in an order's priority is the largest.
 
 The canonical representative of a nonzero polynomial (``normalize``)
 has integer coefficients, content 1, and positive leading coefficient
@@ -22,8 +22,9 @@ run on plain ``int`` term dictionaries instead, because a rational
 operation costs tens of integer ones:
 
 - monomial products, quotients and divisibility are C-level ``map`` calls,
-  and every :class:`MonomialOrder` builds its sort keys once, from
-  ``operator.itemgetter`` over its priority permutation;
+  and every :class:`MonomialOrder` builds its sort keys and its
+  leading-monomial function once, from ``operator.itemgetter`` over its
+  priority permutation;
 - ``normalize`` and ``content_and_primitive`` clear denominators once
   and work on the integer terms; ``subs`` and ``evaluate`` take an
   all-integer path when the polynomial and the values put in are
@@ -41,7 +42,8 @@ from __future__ import annotations
 
 import math
 import re
-from operator import add, itemgetter, le, mul, neg, sub
+from functools import partial
+from operator import add, itemgetter, le, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 # --------------------------------------------------------------------------
@@ -142,63 +144,44 @@ class MonomialOrder:
     ``key(m)`` returns a tuple that compares consistently with the order:
     ``key(a) > key(b)`` iff monomial ``a`` is larger.  ``desc_key(m)``
     compares the other way round (``desc_key(a) < desc_key(b)`` iff ``a``
-    is larger), so a min-heap on it pops the largest monomial first.  Both
-    are built once, in ``__init__``.  Supported kinds:
+    is larger), so a min-heap on it pops the largest monomial first.
+    ``leading(monos)`` is the largest monomial of a nonempty iterable:
+    ``max`` on ``key`` under lex, ``min`` on ``desc_key`` under grevlex,
+    whichever key is the cheaper one to build.  All three are built once,
+    in ``__init__``.  Supported kinds:
 
     - ``lex``: pure lexicographic in priority sequence.
     - ``grevlex``: graded reverse lexicographic (default everywhere).
-    - ``weighted``: integer weight vector degree first, grevlex tie-break.
     """
 
-    __slots__ = ("ring", "kind", "priority", "weights", "_perm", "_wvec", "key", "desc_key")
+    __slots__ = ("ring", "kind", "priority", "_perm", "key", "desc_key", "leading")
 
-    def __init__(
-        self,
-        ring: "Ring",
-        kind: str,
-        priority: Sequence[str] | None = None,
-        weights: Mapping[str, int] | None = None,
-    ) -> None:
-        if kind not in ("lex", "grevlex", "weighted"):
+    def __init__(self, ring: "Ring", kind: str, priority: Sequence[str] | None = None) -> None:
+        if kind not in ("lex", "grevlex"):
             raise ValueError(f"unknown monomial order kind {kind!r}")
-        if kind == "weighted":
-            if not weights:
-                raise ValueError("weighted order requires a weight mapping")
-            unknown = set(weights) - set(ring.names)
-            if unknown:
-                raise ValueError(f"weights name unknown variables {sorted(unknown)}")
-        elif weights:
-            raise ValueError("weights only apply to the 'weighted' kind")
         names = tuple(priority) if priority is not None else ring.names
         if sorted(names) != sorted(ring.names):
             raise ValueError("priority must be a permutation of the ring variables")
         self.ring = ring
         self.kind = kind
         self.priority = names
-        self.weights = dict(weights) if weights else None
         # position i of the permuted exponent vector = ring index of the
         # i-th largest variable
         self._perm = tuple(ring.index[name] for name in names)
-        self._wvec = None
-        if weights:
-            self._wvec = tuple(weights.get(name, 0) for name in ring.names)
         if kind == "lex":
             pick = _picker(self._perm)
             self.key = pick
             self.desc_key = lambda m: tuple(map(neg, pick(m)))
+            self.leading = partial(max, key=pick)
             return
         rpick = _picker(self._perm[::-1])
-        if kind == "grevlex":
-            self.key = lambda m: (sum(m), tuple(map(neg, rpick(m))))
-            self.desc_key = lambda m: (-sum(m), rpick(m))
-            return
-        w = self._wvec
-        self.key = lambda m: (sum(map(mul, w, m)), sum(m), tuple(map(neg, rpick(m))))
-        self.desc_key = lambda m: (-sum(map(mul, w, m)), -sum(m), rpick(m))
+        self.key = lambda m: (sum(m), tuple(map(neg, rpick(m))))
+        self.desc_key = lambda m: (-sum(m), rpick(m))
+        self.leading = partial(min, key=self.desc_key)
 
     def __reduce__(self):
         # the key functions are closures; pickle the constructor arguments
-        return (MonomialOrder, (self.ring, self.kind, self.priority, self.weights))
+        return (MonomialOrder, (self.ring, self.kind, self.priority))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MonomialOrder({self.kind}, {'>'.join(self.priority)})"
@@ -236,13 +219,8 @@ class Ring:
 
     # -- constructors ------------------------------------------------------
 
-    def order(
-        self,
-        kind: str = "grevlex",
-        priority: Sequence[str] | None = None,
-        weights: Mapping[str, int] | None = None,
-    ) -> MonomialOrder:
-        return MonomialOrder(self, kind, priority, weights)
+    def order(self, kind: str = "grevlex", priority: Sequence[str] | None = None) -> MonomialOrder:
+        return MonomialOrder(self, kind, priority)
 
     @property
     def default_order(self) -> MonomialOrder:
@@ -278,10 +256,6 @@ class Ring:
                 if not out[mono]:
                     del out[mono]
         return MPoly(self, out)
-
-    def with_variables(self, extra: Sequence[str]) -> "Ring":
-        """A new ring with ``extra`` appended after the existing variables."""
-        return Ring(self.names + tuple(extra))
 
     # -- text format ---------------------------------------------------------
 
@@ -348,7 +322,7 @@ class MPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         order = order or self.ring.default_order
-        mono = max(self.terms, key=order.key)
+        mono = order.leading(self.terms)
         return mono, self.terms[mono]
 
     def sorted_terms(self, order: MonomialOrder | None = None) -> list[tuple[Monomial, "_ratio"]]:
@@ -543,32 +517,6 @@ class MPoly:
             acc = acc + term
         return acc
 
-    def map_to(self, ring: Ring) -> "MPoly":
-        """Re-express in another ring containing (by name) all used variables."""
-        if ring is self.ring:
-            return self
-        lookup = []
-        for i, name in enumerate(self.ring.names):
-            lookup.append(ring.index.get(name, -1))
-        out: dict = {}
-        for mono, coeff in self.terms.items():
-            new = [0] * ring.nvars
-            for i, e in enumerate(mono):
-                if e:
-                    j = lookup[i]
-                    if j < 0:
-                        raise ValueError(
-                            f"variable {self.ring.names[i]} does not exist in target ring"
-                        )
-                    new[j] = e
-            key = tuple(new)
-            v = out.get(key, Q0) + coeff
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-        return MPoly(ring, out)
-
     # -- linear structure ---------------------------------------------------------
 
     def split_linear(self, name: str) -> tuple["MPoly", "MPoly"]:
@@ -702,7 +650,7 @@ def primitive_terms(terms: Mapping[Monomial, int], order: MonomialOrder) -> dict
     """The nonzero integer terms divided by their content, signed so that
     the leading coefficient under ``order`` is positive."""
     g = math.gcd(*terms.values())
-    if terms[max(terms, key=order.key)] < 0:
+    if terms[order.leading(terms)] < 0:
         g = -g
     if g == 1:
         return dict(terms)

@@ -57,7 +57,7 @@ def _check_caps(degree: int, nterms: int, max_degree: int | None, max_terms: int
 def _reducer(terms: dict, order: MonomialOrder) -> tuple:
     """``(lm, lc, tail)`` of a nonzero integer polynomial, negated if need
     be so that ``lc > 0``; ``tail`` holds the other terms."""
-    lm = max(terms, key=order.key)
+    lm = order.leading(terms)
     sign = -1 if terms[lm] < 0 else 1
     tail = {m: sign * c for m, c in terms.items() if m != lm}
     return lm, sign * terms[lm], tail
@@ -294,19 +294,8 @@ def _interreduce(basis: Sequence[tuple], order: MonomialOrder) -> list[dict]:
         rem, _ = _reduce({lm: lc, **tail}, others, order, None, None)
         if rem:
             reduced.append(primitive_terms(rem, order))
-    reduced.sort(key=lambda t: key(max(t, key=key)))
+    reduced.sort(key=lambda t: key(order.leading(t)))
     return reduced
-
-
-def interreduce(basis: Sequence[MPoly], order: MonomialOrder | None = None) -> list[MPoly]:
-    """Minimalize and tail-reduce a Groebner basis; result is the reduced basis."""
-    polys = [g for g in basis if not g.is_zero]
-    if not polys:
-        return []
-    ring = polys[0].ring
-    order = order or ring.default_order
-    reducers = [_reducer(cleared_terms(g.terms)[0], order) for g in polys]
-    return [from_int_terms(ring, terms) for terms in _interreduce(reducers, order)]
 
 
 def is_groebner(basis: Sequence[MPoly], order: MonomialOrder | None = None) -> bool:
@@ -352,13 +341,3 @@ def is_groebner(basis: Sequence[MPoly], order: MonomialOrder | None = None) -> b
 def ideal_contains(f: MPoly, groebner: Sequence[MPoly], order: MonomialOrder | None = None) -> bool:
     """Membership test against an already-computed Groebner basis."""
     return normal_form(f, groebner, order).is_zero
-
-
-def ideals_equal(
-    gens_a: Iterable[MPoly],
-    gens_b: Iterable[MPoly],
-    order: MonomialOrder | None = None,
-    **caps,
-) -> bool:
-    """Whether two generating sets span the same ideal (reduced bases compared)."""
-    return buchberger(gens_a, order, **caps) == buchberger(gens_b, order, **caps)

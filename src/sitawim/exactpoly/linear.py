@@ -182,10 +182,7 @@ def linear_reduce(
     polys: Iterable[MPoly],
     *,
     degree_symbols: Sequence[str] = (),
-    positive: Sequence[str] | None = None,
     keep: Iterable[str] = (),
-    direction: str = "high",
-    mode: str = "full",
 ) -> LinearReduction:
     """Iteratively eliminate variables solvable by a single linear generator.
 
@@ -198,32 +195,21 @@ def linear_reduce(
     form is that of ``p(v = -B/A)``.
 
     Structure-constant variables are eliminated before degree symbols; among
-    eligible variables, ``direction='high'`` prefers the latest-listed ring
-    variable and ``'low'`` the earliest (degree symbols always eliminate
-    latest-listed first).  Ties between generators solving the same variable
-    go to the generator with fewest terms, then to canonical text order;
-    the text is formatted only for generators still tied after the term
-    count.
+    eligible structure constants the earliest-listed ring variable goes
+    first, and among degree symbols the latest-listed.  Ties between
+    generators solving the same variable go to the generator with fewest
+    terms, then to canonical text order; the text is formatted only for
+    generators still tied after the term count.  The degree symbols are
+    the strictly positive variables whose content is stripped.
 
     Each step rewrites, strips and re-normalizes only the generators that
     contain the eliminated variable; the others are already in that form.
     Every generator then passes through the same first-occurrence dedup, so
     the surviving list is what rewriting every generator would produce.
 
-    ``mode='alias'`` restricts the eliminations to pure renamings: only a
-    two-term generator ``a*v + b*w`` (two distinct variables, no constant
-    term) may fire, replacing one variable by a rational multiple of the
-    other.  Multi-term linear relations survive as generators, which is the
-    conservative reduction used when downstream certificates need those
-    relations kept visible in the ideal.
-
     Raises :class:`InconsistentIdealError` when a nonzero constant appears:
     the system has no solutions at all.
     """
-    if direction not in ("high", "low"):
-        raise ValueError("direction must be 'high' or 'low'")
-    if mode not in ("full", "alias"):
-        raise ValueError("mode must be 'full' or 'alias'")
     work = [p for p in polys if not p.is_zero]
     if not work:
         return LinearReduction(Ring(()), [], [], ())
@@ -231,8 +217,7 @@ def linear_reduce(
     keep, degree_set = set(keep), set(degree_symbols)
     keep_idx = {i for name, i in ring.index.items() if name in keep}
     degree_idx = {i for name, i in ring.index.items() if name in degree_set}
-    positive = tuple(degree_symbols) if positive is None else tuple(positive)
-    positive_idx = [ring.index[name] for name in positive]
+    positive_idx = [ring.index[name] for name in degree_symbols]
 
     order = ring.default_order
 
@@ -260,10 +245,6 @@ def linear_reduce(
     def candidates(f: MPoly) -> list[tuple[tuple, int]]:
         """(rank without the text tie-break, variable index) per variable
         that ``f`` may solve."""
-        if mode == "alias" and not (
-            f.num_terms() == 2 and f.total_degree() == 1 and len(f.variables()) == 2
-        ):
-            return []
         out = []
         only_degree = f.variables() <= degree_set
         for idx in _solvable_indices(f):
@@ -272,7 +253,7 @@ def linear_reduce(
             is_degree = idx in degree_idx
             if is_degree and not only_degree:
                 continue
-            pos = -idx if (is_degree or direction == "high") else idx
+            pos = -idx if is_degree else idx
             # structure constants first
             out.append(((1 if is_degree else 0, pos, f.num_terms()), idx))
         return out

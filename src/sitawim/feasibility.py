@@ -283,6 +283,32 @@ def sub_instance(inst: Instance, subset: Sequence[int]) -> Instance:
     return Instance(mats, induced)
 
 
+def _block_sums(mats, blocks) -> tuple[Optional[list], Optional[dict]]:
+    """Exact closure of the block sums ``B^+ = sum_{i in B} b_i``.
+
+    Returns ``(sums, None)`` when every product ``B^+ C^+`` is an integer
+    combination of block sums, with ``sums[B][D][C]`` the coefficient of
+    ``D^+`` (the common coefficient of every ``b_a``, ``a`` in ``D``);
+    otherwise ``(None, witness)`` for the first product that is uneven on
+    some block.
+    """
+    r, d = len(mats), len(blocks)
+    sums = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for bi, B in enumerate(blocks):
+        for ci, C in enumerate(blocks):
+            v = [sum(mats[i][a][j] for i in B for j in C) for a in range(r)]
+            for di, D in enumerate(blocks):
+                vals = {v[a] for a in D}
+                if len(vals) != 1:
+                    return None, {
+                        "blocks": (B, C),
+                        "uneven": D,
+                        "coefficients": tuple(v[a] for a in D),
+                    }
+                sums[bi][di][ci] = vals.pop()
+    return sums, None
+
+
 def quotient_data(inst: Instance, subset: Sequence[int]):
     """Coset blocks, quotient degrees, and quotient structure constants for
     a closed subset.
@@ -326,21 +352,12 @@ def quotient_data(inst: Instance, subset: Sequence[int]):
     degrees = tuple(
         Fraction(sum(inst.degrees[i] for i in B), n_T) for B in blocks
     )
-    d = len(blocks)
-    constants = [[[None] * d for _ in range(d)] for _ in range(d)]
-    for bi, B in enumerate(blocks):
-        for ci, C in enumerate(blocks):
-            v = [
-                sum(mats[i][a][j] for i in B for j in C) for a in range(r)
-            ]
-            for di, D in enumerate(blocks):
-                vals = {v[a] for a in D}
-                if len(vals) != 1:
-                    raise SitawimError(
-                        "coset block sums do not close; not a closed subset"
-                    )
-                constants[bi][di][ci] = Fraction(vals.pop(), n_T)
-    constants = tuple(tuple(tuple(row) for row in plane) for plane in constants)
+    sums, uneven = _block_sums(mats, blocks)
+    if uneven is not None:
+        raise SitawimError("coset block sums do not close; not a closed subset")
+    constants = tuple(
+        tuple(tuple(Fraction(c, n_T) for c in row) for row in plane) for plane in sums
+    )
     return blocks, degrees, constants
 
 
@@ -751,29 +768,13 @@ def fusion_check(inst: Instance, sd: SpectralData, partition) -> FusionResult:
     """Exact closure check for a fused basis plus the partial row/column
     sum identities tying the fused character table to the original."""
     r = inst.rank
-    mats = inst.matrices
     blocks = _normalize_partition(partition, r)
     d = len(blocks)
-    where = {i: bi for bi, B in enumerate(blocks) for i in B}
-    # exact closure of block sums
-    fused_mats = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for bi, B in enumerate(blocks):
-        for ci, C in enumerate(blocks):
-            v = [sum(mats[i][a][j] for i in B for j in C) for a in range(r)]
-            for di, D in enumerate(blocks):
-                vals = {v[a] for a in D}
-                if len(vals) != 1:
-                    return FusionResult(
-                        partition=blocks,
-                        fuses=False,
-                        verdict="not_a_fusion",
-                        witness={
-                            "blocks": (B, C),
-                            "uneven": D,
-                            "coefficients": tuple(v[a] for a in D),
-                        },
-                    )
-                fused_mats[bi][di][ci] = vals.pop()
+    fused_mats, uneven = _block_sums(inst.matrices, blocks)
+    if uneven is not None:
+        return FusionResult(
+            partition=blocks, fuses=False, verdict="not_a_fusion", witness=uneven
+        )
     fused = Instance(
         fused_mats, _induced_itype("fused", _structural_star(fused_mats))
     )

@@ -11,8 +11,10 @@ each grid point, and turns every suitable solution into a verified
 Only integer points matter — realized tables have integer structure
 constants — so the solving step never touches floating point: a
 lexicographic Groebner basis triangularizes the specialized system, the
-univariate eliminant is searched for integer roots by a divisor test, and
-back-substitution proceeds one variable at a time.
+integer roots of the univariate eliminant come from a divisor test on its
+constant term bounded by the Cauchy bound
+(:func:`sitawim.intpoly._integer_roots`), and back-substitution proceeds
+one variable at a time.
 
 Per-point diagnostics stream to the ``sitawim.solver`` logger with the
 stable line format ``point=<assignment> status=<sol|empty|posdim|cap>``;
@@ -27,7 +29,7 @@ import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, isqrt, lcm
+from math import ceil, floor
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -39,6 +41,7 @@ from .errors import (
 from .exactpoly import MPoly, Ring
 from .exactpoly.groebner import DEFAULT_MAX_DEGREE, DEFAULT_MAX_TERMS, buchberger
 from .exactpoly.linear import linear_reduce, rational_span_basis
+from .intpoly import _integer_roots
 from .structcheck import Instance, verify_sita
 from .varietygen import (
     INVOLUTION_TYPES,
@@ -237,56 +240,6 @@ class Solution:
 # zero-dimensional solving
 
 
-def _integer_roots(coeffs: Sequence) -> list[int]:
-    """All integer roots of a univariate polynomial with rational
-    coefficients (ascending order), via the divisor test on the constant
-    term with a Cauchy sign-bound prune.
-
-    A root ``r`` divides the constant term ``c0`` and has ``|r|`` at most
-    the Cauchy bound, so trial division runs only up to
-    ``min(bound, isqrt(|c0|))``; each divisor found there is paired with
-    its cofactor ``|c0| / d``, which is a candidate when within the bound.
-    """
-    den = 1
-    for v in coeffs:
-        den = lcm(den, int(v.denominator))
-    c = [int(v.numerator) * (den // int(v.denominator)) for v in coeffs]
-    while c and c[-1] == 0:
-        c.pop()
-    if not c:
-        raise SitawimError("zero polynomial has no finite root set")
-    roots = []
-    if c[0] == 0:
-        roots.append(0)
-        while c and c[0] == 0:
-            c.pop(0)
-    if len(c) <= 1:
-        return sorted(roots)
-    lead = abs(c[-1])
-    bound = 1 + max(abs(v) for v in c[:-1]) // lead
-    f1 = sum(c)
-    fm1 = sum(v if i % 2 == 0 else -v for i, v in enumerate(c))
-    n = abs(c[0])
-    candidates = []
-    for d in range(1, min(bound, isqrt(n)) + 1):
-        if n % d == 0:
-            candidates.append(d)
-            if d * d != n and n // d <= bound:
-                candidates.append(n // d)
-    for d in candidates:
-        for r in (d, -d):
-            if r != 1 and f1 % (r - 1):
-                continue
-            if r != -1 and fm1 % (r + 1):
-                continue
-            acc = 0
-            for v in reversed(c):
-                acc = acc * r + v
-            if acc == 0:
-                roots.append(r)
-    return sorted(roots)
-
-
 def _leading_vars(poly: MPoly, order) -> list[int]:
     mono, _ = poly.leading(order)
     return [i for i, e in enumerate(mono) if e]
@@ -389,7 +342,6 @@ def canonical_form(inst: Instance) -> Instance:
     star = inst.star
     mats = inst.matrices
     best = None
-    best_perm = None
     for tail in itertools.permutations(range(1, r)):
         p = (0,) + tail
         if any(p[star[j]] != star[p[j]] for j in range(r)):
@@ -403,11 +355,7 @@ def canonical_form(inst: Instance) -> Instance:
         )
         if best is None or relabeled < best:
             best = relabeled
-            best_perm = inv
-    mult = inst.multiplicities
-    if mult is not None:
-        mult = tuple(mult[best_perm[j]] for j in range(r))
-    return Instance(best, itype=inst.itype, multiplicities=mult)
+    return Instance(best, itype=inst.itype, multiplicities=inst.multiplicities)
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +383,7 @@ def _prepare(cfg: SearchConfig) -> _Prepared:
     missing = [n for n in enumerated if n not in known]
     if missing:
         raise SitawimError(f"not template variables: {missing}")
-    red = linear_reduce(
-        gens,
-        degree_symbols=template.degree_symbols,
-        positive=template.degree_symbols,
-        direction="low",
-        keep=tuple(enumerated),
-    )
+    red = linear_reduce(gens, degree_symbols=template.degree_symbols, keep=tuple(enumerated))
     polys = rational_span_basis(red.polys)
     return _Prepared(template, polys, list(red.chain), enumerated)
 
@@ -450,25 +392,17 @@ def _iter_points(cfg: SearchConfig) -> Iterator[dict[str, int]]:
     axes = cfg.grid
     if not axes:
         return
+    window, simplex = cfg.window, cfg.simplex
+    names = (window.names if window else ()) + (simplex.names if simplex else ())
     for combo in itertools.product(*[a.values() for a in axes]):
         outer = dict(zip([a.name for a in axes], combo))
-        inner: list[list[tuple[str, int]]] = [[]]
-        if cfg.window is not None:
-            window_vals = cfg.window.values(outer[cfg.window.anchor])
-            inner = [
-                base + list(zip(cfg.window.names, pick))
-                for base in inner
-                for pick in itertools.product(window_vals, repeat=len(cfg.window.names))
-            ]
-        if cfg.simplex is not None:
-            bound = outer[cfg.simplex.anchor]
-            inner = [
-                base + list(zip(cfg.simplex.names, pick))
-                for base in inner
-                for pick in cfg.simplex.points(bound)
-            ]
-        for extra in inner:
-            yield {**outer, **dict(extra)}
+        picks = [()]
+        if window is not None:
+            vals = window.values(outer[window.anchor])
+            picks = itertools.product(vals, repeat=len(window.names))
+        rows = [()] if simplex is None else simplex.points(outer[simplex.anchor])
+        for pick, row in itertools.product(picks, rows):
+            yield {**outer, **dict(zip(names, pick + row))}
 
 
 def _solve_point(

@@ -8,11 +8,10 @@ binary floats (mpmath), 256 bits by default.
 The exact layer anchors the numerics: for an instance whose star is the
 identity all character values are totally real, so each row of P is pinned
 to a root of an irreducible factor of a generator's characteristic
-polynomial.  Sturm sequences isolate the roots, and each isolating interval
-is then bisected on plain integers: its endpoints are numerators over one
-shared power-of-two-scaled denominator, and every sign comes from one
-homogeneous integer Horner evaluation, so the returned roots are exact
-rationals.
+polynomial (the squarefree generator that the exact multiplicities use
+too), and the root is isolated exactly by Sturm sequences and bisection on
+integers (:func:`sitawim.intpoly._real_roots`), so each row starts from an
+exact rational approximation.
 Instances with an asymmetric pair get the classical fallback: numerically
 diagonalize an integer linear combination of the basis matrices and read
 every b_i off the shared eigenvectors.  In both paths each claimed row is
@@ -24,23 +23,16 @@ Row order is canonical: the degree row first, then Galois orbits by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import mpmath
 from mpmath import mp
 
 from .errors import SitawimError, SpectralError
-from .structcheck import (
-    Instance,
-    IntPoly,
-    _poly_gcd_degree,
-    charpoly,
-    factor_int_poly,
-    multiplicities,
-)
+from .intpoly import IntPoly, _real_roots
+from .structcheck import Instance, _squarefree_generator, multiplicities
 
 __all__ = [
     "SpectralData",
@@ -78,115 +70,6 @@ class SpectralData:
     @property
     def rank(self) -> int:
         return len(self.P)
-
-
-# ---------------------------------------------------------------------------
-# exact root isolation (totally real path)
-
-
-def _sign_at(coeffs: Sequence[int], num: int, den: int) -> int:
-    """Sign of the polynomial at num/den (den > 0), from the homogeneous
-    integer form sum c_i num^i den^(d-i), which has the same sign."""
-    acc = 0
-    scale = 1
-    for c in reversed(coeffs):
-        acc = acc * num + c * scale
-        scale *= den
-    return (acc > 0) - (acc < 0)
-
-
-def _sturm_chain(coeffs: Sequence[int]) -> list[list[int]]:
-    """The Sturm sequence of an integer polynomial, each member scaled to
-    integer coefficients by a positive factor (which keeps every sign)."""
-    p0 = [Fraction(c) for c in coeffs]
-    p1 = [Fraction((i + 1) * c) for i, c in enumerate(coeffs[1:])]
-    chain = [p0, p1]
-    while len(chain[-1]) > 1 or (len(chain[-1]) == 1 and chain[-1][0] != 0):
-        a, b = chain[-2], chain[-1]
-        rem = list(a)
-        while len(rem) >= len(b) and any(v != 0 for v in rem):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            q = rem[-1] / b[-1]
-            shift = len(rem) - len(b)
-            for i, bi in enumerate(b):
-                rem[shift + i] -= q * bi
-            while rem and rem[-1] == 0:
-                rem.pop()
-        if not rem or all(v == 0 for v in rem):
-            break
-        chain.append([-v for v in rem])
-    scaled = []
-    for poly in chain:
-        den = math.lcm(*(v.denominator for v in poly))
-        scaled.append([int(v * den) for v in poly])
-    return scaled
-
-
-def _sign_changes(chain: list[list[int]], point: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        s = _sign_at(poly, point.numerator, point.denominator)
-        if s:
-            signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _real_roots(poly: IntPoly, precision: int) -> list[Fraction]:
-    """All real roots of a squarefree integer polynomial, as rational
-    midpoints of bisected isolating intervals of width < 2^-(precision+16).
-
-    Isolation runs on Fractions; the refinement, which makes almost every
-    step, keeps an interval as integer numerators A < B over one common
-    denominator D and halves it by doubling all three around the midpoint
-    A + B, so the midpoints are the same rationals (lo+hi)/2 and each sign
-    is an integer Horner evaluation."""
-    coeffs = list(poly.coeffs)
-    if len(coeffs) == 2:
-        return [Fraction(-coeffs[0], coeffs[1])]
-    chain = _sturm_chain(coeffs)
-    bound = 1 + Fraction(max(abs(c) for c in coeffs[:-1]), abs(coeffs[-1]))
-    intervals = []
-    pending = [(-bound - 1, bound + 1)]
-    while pending:
-        lo, hi = pending.pop()
-        count = _sign_changes(chain, lo) - _sign_changes(chain, hi)
-        if count == 0:
-            continue
-        if count == 1:
-            intervals.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        if _sign_at(coeffs, mid.numerator, mid.denominator) == 0:
-            # rational root dead on the midpoint: shave it into its own box
-            width = Fraction(1, 4 * mid.denominator * (1 + abs(mid.numerator)))
-            intervals.append((mid - width, mid + width))
-            pending.append((lo, mid - width))
-            pending.append((mid + width, hi))
-            continue
-        pending.append((lo, mid))
-        pending.append((mid, hi))
-    roots = []
-    steps = precision + 16
-    for lo, hi in intervals:
-        D = math.lcm(lo.denominator, hi.denominator)
-        A, B = lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator)
-        slo = _sign_at(coeffs, A, D)
-        # hi - lo > 2^-steps, i.e. (B - A) * 2^steps > D
-        while (B - A) << steps > D:
-            A, B, D = A << 1, B << 1, D << 1
-            M = (A + B) >> 1
-            smid = _sign_at(coeffs, M, D)
-            if smid == 0:
-                A = B = M
-                break
-            if smid == slo:
-                A = M
-            else:
-                B = M
-        roots.append(Fraction(A + B, 2 * D))
-    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -244,27 +127,6 @@ def _row_from_vector(mats, vec, eps):
     return row
 
 
-def _generator_sweep(inst: Instance):
-    """First integer combination sum t^(j-1) b_j with squarefree
-    characteristic polynomial, with its factor list.
-
-    The sweep and its squarefree test mirror the exact multiplicity
-    computation, so both sides agree on which factor names each orbit.
-    """
-    r = inst.rank
-    mats = inst.matrices
-    for t in range(1, 5 * r * r):
-        combo = [
-            [sum(t ** (j - 1) * mats[j][a][b] for j in range(1, r)) for b in range(r)]
-            for a in range(r)
-        ]
-        cp = charpoly(combo)
-        if _poly_gcd_degree(cp.coeffs, cp.derivative().coeffs) == 0:
-            perron = sum(t ** (j - 1) * inst.degrees[j] for j in range(1, r))
-            return combo, factor_int_poly(cp), perron
-    raise SitawimError("no squarefree generator combination found")
-
-
 def _row_sort_key(row):
     return [(mp.re(v), mp.im(v)) for v in row[1:]]
 
@@ -288,7 +150,7 @@ def eigenmatrix_P(
     with mp.workprec(precision + _GUARD_BITS):
         if eps is None:
             eps = mp.ldexp(1, -100) * max(1, inst.order)
-        combo, factors, perron = _generator_sweep(inst)
+        combo, factors, perron = _squarefree_generator(inst)
         trivial = [f for f in factors if f.degree == 1 and f(perron) == 0]
         if not trivial:
             raise SitawimError("generator has no rational degree eigenvalue")
@@ -323,9 +185,9 @@ def eigenmatrix_P(
             per_factor: dict[IntPoly, list] = {f: [] for f in factors}
             for idx, lam in enumerate(eigvals):
                 vec = [right[a, idx] for a in range(r)]
-                hosts = sorted(factors, key=lambda f: abs(_eval_at(f, lam)))
+                hosts = sorted(factors, key=lambda f: abs(f(lam)))
                 host = hosts[0]
-                if abs(_eval_at(host, lam)) > eps * max(1, abs(lam)) ** host.degree:
+                if abs(host(lam)) > eps * max(1, abs(lam)) ** host.degree:
                     raise SpectralError("eigenvalue matches no exact factor")
                 if host == trivial[0]:
                     continue
@@ -358,13 +220,6 @@ def eigenmatrix_P(
             orbits=tuple(orbits),
             orbit_polys=tuple(orbit_polys),
         )
-
-
-def _eval_at(poly: IntPoly, x):
-    acc = mp.mpf(0)
-    for c in reversed(poly.coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def row_multiplicities(sd: SpectralData, inst: Instance) -> list:

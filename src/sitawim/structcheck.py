@@ -3,10 +3,11 @@
 A realized table is a family of nonnegative-integer regular matrices
 ``b_0..b_{r-1}`` (``b_0`` the identity) whose entries are the structure
 constants of a commutative based algebra.  This module checks the defining
-axioms exactly, computes characteristic polynomials without floating point,
-factors them over the integers, classifies the Galois group of each
-irreducible factor, decides whether every eigenvalue is cyclotomic, and
-solves for the standard-module multiplicities as exact rationals.
+axioms exactly, solves for the standard-module multiplicities as exact
+rationals, and decides whether every eigenvalue is cyclotomic.  The
+univariate work underneath (characteristic polynomials, factorization over
+the integers, Galois classes of the factors) is :mod:`sitawim.intpoly`;
+its public names are re-exported here.
 
 Everything here is integer or rational arithmetic end to end: the whole
 point of the multiplicity and cyclotomy verdicts is that no rounding step
@@ -20,13 +21,20 @@ indicator of row ``j``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import gcd, isqrt
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import SitawimError
 from .exactpoly import qq
+from .intpoly import (
+    GaloisClass,
+    IntPoly,
+    _poly_gcd_degree,
+    charpoly,
+    factor_int_poly,
+    format_factored,
+    galois_class,
+)
 from .varietygen import INVOLUTION_TYPES, InvolutionType
 
 __all__ = [
@@ -45,487 +53,6 @@ __all__ = [
     "multiplicities",
     "verify_sita",
 ]
-
-
-# ---------------------------------------------------------------------------
-# dense univariate integer polynomials
-# ---------------------------------------------------------------------------
-#
-# Coefficient lists are ascending.  These helpers are only used at the tiny
-# degrees that show up here (matrices are at most 5x5), so clarity beats
-# asymptotics throughout.
-
-
-def _ptrim(c: list) -> list:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _padd(a: Sequence, b: Sequence) -> list:
-    out = [0] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += v
-    return _ptrim(out)
-
-
-def _pmul(a: Sequence, b: Sequence) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                out[i + j] += u * v
-    return _ptrim(out)
-
-
-def _pdivexact(a: Sequence, b: Sequence) -> list:
-    """Quotient of ``a`` by ``b`` when the division is exact over Q.
-
-    Raises :class:`SitawimError` if it is not (that would be a logic error
-    in a fraction-free elimination, or a non-factor in a trial division).
-    """
-    rem = [qq(c) for c in a]
-    if not b:
-        raise SitawimError("division by the zero polynomial")
-    db = len(b) - 1
-    lead = qq(b[-1])
-    quo = [qq(0)] * max(len(rem) - db, 0)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] / lead
-        quo[i - db] = c
-        if c:
-            for j in range(db + 1):
-                rem[i - db + j] -= c * b[j]
-    if any(rem):
-        raise SitawimError("inexact polynomial division")
-    out = []
-    for c in quo:
-        if c.denominator != 1:
-            raise SitawimError("inexact polynomial division")
-        out.append(int(c))
-    return _ptrim(out)
-
-
-def _pdivides(g: Sequence[int], p: Sequence[int]) -> Optional[list]:
-    """Integer quotient ``p // g`` if ``g`` divides ``p`` over Z, else None."""
-    try:
-        return _pdivexact(p, g)
-    except SitawimError:
-        return None
-
-
-def _content(c: Sequence[int]) -> int:
-    g = 0
-    for v in c:
-        g = gcd(g, v)
-    return g
-
-
-def _is_square(v) -> bool:
-    if v < 0:
-        return False
-    num, den = v.numerator, v.denominator
-    rn, rd = isqrt(int(num)), isqrt(int(den))
-    return rn * rn == num and rd * rd == den
-
-
-@dataclass(frozen=True)
-class IntPoly:
-    """A nonzero integer polynomial of degree at most 5.
-
-    ``coeffs`` is ascending; the leading coefficient is normalized to be
-    positive (characteristic polynomials come out monic).
-    """
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        c = _ptrim([int(v) for v in self.coeffs])
-        if not c:
-            raise SitawimError("the zero polynomial has no factorization data")
-        if len(c) - 1 > 5:
-            raise SitawimError(f"degree {len(c) - 1} exceeds the supported bound 5")
-        if c[-1] < 0:
-            c = [-v for v in c]
-        object.__setattr__(self, "coeffs", tuple(c))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> int:
-        return self.coeffs[-1]
-
-    @property
-    def is_monic(self) -> bool:
-        return self.lead == 1
-
-    def __call__(self, value):
-        acc = qq(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        return IntPoly(tuple(_pmul(self.coeffs, other.coeffs)))
-
-    def derivative(self) -> "IntPoly":
-        if self.degree == 0:
-            raise SitawimError("derivative of a constant is zero")
-        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
-    def __str__(self) -> str:
-        # compact display style: x^4+x^3-93x^2-57x+12
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "x" if i == 1 else f"x^{i}"
-                body = var if mag == 1 else f"{mag}{var}"
-            parts.append(sign + body)
-        return "".join(parts) or "0"
-
-
-def format_factored(factors: Sequence[IntPoly]) -> str:
-    """Render a factor list the way factorizations are usually displayed,
-    e.g. ``(x-6)^2(x+1)^3``."""
-    out = []
-    for f, group in itertools.groupby(factors):
-        e = sum(1 for _ in group)
-        out.append(f"({f})" + (f"^{e}" if e > 1 else ""))
-    return "".join(out)
-
-
-# ---------------------------------------------------------------------------
-# characteristic polynomials (fraction-free)
-# ---------------------------------------------------------------------------
-
-
-def charpoly(matrix: Sequence[Sequence[int]]) -> IntPoly:
-    """Exact monic characteristic polynomial ``det(xI - M)``.
-
-    Bareiss elimination over Z[x]: every division is by the previous pivot
-    and is exact, so no rational arithmetic appears.  The pivots are the
-    leading principal minors of the characteristic matrix, which are monic
-    and in particular never zero, so no row swaps are needed.
-    """
-    n = len(matrix)
-    if n == 0 or any(len(row) != n for row in matrix):
-        raise SitawimError("characteristic polynomial needs a square matrix")
-    B: list[list[list[int]]] = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            m = int(matrix[i][j])
-            row.append(_ptrim([-m, 1] if i == j else [-m]))
-        B.append(row)
-    prev: list[int] = [1]
-    for k in range(n - 1):
-        pivot = B[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _padd(_pmul(B[i][j], pivot), [-c for c in _pmul(B[i][k], B[k][j])])
-                B[i][j] = _pdivexact(num, prev)
-            B[i][k] = []
-        prev = pivot
-    return IntPoly(tuple(B[n - 1][n - 1]))
-
-
-# ---------------------------------------------------------------------------
-# factorization over the integers, degree <= 5
-# ---------------------------------------------------------------------------
-
-
-def _divisors(v: int) -> list[int]:
-    v = abs(v)
-    out = [d for d in range(1, isqrt(v) + 1) if v % d == 0]
-    out += [v // d for d in reversed(out) if d * d != v]
-    return out
-
-
-def _rational_roots(c: list[int]) -> list[tuple[int, int]]:
-    """All rational roots num/den (lowest terms, den > 0) of an integer
-    polynomial with nonzero constant term."""
-    d = len(c) - 1
-    roots = []
-    for den in _divisors(c[-1]):
-        for num in _divisors(c[0]):
-            if gcd(num, den) != 1:
-                continue
-            for s in (num, -num):
-                # exact evaluation of c(s/den) * den^d
-                if sum(coeff * s**i * den ** (d - i) for i, coeff in enumerate(c)) == 0:
-                    roots.append((s, den))
-    return roots
-
-
-def _modp_trim(c: Sequence[int], p: int) -> list[int]:
-    out = [v % p for v in c]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _modp_rem(a: list[int], f: list[int], p: int) -> list[int]:
-    """Remainder of ``a`` modulo a monic ``f``, coefficients mod ``p``."""
-    a = a[:]
-    df = len(f) - 1
-    while len(a) - 1 >= df:
-        q = a[-1]
-        off = len(a) - 1 - df
-        for i in range(df + 1):
-            a[off + i] = (a[off + i] - q * f[i]) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _modp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _modp_trim(a, p), _modp_trim(b, p)
-    while b:
-        inv = pow(b[-1], -1, p)
-        a, b = b, _modp_rem(a, [(v * inv) % p for v in b], p)
-    return a
-
-
-def _modp_mulrem(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                prod[i + j] = (prod[i + j] + u * v) % p
-    return _modp_rem(prod, f, p)
-
-
-def _irreducible_mod_p(c: list[int], p: int) -> Optional[bool]:
-    """True if ``c`` is irreducible modulo ``p`` (hence over the integers);
-    None when the prime cannot certify (leading coefficient vanishes or the
-    reduction is not squarefree); False when reducible mod ``p``, which by
-    itself proves nothing about the integers."""
-    f = _modp_trim(c, p)
-    if len(f) != len(c):
-        return None
-    inv = pow(f[-1], -1, p)
-    f = [(v * inv) % p for v in f]
-    d = len(f) - 1
-    deriv = [(i * f[i]) % p for i in range(1, d + 1)]
-    if len(_modp_gcd(f, deriv, p)) != 1:
-        return None
-    # distinct-degree sieve: f is irreducible iff gcd(x^(p^i) - x, f) is
-    # trivial for every i up to d // 2
-    xp = [0, 1]
-    for _ in range(d // 2):
-        power = xp
-        acc = [1]
-        e = p
-        while e:
-            if e & 1:
-                acc = _modp_mulrem(acc, power, f, p)
-            power = _modp_mulrem(power, power, f, p)
-            e >>= 1
-        xp = acc
-        diff = _modp_trim([v - (1 if i == 1 else 0) for i, v in enumerate(xp + [0, 0])], p)
-        if not diff or len(_modp_gcd(f, diff, p)) != 1:
-            return False
-    return True
-
-
-_SCREEN_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
-def _quadratic_factor(c: list[int]) -> Optional[list[int]]:
-    """Lexicographically-least quadratic integer factor of ``c`` (which has
-    no rational roots), or None.
-
-    Candidates are enumerated by interpolation: a factor g must satisfy
-    g(0) | c(0), g(1) | c(1) and g(-1) | c(-1), and those three values
-    determine g.  Survivors are pruned by a Mignotte-style height bound on
-    the middle coefficient, leading-coefficient divisibility, and g(2) | c(2)
-    before the exact trial division."""
-    height = 4 * (1 + isqrt(sum(v * v for v in c)))
-    lead = abs(c[-1])
-    f0 = c[0]
-    f1 = sum(c)
-    fm1 = sum(v if i % 2 == 0 else -v for i, v in enumerate(c))
-    f2 = sum(v * 2**i for i, v in enumerate(c))
-    # no rational roots, so none of these sample values vanish
-    hits = []
-    d0s = [s * d for d in _divisors(f0) for s in (1, -1)]
-    for d1 in (s * d for d in _divisors(f1) for s in (1, -1)):
-        for dm in (s * d for d in _divisors(fm1) for s in (1, -1)):
-            if (d1 - dm) % 2:
-                continue
-            a1 = (d1 - dm) // 2
-            if abs(a1) > height:
-                continue
-            a2_plus_a0 = (d1 + dm) // 2
-            for a0 in d0s:
-                a2 = a2_plus_a0 - a0
-                if a2 <= 0 or lead % a2:
-                    continue
-                g2 = 4 * a2 + 2 * a1 + a0
-                if g2 == 0 or f2 % g2:
-                    continue
-                g = [a0, a1, a2]
-                if _content(g) == 1 and _pdivides(g, c) is not None:
-                    hits.append((a2, a1, a0))
-    if not hits:
-        return None
-    a2, a1, a0 = min(hits)
-    return [a0, a1, a2]
-
-
-def factor_int_poly(p: IntPoly) -> list[IntPoly]:
-    """Complete irreducible factorization over the integers.
-
-    Rational roots are stripped first; what remains of degree 4 or 5 can
-    only split off a quadratic, which a bounded coefficient search finds.
-    The result is sorted (by degree, then coefficients) and repeats factors
-    according to multiplicity.
-    """
-    if _content(p.coeffs) != 1:
-        raise SitawimError("factorization expects a primitive polynomial")
-    c = list(p.coeffs)
-    factors: list[IntPoly] = []
-    while len(c) > 1 and c[0] == 0:
-        factors.append(IntPoly((0, 1)))
-        c = c[1:]
-    changed = True
-    while changed and len(c) > 2:
-        changed = False
-        for num, den in _rational_roots(c):
-            quo = _pdivides([-num, den], c)
-            if quo is not None:
-                factors.append(IntPoly((-num, den)))
-                c = quo
-                changed = True
-                break
-    while len(c) - 1 >= 4:
-        # cheap certificate first: irreducible mod p implies irreducible here
-        if any(_irreducible_mod_p(c, q) for q in _SCREEN_PRIMES):
-            break
-        g = _quadratic_factor(c)
-        if g is None:
-            break
-        factors.append(IntPoly(tuple(g)))
-        c = _pdivexact(c, g)
-    if len(c) > 1:
-        factors.append(IntPoly(tuple(c)))
-    elif c != [1]:  # primitive + positive-lead factors leave a unit of +1
-        raise SitawimError(f"factorization left a non-unit residue {c}")
-    return sorted(factors, key=lambda f: (f.degree, f.coeffs))
-
-
-# ---------------------------------------------------------------------------
-# Galois classification of irreducible factors, degree <= 4
-# ---------------------------------------------------------------------------
-
-_ABELIAN_TAGS = frozenset({"C1", "C2", "C3", "C4", "V4"})
-_ALL_TAGS = _ABELIAN_TAGS | {"S3", "D4", "A4", "S4"}
-
-
-@dataclass(frozen=True)
-class GaloisClass:
-    """Isomorphism class of the Galois group of an irreducible factor."""
-
-    tag: str
-
-    def __post_init__(self) -> None:
-        if self.tag not in _ALL_TAGS:
-            raise SitawimError(f"unknown Galois class tag {self.tag!r}")
-
-    @property
-    def abelian(self) -> bool:
-        return self.tag in _ABELIAN_TAGS
-
-    def __str__(self) -> str:
-        return self.tag
-
-
-def _cubic_disc(a, b, c, d):
-    return (
-        18 * a * b * c * d
-        - 4 * b**3 * d
-        + b**2 * c**2
-        - 4 * a * c**3
-        - 27 * a**2 * d**2
-    )
-
-
-def _integer_roots_monic(c: list[int]) -> list[int]:
-    """Distinct integer roots of a monic integer polynomial."""
-    if c[0] == 0:
-        base = [0]
-        rest = c[1:]
-        while len(rest) > 1 and rest[0] == 0:
-            rest = rest[1:]
-        cands = _divisors(rest[0]) if rest[0] else []
-    else:
-        base = []
-        cands = _divisors(c[0])
-    out = list(base)
-    for v in cands:
-        for s in (v, -v):
-            acc = 0
-            for coeff in reversed(c):
-                acc = acc * s + coeff
-            if acc == 0:
-                out.append(s)
-    return sorted(set(out))
-
-
-def galois_class(p: IntPoly) -> GaloisClass:
-    """Galois group of an irreducible polynomial of degree at most 4.
-
-    Degree 3 splits on whether the discriminant is a square.  Degree 4 uses
-    the resolvent cubic ``y^3 - by^2 + (ac-4d)y - (a^2 d - 4bd + c^2)``,
-    whose discriminant equals the quartic's: no rational resolvent root
-    means S4 (A4 when the discriminant is a square), three mean V4, and
-    exactly one leaves C4 vs D4, settled by the Kappe-Warren criterion
-    (both associated quadratics ``z^2 - Bz + d`` and ``z^2 - az + (b - B)``
-    must split over Q(sqrt(disc)) for C4 -- a rational-square test).
-    """
-    deg = p.degree
-    if deg == 1:
-        return GaloisClass("C1")
-    if deg == 2:
-        return GaloisClass("C2")
-    if deg == 3:
-        d0, c0, b0, a0 = p.coeffs[0], p.coeffs[1], p.coeffs[2], p.coeffs[3]
-        disc = _cubic_disc(a0, b0, c0, d0)
-        return GaloisClass("C3" if _is_square(qq(disc)) else "S3")
-    if deg != 4:
-        raise SitawimError(f"Galois classification supports degree <= 4, got {deg}")
-    # scale to a monic quartic with the same splitting field
-    lc = p.lead
-    a = p.coeffs[3]
-    b = p.coeffs[2] * lc
-    c = p.coeffs[1] * lc * lc
-    d = p.coeffs[0] * lc**3
-    resolvent = [-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b, 1]
-    disc = qq(_cubic_disc(1, resolvent[2], resolvent[1], resolvent[0]))
-    roots = _integer_roots_monic(resolvent)
-    if len(roots) == 0:
-        return GaloisClass("A4" if _is_square(disc) else "S4")
-    if len(roots) >= 3:
-        return GaloisClass("V4")
-    beta = roots[0]
-    t1 = qq(beta * beta - 4 * d)
-    t2 = qq(a * a - 4 * (b - beta))
-    def splits(t) -> bool:
-        return _is_square(t) or _is_square(t * disc)
-    return GaloisClass("C4" if splits(t1) and splits(t2) else "D4")
 
 
 # ---------------------------------------------------------------------------
@@ -772,27 +299,27 @@ def _solve_exact(rows: list[list], rhs: list) -> list:
     return [aug[i][n] / aug[i][i] for i in range(n)]
 
 
-def _poly_gcd_degree(a: Sequence[int], b: Sequence[int]) -> int:
-    """Degree of gcd over Q (rational Euclid; sizes here are tiny)."""
-    fa = [qq(v) for v in a]
-    fb = [qq(v) for v in b]
-    while any(fb):
-        while fa and fa[-1] == 0:
-            fa.pop()
-        while fb and fb[-1] == 0:
-            fb.pop()
-        if len(fa) < len(fb):
-            fa, fb = fb, fa
-            continue
-        lead = fb[-1]
-        shift = len(fa) - len(fb)
-        f = fa[-1] / lead
-        for j in range(len(fb)):
-            fa[j + shift] -= f * fb[j]
-        fa.pop()
-    while fa and fa[-1] == 0:
-        fa.pop()
-    return len(fa) - 1
+def _squarefree_generator(inst: Instance) -> tuple[list[list[int]], list[IntPoly], int]:
+    """The first combination ``M = sum_j t^(j-1) b_j``, t = 1, 2, ..., whose
+    characteristic polynomial is squarefree: ``(M, factors, perron)`` with
+    the factors of that polynomial and the degree eigenvalue
+    ``perron = sum_j t^(j-1) k_j``.
+
+    :func:`multiplicities` and :func:`sitawim.spectra.eigenmatrix_P` both
+    name each Galois orbit by its factor here, so they must share ``M``.
+    """
+    r = inst.rank
+    mats = inst.matrices
+    for t in range(1, 5 * r * r):
+        M = [
+            [sum(t ** (j - 1) * mats[j][a][b] for j in range(1, r)) for b in range(r)]
+            for a in range(r)
+        ]
+        cp = charpoly(M)
+        if _poly_gcd_degree(cp.coeffs, cp.derivative().coeffs) == 0:
+            perron = sum(t ** (j - 1) * inst.degrees[j] for j in range(1, r))
+            return M, factor_int_poly(cp), perron
+    raise SitawimError("no squarefree generator found")
 
 
 def multiplicities(inst: Instance) -> MultiplicityResult:
@@ -816,22 +343,7 @@ def multiplicities(inst: Instance) -> MultiplicityResult:
     n = inst.order
     if r == 1:
         return MultiplicityResult((1,), True, ((IntPoly((-1, 1)), qq(1)),))
-    mats = [list(map(list, m)) for m in inst.matrices]
-    for t in range(1, 5 * r * r):
-        M = [
-            [
-                sum(t ** (j - 1) * mats[j][i][k] for j in range(1, r))
-                for k in range(r)
-            ]
-            for i in range(r)
-        ]
-        cp = charpoly(M)
-        if _poly_gcd_degree(cp.coeffs, cp.derivative().coeffs) == 0:
-            break
-    else:  # pragma: no cover - the sweep always terminates long before this
-        raise SitawimError("no squarefree generator found")
-    factors = factor_int_poly(cp)
-    trivial_eig = sum(t ** (j - 1) * inst.degrees[j] for j in range(1, r))
+    M, factors, trivial_eig = _squarefree_generator(inst)
     trivial = IntPoly((-trivial_eig, 1))
     if trivial not in factors:
         raise SitawimError(

@@ -489,10 +489,7 @@ def _add_product(out: dict, A, B, a: int, b: int, scale: int = 1) -> dict:
     return out
 
 
-def emit_structure_polys(
-    template: Template,
-    pairs: Sequence[tuple[int, int]] | None = None,
-) -> list[MPoly]:
+def emit_structure_polys(template: Template) -> list[MPoly]:
     """Polynomial conditions for the symbolic matrices to realize an
     associative commutative multiplication.
 
@@ -507,10 +504,9 @@ def emit_structure_polys(
     for a shared constant, and those residues vanish on the variety cut
     out by the rest.  Results are normalized (integer content 1,
     positive leading coefficient), deduplicated, and canonically sorted.
-    ``pairs`` restricts to the listed ``(i, j)`` products, mainly for
-    tests and demos.  The products are formed on integer coefficients
-    (each entry times the common denominator of the template, which is 1
-    for every template :func:`build_template` makes).
+    The products are formed on integer coefficients (each entry times the
+    common denominator of the template, which is 1 for every template
+    :func:`build_template` makes).
     """
     r = template.itype.rank
     ring = template.ring
@@ -524,12 +520,8 @@ def emit_structure_polys(
         [[{m: c * den for m, c in cleared_terms(e.terms)[0].items()} for e in row] for row in mat]
         for mat in template.matrices
     ]
-    if pairs is None:
-        pairs = [(i, j) for i in range(1, r) for j in range(i, r)]
     raw: list[MPoly] = []
-    for (i, j) in pairs:
-        if not (1 <= i <= j < r):
-            raise SitawimError(f"bad product pair ({i}, {j})")
+    for i, j in itertools.combinations_with_replacement(range(1, r), 2):
         prod = [[_add_product({}, Ms[i], Ms[j], a, b) for b in range(r)] for a in range(r)]
         for a in range(r):
             for b in range(r):

@@ -15,7 +15,6 @@ from sitawim.exactpoly import (
     buchberger,
     format_poly,
     ideal_contains,
-    ideals_equal,
     is_groebner,
     linear_reduce,
     normal_form,
@@ -63,16 +62,6 @@ def test_split_linear():
         (x**2 + y).split_linear("x")
 
 
-def test_map_to_extended_ring():
-    x, y, z = XYZ.gens()
-    big = XYZ.with_variables(["w"])
-    f = (x * y - z).map_to(big)
-    assert f.ring is big
-    assert str(f) == "x*y - z"
-    with pytest.raises(ValueError):
-        big.var("w").map_to(XYZ)
-
-
 # ---------------------------------------------------------------------------
 # monomial orders
 # ---------------------------------------------------------------------------
@@ -102,20 +91,11 @@ def test_grevlex_order():
     assert _larger(grev, x**2 * z, x * y**2) == x * y**2
 
 
-def test_weighted_order():
-    x, y, z = XYZ.gens()
-    w = XYZ.order("weighted", weights={"x": 1, "y": 2, "z": 3})
-    assert _larger(w, x**3, y * z) == y * z  # weighted degree 3 vs 5
-    assert _larger(w, x**2 * y, x * z) == x**2 * y  # tie at 4, grevlex breaks
-
-
 def test_order_validation():
     with pytest.raises(ValueError):
         XYZ.order("lex", priority=("x", "y"))
     with pytest.raises(ValueError):
         XYZ.order("weighted")
-    with pytest.raises(ValueError):
-        XYZ.order("grevlex", weights={"x": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +167,7 @@ def test_buchberger_uniqueness_and_membership():
     assert gb1 == gb2
     for g in gens:
         assert ideal_contains(g, gb1, grev)
-    assert ideals_equal(gens, gb1, grev)
+    assert buchberger(gb1, grev) == gb1
     assert not ideal_contains(XYZ.one(), gb1, grev)
 
 
@@ -257,23 +237,9 @@ def test_rational_span_basis():
 R5 = Ring("x1 x2 x3 k1 k2")
 
 
-def test_linear_reduce_direction_high():
-    x1, x2, x3, k1, k2 = R5.gens()
-    red = linear_reduce(
-        [x1 - x2, x2 + x3 - 5, x3**2 + x1], degree_symbols=("k1", "k2")
-    )
-    assert red.chain == [("x3", 5 - x2), ("x2", x1)]
-    assert red.polys == [x1**2 - 9 * x1 + 25]
-    assert red.survivors() == {"x1"}
-
-
 def test_linear_reduce_direction_low():
     x1, x2, x3, k1, k2 = R5.gens()
-    red = linear_reduce(
-        [x1 - x2, x2 + x3 - 5, x3**2 + x1],
-        degree_symbols=("k1", "k2"),
-        direction="low",
-    )
+    red = linear_reduce([x1 - x2, x2 + x3 - 5, x3**2 + x1], degree_symbols=("k1", "k2"))
     assert red.chain[0] == ("x1", x2)
     assert red.polys == [x3**2 - x3 + 5]
 
@@ -324,34 +290,6 @@ def test_linear_reduce_nonconstant_coefficient_not_solved():
     red = linear_reduce([x1 * x2 - 1])
     assert red.chain == []
     assert red.polys == [x1 * x2 - 1]
-
-
-def test_linear_reduce_alias_mode_renames_only():
-    x1, x2, x3, k1, k2 = R5.gens()
-    # x3 - x1 is a pure renaming; x1 + x2 - 5 is linear but not an alias
-    red = linear_reduce([x3 - x1, x1 + x2 - 5], mode="alias")
-    assert red.chain == [("x3", x1)]
-    assert red.polys == [x1 + x2 - 5]
-
-
-def test_linear_reduce_alias_mode_scaled_alias():
-    x1, x2, x3, k1, k2 = R5.gens()
-    red = linear_reduce([2 * x3 - 4 * x1], mode="alias")
-    assert red.chain == [("x3", 2 * x1)]
-    assert red.polys == []
-
-
-def test_linear_reduce_alias_mode_skips_products():
-    x1, x2, x3, k1, k2 = R5.gens()
-    # two terms, two variables, but degree 2: not a renaming
-    red = linear_reduce([x1 * x2 - x3], mode="alias")
-    assert red.chain == []
-
-
-def test_linear_reduce_mode_validation():
-    x1, x2, x3, k1, k2 = R5.gens()
-    with pytest.raises(ValueError):
-        linear_reduce([x1], mode="sideways")
 
 
 # ---------------------------------------------------------------------------

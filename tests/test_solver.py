@@ -8,6 +8,7 @@ rank-5 window at m = 62.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import time
@@ -25,13 +26,14 @@ from sitawim.solver import (
     SimplexSpec,
     Solution,
     WindowSpec,
-    _integer_roots,
+    _iter_points,
     _prepare,
     canonical_form,
     run_search,
     specialize_and_solve,
 )
-from sitawim.structcheck import Instance
+from sitawim.intpoly import _integer_roots
+from sitawim.structcheck import Instance, multiplicities
 from sitawim.varietygen import RationalCharTable
 
 N35 = Instance(N35_MATRICES, itype="5S")
@@ -89,6 +91,23 @@ class TestGridGeometry:
 
     def test_simplex_empty_below_zero(self):
         assert list(SimplexSpec(("a",)).points(-1)) == []
+
+    def test_point_order_is_grid_then_window_then_simplex(self):
+        cfg = SearchConfig(
+            itype="5S",
+            grid=(GridAxis("m", 1, 2),),
+            window=WindowSpec(("x1", "x2"), anchor="m", percent=100, divisor=1),
+            simplex=SimplexSpec(("x3", "x4"), anchor="m"),
+        )
+        want = [
+            [("m", m), ("x1", x1), ("x2", x2), ("x3", x3), ("x4", x4)]
+            for m in (1, 2)
+            for x1 in range(2 * m + 1)
+            for x2 in range(2 * m + 1)
+            for x3 in range(m + 1)
+            for x4 in range(m + 1 - x3)
+        ]
+        assert [list(p.items()) for p in _iter_points(cfg)] == want
 
 
 class TestSearchConfig:
@@ -268,10 +287,12 @@ class TestCanonicalForm:
         assert canonical_form(twin).matrices == canonical_form(A1_16).matrices
 
     def test_multiplicities_travel_with_the_relabeling(self):
-        inst = N35.with_multiplicities((1, 4, 10, 10, 10))
-        canon = canonical_form(inst)
-        assert sorted(canon.multiplicities) == [1, 4, 10, 10, 10]
-        assert canon.multiplicities[0] == 1
+        # multiplicities belong to characters, which a relabeling of the
+        # basis does not move
+        for tail in itertools.permutations(range(1, 5)):
+            twin = Instance(_relabel(N35_MATRICES, (0, *tail)), itype="5S")
+            canon = canonical_form(twin.with_multiplicities(multiplicities(twin).values))
+            assert canon.multiplicities == multiplicities(canon).values == (1, 4, 10, 10, 10)
 
     @settings(deadline=None, max_examples=20)
     @given(tail=st.permutations(list(range(1, 5))))

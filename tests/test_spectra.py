@@ -13,14 +13,14 @@ from sitawim.errors import SitawimError, SpectralError
 from sitawim import spectra
 from sitawim.spectra import (
     SpectralData,
-    _real_roots,
     as_rational,
     eigenmatrix_P,
     eigenmatrix_Q,
     krein,
     render_matrix,
 )
-from sitawim.structcheck import Instance, IntPoly, _poly_gcd_degree, multiplicities
+from sitawim.intpoly import _poly_gcd_degree, _real_roots
+from sitawim.structcheck import Instance, IntPoly, multiplicities
 
 from _fixtures import A1_16_MATRICES, N249_MATRICES, N35_MATRICES
 

@@ -3,7 +3,7 @@ integer factorization, Galois classes, axiom checks, multiplicities, and
 cyclotomy verdicts, pinned against hand-checked values."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sitawim.errors import SitawimError
@@ -234,6 +234,65 @@ class TestGaloisClass:
     def test_tag_vocabulary_is_closed(self):
         with pytest.raises(SitawimError):
             GaloisClass("Q8")
+
+
+# ---------------------------------------------------------------------------
+# factorization and Galois classes against sympy
+# ---------------------------------------------------------------------------
+
+# a factor of degree 1..3 with small coefficients and a positive leading one
+_small_factors = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.integers(-6, 6), min_size=d, max_size=d), st.integers(1, 4)
+    ).map(lambda t: t[0] + [t[1]])
+)
+
+
+def _ascending(sympy_poly) -> tuple:
+    return tuple(int(c) for c in reversed(sympy_poly.all_coeffs()))
+
+
+class TestAgainstSympy:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(_small_factors, min_size=1, max_size=3).filter(
+            lambda fs: sum(len(f) - 1 for f in fs) <= 5
+        )
+    )
+    def test_factorization_matches_factor_list(self, pieces):
+        sympy = pytest.importorskip("sympy")
+        from functools import reduce
+        from math import gcd
+
+        coeffs = reduce(lambda a, b: (poly(*a) * poly(*b)).coeffs, pieces)
+        g = reduce(gcd, coeffs)
+        p = IntPoly(tuple(c // g for c in coeffs))
+        x = sympy.Symbol("x")
+        _, theirs = sympy.factor_list(sympy.Poly(list(reversed(p.coeffs)), x))
+        want = sorted(
+            (IntPoly(_ascending(f)) for f, e in theirs for _ in range(e)),
+            key=lambda f: (f.degree, f.coeffs),
+        )
+        assert factor_int_poly(p) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(3, 4).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.integers(-9, 9), min_size=d, max_size=d), st.integers(1, 3)
+            )
+        )
+    )
+    def test_galois_class_matches_galois_group(self, drawn):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.numberfields.galoisgroups import galois_group
+
+        p = IntPoly(tuple(drawn[0]) + (drawn[1],))
+        x = sympy.Symbol("x")
+        sp = sympy.Poly(list(reversed(p.coeffs)), x)
+        assume(sp.is_irreducible)
+        name = galois_group(sp, by_name=True)[0].name
+        assert str(galois_class(p)) == {"A3": "C3", "V": "V4"}.get(name, name)
 
 
 # ---------------------------------------------------------------------------
