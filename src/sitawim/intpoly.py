@@ -622,8 +622,11 @@ def _real_roots(poly: IntPoly, precision: int) -> list[Fraction]:
             continue
         mid = (lo + hi) / 2
         if _sign_at(coeffs, mid.numerator, mid.denominator) == 0:
-            # rational root dead on the midpoint: shave it into its own box
+            # rational root dead on the midpoint: shave it into its own box,
+            # narrowed until no other root shares it
             width = Fraction(1, 4 * mid.denominator * (1 + abs(mid.numerator)))
+            while _sign_changes(chain, mid - width) - _sign_changes(chain, mid + width) != 1:
+                width /= 2
             intervals.append((mid - width, mid + width))
             pending.append((lo, mid - width))
             pending.append((mid + width, hi))

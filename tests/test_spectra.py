@@ -502,6 +502,8 @@ def reference_real_roots(poly: IntPoly, precision: int) -> list:
         mid = (lo + hi) / 2
         if _ref_sign_at(coeffs, mid) == 0:
             width = Fraction(1, 4 * mid.denominator * (1 + abs(mid.numerator)))
+            while _ref_sign_changes(chain, mid - width) - _ref_sign_changes(chain, mid + width) != 1:
+                width /= 2
             intervals.append((mid - width, mid + width))
             pending.append((lo, mid - width))
             pending.append((mid + width, hi))
@@ -551,6 +553,13 @@ class TestRealRoots:
         roots = _real_roots(poly, 256)
         assert roots == reference_real_roots(poly, 256)
         assert [q for q in roots if poly(q) == 0] == exact
+
+    def test_shaved_box_leaves_out_a_nearby_root(self):
+        # 5x^3 + 4x^2 - 6x - 5 = (x + 1)(5x^2 - x - 5): the first box shaved
+        # around the midpoint root -1 also held (1 - sqrt(101))/10 ~ -0.905
+        roots = _real_roots(IntPoly((-5, -6, 4, 5)), 64)
+        assert len(roots) == 3
+        assert roots[0] == -1 and Fraction(-91, 100) < roots[1] < Fraction(-90, 100)
 
     @settings(max_examples=60, deadline=None)
     @given(squarefree_polys(), st.sampled_from([64, 256]))
