@@ -12,7 +12,7 @@ class SitawimError(Exception):
 
 
 class ResourceCapExceeded(SitawimError):
-    """A symbolic computation blew past its configured degree, term or bit budget.
+    """A symbolic computation blew past its configured degree or term budget.
 
     Raised instead of letting a Groebner run eat the machine.  The offending
     quantity and its cap are recorded on the instance.

@@ -16,9 +16,7 @@ over Q.
 Degree and term-count caps guard every reduction; blowing a cap raises
 :class:`~sitawim.errors.ResourceCapExceeded` rather than thrashing.
 The defaults (total degree 60, one million terms) are far above
-anything a sane run needs.  :func:`buchberger` also takes an optional
-cap on coefficient bit length, which bounds the time a lex basis can
-spend on coefficient growth.
+anything a sane run needs.
 """
 
 from __future__ import annotations
@@ -71,7 +69,6 @@ def _reduce(
     order: MonomialOrder,
     max_degree: int | None,
     max_terms: int | None,
-    max_bits: int | None = None,
 ) -> tuple[dict, int]:
     """Fraction-free multivariate division of integer terms by integer
     reducers ``(lm, lc, tail)`` with ``lc > 0``.
@@ -98,10 +95,6 @@ def _reduce(
         if coeff is None:  # cancelled after it was queued
             continue
         _check_caps(sum(mono), len(work) + len(moved), max_degree, max_terms)
-        if max_bits is not None and coeff.bit_length() > max_bits:
-            raise ResourceCapExceeded(
-                "intermediate coefficient bits", coeff.bit_length(), max_bits
-            )
         for lm, lc, tail in reducers:
             if not all(map(le, lm, mono)):
                 continue
@@ -246,14 +239,11 @@ def buchberger(
     *,
     max_degree: int | None = DEFAULT_MAX_DEGREE,
     max_terms: int | None = DEFAULT_MAX_TERMS,
-    max_bits: int | None = None,
 ) -> list[MPoly]:
     """The reduced Groebner basis of the ideal generated by ``generators``.
 
     Returns normalized polynomials sorted ascending by leading monomial.
     The zero ideal yields ``[]``; a unit ideal yields ``[1]``.
-    ``max_bits``, when given, caps the bit length of every coefficient a
-    reduction step meets in the fraction-free work (unbounded by default).
     """
     gens = [g for g in generators if not g.is_zero]
     if not gens:
@@ -277,13 +267,13 @@ def buchberger(
         queue.update(basis, sugars, lts)
 
     for g in gens:
-        rem, _ = _reduce(cleared_terms(g.terms)[0], basis, order, max_degree, max_terms, max_bits)
+        rem, _ = _reduce(cleared_terms(g.terms)[0], basis, order, max_degree, max_terms)
         if rem:
             admit(rem, max(map(sum, rem)))
 
     while queue:
         sugar, _, _, i, j, _ = queue.pop()
-        rem, _ = _reduce(_s_terms(basis[i], basis[j]), basis, order, max_degree, max_terms, max_bits)
+        rem, _ = _reduce(_s_terms(basis[i], basis[j]), basis, order, max_degree, max_terms)
         if rem:
             admit(rem, max(sugar, max(map(sum, rem))))
 

@@ -211,9 +211,6 @@ def test_caps_raise():
         buchberger([x**9 - y, y**9 - z], XYZ.order("lex"), max_degree=8)
     with pytest.raises(ResourceCapExceeded):
         buchberger([(x + y + 1) ** 4], max_terms=10)
-    with pytest.raises(ResourceCapExceeded, match="coefficient bits 48"):
-        buchberger([x - 3**30], max_bits=47)
-    assert buchberger([x - 3**30], max_bits=48) == [x - 3**30]
 
 
 # ---------------------------------------------------------------------------
