@@ -780,7 +780,7 @@ def fusion_check(inst: Instance, sd: SpectralData, partition) -> FusionResult:
     )
     with mp.workprec(sd.precision + 32):
         tol = sd.eps * max(1, inst.order)
-        m = row_multiplicities(sd, inst)
+        m = row_multiplicities(sd)
         # group original rows by their block row sums — identity (ii)
         sums = [
             tuple(sum(sd.P[l][j] for j in B) for B in blocks) for l in range(r)

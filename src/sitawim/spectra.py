@@ -5,34 +5,34 @@ first eigenmatrix P, the second eigenmatrix Q, and the Krein/dual
 intersection matrices — lives here, computed with arbitrary-precision
 binary floats (mpmath), 256 bits by default.
 
-The exact layer anchors the numerics: for an instance whose star is the
-identity all character values are totally real, so each row of P is pinned
-to a root of an irreducible factor of a generator's characteristic
-polynomial (the squarefree generator that the exact multiplicities use
-too), and the root is isolated exactly by Sturm sequences and bisection on
-integers (:func:`sitawim.intpoly._real_roots`), so each row starts from an
-exact rational approximation.
-Instances with an asymmetric pair get the classical fallback: numerically
-diagonalize an integer linear combination of the basis matrices and read
-every b_i off the shared eigenvectors.  In both paths each claimed row is
-validated against every matrix by an explicit residual bound.
+The exact layer anchors the numerics: each Galois orbit of characters is
+an irreducible factor of the characteristic polynomial of the squarefree
+generator ``M`` that the exact multiplicities use too.  By the column-0
+convention ``M_l e_0 = e_l`` each character row is the left kernel vector
+of ``M - theta*I`` with entry 1 on ``b_0``, for ``theta`` a root of its
+factor: an exact Sturm root (:func:`sitawim.intpoly._real_roots`) when the
+star is the identity, an ``mp.polyroots`` root when there is an asymmetric
+pair.  One small linear solve per root gives the row, and every row is
+validated against every basis matrix by an explicit residual bound.
 
 Row order is canonical: the degree row first, then Galois orbits by
-(size, leading row), rows inside an orbit ascending by their value tuple.
+(size, leading row), rows inside an orbit ascending by their value tuple,
+compared on a grid of 2^-(precision/2) so that rounding noise in entries
+that are exactly equal cannot decide the order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
-import mpmath
 from mpmath import mp
 
 from .errors import SitawimError, SpectralError
 from .intpoly import IntPoly, _real_roots
-from .structcheck import Instance, _squarefree_generator, multiplicities
+from .structcheck import NOT_STANDARD, Instance, _orbit_multiplicities, _squarefree_generator
 
 __all__ = [
     "SpectralData",
@@ -54,9 +54,12 @@ class SpectralData:
 
     ``P[l][i]`` is the value of the l-th character row on ``b_i``;
     ``orbits`` partitions the row indices by Galois orbit (the degree row
-    is the singleton ``(0,)``).  ``Q`` and ``krein`` start as ``None`` and
-    are filled by :func:`eigenmatrix_Q` / :func:`krein`.  ``eps`` is the
-    working zero tolerance every residual was checked against.
+    is the singleton ``(0,)``).  ``multiplicities`` holds the exact
+    ``(factor, multiplicity)`` pair of every orbit, or None when the
+    power-sum system has no standard solution.  ``Q`` and ``krein`` start
+    as ``None`` and are filled by :func:`eigenmatrix_Q` / :func:`krein`.
+    ``eps`` is the working zero tolerance every residual was checked
+    against.
     """
 
     precision: int
@@ -64,6 +67,7 @@ class SpectralData:
     P: tuple[tuple[object, ...], ...]
     orbits: tuple[tuple[int, ...], ...]
     orbit_polys: tuple[IntPoly, ...]
+    multiplicities: Optional[tuple[tuple[IntPoly, object], ...]]
     Q: Optional[tuple[tuple[object, ...], ...]] = None
     krein: Optional[tuple[tuple[tuple[object, ...], ...], ...]] = None
 
@@ -73,62 +77,70 @@ class SpectralData:
 
 
 # ---------------------------------------------------------------------------
-# eigenvector extraction
+# character rows
 
 
 def _mpf_of(q: Fraction):
     return mp.mpf(q.numerator) / mp.mpf(q.denominator)
 
 
-def _null_vector(mat, size):
-    """A kernel vector of a numerically rank-deficient square matrix, via
-    the adjugate: its largest column.  Small sizes only."""
-    cols = []
-    for j in range(size):
-        col = []
-        for i in range(size):
-            minor = mp.matrix(size - 1, size - 1)
-            for a in range(size - 1):
-                aa = a if a < i else a + 1
-                for b in range(size - 1):
-                    bb = b if b < j else b + 1
-                    minor[a, b] = mat[aa, bb]
-            cofactor = mp.det(minor) if size > 1 else mp.mpf(1)
-            if (i + j) % 2:
-                cofactor = -cofactor
-            col.append(cofactor)
-        cols.append(col)
-    # adj(A) = C^T, so its columns are indexed by the cofactor row
-    best, best_norm = None, mp.mpf(-1)
-    for i in range(size):
-        vec = [cols[j][i] for j in range(size)]
-        norm = max(abs(v) for v in vec)
-        if norm > best_norm:
-            best, best_norm = vec, norm
-    return best
+def _factor_roots(f: IntPoly, eps) -> list:
+    """All roots of an irreducible factor by ``mp.polyroots``, refused
+    unless they converged and are pairwise farther apart than eps."""
+    try:
+        roots = mp.polyroots(list(reversed(f.coeffs)))
+    except mp.NoConvergence as exc:
+        raise SpectralError(f"roots of {f.coeffs} did not converge") from exc
+    if any(abs(a - b) <= eps for a, b in combinations(roots, 2)):
+        raise SpectralError(f"two roots of {f.coeffs} lie within tolerance")
+    return roots
 
 
-def _row_from_vector(mats, vec, eps):
-    """Character values (b_i v)[t] / v[t] at the largest component t, each
-    validated by the full residual ||b_i v - mu v|| <= eps * ||v||."""
-    r = len(mats)
-    t = max(range(len(vec)), key=lambda i: abs(vec[i]))
-    scale = abs(vec[t])
-    row = []
-    for i in range(r):
-        image = [sum(mp.mpf(mats[i][a][b]) * vec[b] for b in range(r)) for a in range(r)]
-        mu = image[t] / vec[t]
-        residual = max(abs(image[a] - mu * vec[a]) for a in range(r))
-        if residual > eps * scale:
-            raise SpectralError(
-                f"eigenvector residual {mp.nstr(residual, 5)} exceeds tolerance"
-            )
-        row.append(mu)
-    return row
+def _character_row(M, theta, mats, eps) -> tuple:
+    """The character row w with w (M - theta I) = 0 and w_0 = 1.
+
+    Column c of the system reads sum_{i>=1} w_i (M - theta I)[i][c] =
+    -(M - theta I)[0][c]: r equations in r - 1 unknowns of full column
+    rank (a dependency among rows 1.. of M - theta I would be a kernel
+    vector with w_0 = 0), solved by elimination with partial pivoting.
+    The row is kept only if ||w b_i - w_i w|| <= eps ||w|| for every i.
+    """
+    r = len(M)
+    eqs = [
+        [M[i][c] - theta if i == c else M[i][c] for i in range(1, r)]
+        + [theta - M[0][c] if c == 0 else -M[0][c]]
+        for c in range(r)
+    ]
+    for col in range(r - 1):
+        pivot = max(range(col, r), key=lambda e: abs(eqs[e][col]))
+        eqs[col], eqs[pivot] = eqs[pivot], eqs[col]
+        head = eqs[col]
+        for e in range(col + 1, r):
+            f = eqs[e][col] / head[col]
+            eqs[e] = [a - f * b for a, b in zip(eqs[e], head)]
+    w = [mp.mpf(0)] * (r - 1)
+    for col in reversed(range(r - 1)):
+        acc = eqs[col][r - 1] - sum(eqs[col][k] * w[k] for k in range(col + 1, r - 1))
+        w[col] = acc / eqs[col][col]
+    w = [mp.mpf(1)] + w
+    scale = max(abs(v) for v in w)
+    for i, b in enumerate(mats):
+        for c in range(r):
+            image = sum(w[a] * b[a][c] for a in range(r) if b[a][c])
+            residual = abs(image - w[i] * w[c])
+            if residual > eps * scale:
+                raise SpectralError(
+                    f"character row residual {mp.nstr(residual, 5)} exceeds tolerance"
+                )
+    return tuple(w)
 
 
-def _row_sort_key(row):
-    return [(mp.re(v), mp.im(v)) for v in row[1:]]
+def _row_key(row, bits: int) -> list:
+    """The value tuple of a row past its b_0 entry, rounded to 2^-bits."""
+    return [
+        (int(mp.nint(mp.ldexp(mp.re(v), bits))), int(mp.nint(mp.ldexp(mp.im(v), bits))))
+        for v in row[1:]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +153,12 @@ def eigenmatrix_P(
     """The first eigenmatrix: one row per irreducible character.
 
     Row 0 is the exact degree row.  Remaining rows are grouped into Galois
-    orbits (one orbit per irreducible factor of a generator's
-    characteristic polynomial) and each row is validated entrywise against
-    every basis matrix by a residual bound.
+    orbits, one per nontrivial irreducible factor of the squarefree
+    generator's characteristic polynomial.  Each row is the solution of
+    one kernel system per root of its factor (exact Sturm roots when every
+    element is self-paired, ``mp.polyroots`` otherwise) and is validated
+    entrywise against every basis matrix by a residual bound.  The exact
+    multiplicity of every orbit comes from the same generator.
     """
     r = inst.rank
     mats = inst.matrices
@@ -151,82 +166,54 @@ def eigenmatrix_P(
         if eps is None:
             eps = mp.ldexp(1, -100) * max(1, inst.order)
         combo, factors, perron = _squarefree_generator(inst)
-        trivial = [f for f in factors if f.degree == 1 and f(perron) == 0]
-        if not trivial:
+        trivial = IntPoly((-perron, 1))
+        if trivial not in factors:
             raise SitawimError("generator has no rational degree eigenvalue")
+        mu = _orbit_multiplicities(inst, combo, factors, perron)
         # structural symmetry: b_j*b_j meets the identity iff b_j* = b_j,
         # so the declared involution type cannot misroute the dispatch
         symmetric = all(mats[j][0][j] for j in range(r))
+        M = [[mp.mpf(v) for v in row] for row in combo]
+        bits = precision // 2
         blocks: list[tuple[list, IntPoly]] = []
-        if symmetric:
-            for f in factors:
-                if f == trivial[0]:
-                    continue
-                rows = []
-                for root in _real_roots(f, precision):
-                    theta = _mpf_of(root)
-                    A = mp.matrix(r, r)
-                    for a in range(r):
-                        for b in range(r):
-                            A[a, b] = mp.mpf(combo[a][b]) - (theta if a == b else 0)
-                    vec = _null_vector(A, r)
-                    rows.append(_row_from_vector(mats, vec, eps))
-                if len(rows) != f.degree:
-                    raise SpectralError(
-                        f"found {len(rows)} real roots for a degree-{f.degree} factor"
-                    )
-                blocks.append((rows, f))
-        else:
-            M = mp.matrix(r, r)
-            for a in range(r):
-                for b in range(r):
-                    M[a, b] = mp.mpf(combo[a][b])
-            eigvals, right = mp.eig(M, left=False, right=True)
-            per_factor: dict[IntPoly, list] = {f: [] for f in factors}
-            for idx, lam in enumerate(eigvals):
-                vec = [right[a, idx] for a in range(r)]
-                hosts = sorted(factors, key=lambda f: abs(f(lam)))
-                host = hosts[0]
-                if abs(host(lam)) > eps * max(1, abs(lam)) ** host.degree:
-                    raise SpectralError("eigenvalue matches no exact factor")
-                if host == trivial[0]:
-                    continue
-                per_factor[host].append(_row_from_vector(mats, vec, eps))
-            for f in factors:
-                if f == trivial[0]:
-                    continue
-                if len(per_factor[f]) != f.degree:
-                    raise SpectralError(
-                        f"factor of degree {f.degree} received {len(per_factor[f])} rows"
-                    )
-                blocks.append((per_factor[f], f))
-        for rows, _ in blocks:
-            rows.sort(key=_row_sort_key)
-        blocks.sort(key=lambda block: (len(block[0]), _row_sort_key(block[0][0])))
+        for f in factors:
+            if f == trivial:
+                continue
+            if symmetric:
+                roots = [_mpf_of(q) for q in _real_roots(f, precision)]
+            else:
+                roots = _factor_roots(f, eps)
+            if len(roots) != f.degree:
+                raise SpectralError(
+                    f"found {len(roots)} roots for a degree-{f.degree} factor"
+                )
+            rows = [_character_row(M, theta, mats, eps) for theta in roots]
+            rows.sort(key=lambda row: _row_key(row, bits))
+            blocks.append((rows, f))
+        blocks.sort(key=lambda block: (len(block[0]), _row_key(block[0][0], bits)))
         P = [tuple(mp.mpf(d) for d in inst.degrees)]
         orbits = [(0,)]
-        orbit_polys = [trivial[0]]
+        orbit_polys = [trivial]
         for rows, f in blocks:
-            start = len(P)
-            for row in rows:
-                fixed = (mp.mpf(1),) + tuple(row[1:])
-                P.append(fixed)
-            orbits.append(tuple(range(start, len(P))))
+            orbits.append(tuple(range(len(P), len(P) + len(rows))))
             orbit_polys.append(f)
+            P.extend(rows)
         return SpectralData(
             precision=precision,
             eps=eps,
             P=tuple(P),
             orbits=tuple(orbits),
             orbit_polys=tuple(orbit_polys),
+            multiplicities=None if mu is None else tuple(zip(factors, mu)),
         )
 
 
-def row_multiplicities(sd: SpectralData, inst: Instance) -> list:
+def row_multiplicities(sd: SpectralData) -> list:
     """Exact multiplicity (as a Fraction) of each P row, matched through
     the Galois-orbit factor rather than by value order."""
-    res = multiplicities(inst)
-    by_factor = dict(res.orbits)
+    if sd.multiplicities is None:
+        raise SitawimError(NOT_STANDARD)
+    by_factor = dict(sd.multiplicities)
     out = [None] * sd.rank
     for orbit, poly in zip(sd.orbits, sd.orbit_polys):
         mu = by_factor.get(poly)
@@ -244,7 +231,7 @@ def eigenmatrix_Q(sd: SpectralData, inst: Instance) -> SpectralData:
     r = sd.rank
     n = inst.order
     with mp.workprec(sd.precision + _GUARD_BITS):
-        m = [_mpf_of(q) for q in row_multiplicities(sd, inst)]
+        m = [_mpf_of(q) for q in row_multiplicities(sd)]
         Q = tuple(
             tuple(m[i] * mp.conj(sd.P[i][j]) / inst.degrees[j] for i in range(r))
             for j in range(r)

@@ -259,6 +259,9 @@ class MultiplicityResult:
     orbits: tuple = ()  # (factor, multiplicity) pairs
 
 
+NOT_STANDARD = "power-sum system is inconsistent: not a standard table"
+
+
 def _power_sums(f: IntPoly, smax: int) -> list:
     """Newton power sums p_0..p_smax of the roots of a monic factor:
     p_s = -s*a_s - sum_{i<s} a_i p_{s-i} with a_i the descending
@@ -274,9 +277,9 @@ def _power_sums(f: IntPoly, smax: int) -> list:
     return ps
 
 
-def _solve_exact(rows: list[list], rhs: list) -> list:
+def _solve_exact(rows: list[list], rhs: list) -> Optional[list]:
     """Solve an overdetermined full-column-rank rational system exactly,
-    checking every equation; raises on inconsistency."""
+    checking every equation; None when the system is inconsistent."""
     m, n = len(rows), len(rows[0]) if rows else 0
     aug = [[qq(v) for v in row] + [qq(b)] for row, b in zip(rows, rhs)]
     for col in range(n):
@@ -291,11 +294,8 @@ def _solve_exact(rows: list[list], rhs: list) -> list:
             f = aug[i][col] / prow[col]
             for j in range(col, n + 1):
                 aug[i][j] -= f * prow[j]
-    for i in range(n, m):
-        if aug[i][n] != 0:
-            raise SitawimError(
-                "power-sum system is inconsistent: not a standard table"
-            )
+    if any(aug[i][n] != 0 for i in range(n, m)):
+        return None
     return [aug[i][n] / aug[i][i] for i in range(n)]
 
 
@@ -322,6 +322,32 @@ def _squarefree_generator(inst: Instance) -> tuple[list[list[int]], list[IntPoly
     raise SitawimError("no squarefree generator found")
 
 
+def _orbit_multiplicities(
+    inst: Instance, M: list[list[int]], factors: list[IntPoly], perron: int
+) -> Optional[list]:
+    """The multiplicity of each Galois orbit of the generator ``M`` (one per
+    factor, in the order of ``factors``), or None when the power-sum system
+    of :func:`multiplicities` has no standard solution: no trivial factor
+    ``x - perron``, an inconsistent system, a multiplicity <= 0, or a
+    trivial multiplicity other than 1."""
+    r = inst.rank
+    n = inst.order
+    trivial = IntPoly((-perron, 1))
+    if trivial not in factors:
+        return None
+    sums = [_power_sums(f, r - 1) for f in factors]
+    rows, rhs = [], []
+    P = [[1 if i == k else 0 for k in range(r)] for i in range(r)]
+    for s in range(r):
+        rows.append([ps[s] for ps in sums])
+        rhs.append(n * P[0][0])
+        P = _matmul_int(P, M)
+    mu = _solve_exact(rows, rhs)
+    if mu is None or any(v <= 0 for v in mu) or mu[factors.index(trivial)] != 1:
+        return None
+    return mu
+
+
 def multiplicities(inst: Instance) -> MultiplicityResult:
     """Exact standard-module multiplicities via power sums.
 
@@ -339,41 +365,16 @@ def multiplicities(inst: Instance) -> MultiplicityResult:
     characteristic polynomial is squarefree separates the orbits; sweeping
     ``M = sum_j t^(j-1) b_j`` over t = 1, 2, ... finds one.
     """
-    r = inst.rank
-    n = inst.order
-    if r == 1:
+    if inst.rank == 1:
         return MultiplicityResult((1,), True, ((IntPoly((-1, 1)), qq(1)),))
-    M, factors, trivial_eig = _squarefree_generator(inst)
-    trivial = IntPoly((-trivial_eig, 1))
-    if trivial not in factors:
-        raise SitawimError(
-            "power-sum system is inconsistent: not a standard table"
-        )
-    sums = [_power_sums(f, r - 1) for f in factors]
-    rows = []
-    rhs = []
-    P = [[1 if i == k else 0 for k in range(r)] for i in range(r)]
-    for s in range(r):
-        rows.append([ps[s] for ps in sums])
-        rhs.append(n * P[0][0])
-        P = _matmul_int(P, M)
-    mu = _solve_exact(rows, rhs)
-    for v in mu:
-        if v <= 0:
-            raise SitawimError(
-                "power-sum system is inconsistent: not a standard table"
-            )
-    if mu[factors.index(trivial)] != 1:
-        raise SitawimError(
-            "power-sum system is inconsistent: not a standard table"
-        )
-    rest: list = []
-    for f, v in zip(factors, mu):
-        if f == trivial:
-            rest.extend([v] * (f.degree - 1))
-        else:
-            rest.extend([v] * f.degree)
-    values = (qq(1),) + tuple(sorted(rest))
+    M, factors, perron = _squarefree_generator(inst)
+    mu = _orbit_multiplicities(inst, M, factors, perron)
+    if mu is None:
+        raise SitawimError(NOT_STANDARD)
+    # one value per character; the trivial character's 1 is listed first
+    rest = sorted(v for f, v in zip(factors, mu) for _ in range(f.degree))
+    rest.remove(1)
+    values = (qq(1),) + tuple(rest)
     integral = all(v.denominator == 1 for v in values)
     if integral:
         values = tuple(int(v) for v in values)

@@ -33,3 +33,25 @@ A1_16_MATRICES = [
     [[0, 0, 0, 5], [0, 2, 1, 2], [1, 2, 1, 1], [0, 1, 3, 1]],
     [[0, 0, 5, 0], [0, 2, 2, 1], [0, 1, 1, 3], [1, 2, 1, 1]],
 ]
+
+# Symmetric rank 4, order 49, degrees (1, 16, 16, 16): a 4S pseudocyclic
+# entry whose three integer character rows tie on their b_1 value, so only
+# the later entries order them.
+S49_MATRICES = [
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[0, 16, 0, 0], [1, 3, 6, 6], [0, 6, 6, 4], [0, 6, 4, 6]],
+    [[0, 0, 16, 0], [0, 6, 6, 4], [1, 6, 3, 6], [0, 4, 6, 6]],
+    [[0, 0, 0, 16], [0, 6, 4, 6], [0, 4, 6, 6], [1, 6, 6, 3]],
+]
+
+# Rank 5 with two asymmetric pairs (b1* = b2, b3* = b4), order 13, degrees
+# (1, 3, 3, 3, 3): the generator's nontrivial factor is a D4 quartic with
+# four nonreal roots, and the standard multiplicities (about 1.5448 twice
+# and 4.4552 twice) are irrational and differ inside that Galois orbit.
+A2_13_MATRICES = [
+    IDENTITY5,
+    [[0, 0, 3, 0, 0], [1, 0, 0, 1, 1], [0, 1, 0, 0, 2], [0, 2, 1, 0, 0], [0, 0, 1, 2, 0]],
+    [[0, 3, 0, 0, 0], [0, 0, 1, 2, 0], [1, 0, 0, 1, 1], [0, 1, 0, 0, 2], [0, 1, 2, 0, 0]],
+    [[0, 0, 0, 0, 3], [0, 1, 2, 0, 0], [0, 0, 1, 2, 0], [1, 0, 0, 1, 1], [0, 2, 0, 0, 1]],
+    [[0, 0, 0, 3, 0], [0, 1, 0, 0, 2], [0, 2, 1, 0, 0], [0, 0, 2, 1, 0], [1, 0, 0, 1, 1]],
+]

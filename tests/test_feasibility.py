@@ -8,6 +8,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from sitawim import feasibility, spectra, structcheck
 from sitawim.errors import SitawimError
 from sitawim.feasibility import (
     CONDITIONS,
@@ -145,6 +146,7 @@ def fabricated_sd(krein_tensor, Q0, eps=None):
         P=P,
         orbits=tuple((i,) for i in range(r)),
         orbit_polys=tuple(IntPoly((-1, 1)) for _ in range(r)),
+        multiplicities=None,
         Q=Q,
         krein=kr,
     )
@@ -715,6 +717,27 @@ class TestFusion:
         res = fusion_check(z3, sd, [(0,), (1, 2)])
         assert res.verdict == "pass"
         assert res.fused.matrices == complete_graph(3).matrices
+
+    def test_reads_multiplicities_from_the_spectrum(self, n249, monkeypatch):
+        # only the fused instance gets a generator sweep of its own
+        sd = eigenmatrix_P(n249)
+        swept = []
+        real = structcheck._squarefree_generator
+
+        def spy(inst):
+            swept.append(inst)
+            return real(inst)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fusion_check recomputed the multiplicities")
+
+        monkeypatch.setattr(spectra, "_squarefree_generator", spy)
+        monkeypatch.setattr(structcheck, "_squarefree_generator", spy)
+        monkeypatch.setattr(structcheck, "multiplicities", refuse)
+        monkeypatch.setattr(feasibility, "multiplicities", refuse)
+        res = fusion_check(n249, sd, [(0,), (1, 2, 3, 4)])
+        assert res.verdict == "pass"
+        assert swept == [res.fused]
 
     def test_partition_validation(self, n35, sd35):
         with pytest.raises(SitawimError):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from sitawim.errors import SitawimError, SpectralError
-from sitawim import spectra
+from sitawim import spectra, structcheck
+from sitawim.solver import GridAxis, SearchConfig, SimplexSpec, run_search
 from sitawim.spectra import (
     SpectralData,
     as_rational,
@@ -22,11 +23,19 @@ from sitawim.spectra import (
 from sitawim.intpoly import _poly_gcd_degree, _real_roots
 from sitawim.structcheck import Instance, IntPoly, multiplicities
 
-from _fixtures import A1_16_MATRICES, N249_MATRICES, N35_MATRICES
+from _fixtures import (
+    A1_16_MATRICES,
+    A2_13_MATRICES,
+    N249_MATRICES,
+    N35_MATRICES,
+    S49_MATRICES,
+)
 
 N35 = Instance(N35_MATRICES, "5S")
 N249 = Instance(N249_MATRICES, "5S")
 A1_16 = Instance(A1_16_MATRICES, "4A1")
+S49 = Instance(S49_MATRICES, "4S")
+A2_13 = Instance(A2_13_MATRICES, "5A2")
 
 
 def complete_graph(n: int) -> Instance:
@@ -396,20 +405,20 @@ class TestFailureModes:
             P=tuple(tuple(r) for r in rows),
             orbits=sd.orbits,
             orbit_polys=sd.orbit_polys,
+            multiplicities=sd.multiplicities,
         )
         with pytest.raises(SpectralError):
             eigenmatrix_Q(bad, N35)
 
     def test_foreign_factor_has_no_multiplicity(self):
         sd = eigenmatrix_P(N35)
-        from sitawim.structcheck import IntPoly
-
         bad = SpectralData(
             precision=sd.precision,
             eps=sd.eps,
             P=sd.P,
             orbits=sd.orbits,
             orbit_polys=(IntPoly((1, 1)),) + sd.orbit_polys[1:],
+            multiplicities=sd.multiplicities,
         )
         with pytest.raises(SpectralError):
             eigenmatrix_Q(bad, N35)
@@ -430,18 +439,245 @@ class TestPrecisionPlumbing:
         assert sd.eps == mp.ldexp(1, -100) * 249
 
 
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Records every squarefree-generator sweep (by instance) and refuses
+    any call of ``multiplicities``."""
+    calls = []
+    real = structcheck._squarefree_generator
+
+    def spy(inst):
+        calls.append(inst)
+        return real(inst)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("multiplicities recomputed")
+
+    monkeypatch.setattr(spectra, "_squarefree_generator", spy)
+    monkeypatch.setattr(structcheck, "_squarefree_generator", spy)
+    monkeypatch.setattr(structcheck, "multiplicities", refuse)
+    return calls
+
+
 class TestKreinMultiplicities:
-    def test_krein_reads_multiplicities_from_Q(self, monkeypatch):
+    def test_krein_reads_multiplicities_from_Q(self, sweeps):
         for inst in (N35, N249, A1_16):
             sd = eigenmatrix_Q(eigenmatrix_P(inst), inst)
             expected = krein(sd, inst).krein
-
-            def refuse(*args, **kwargs):
-                raise AssertionError("krein recomputed the multiplicities")
-
-            monkeypatch.setattr(spectra, "multiplicities", refuse)
+            sweeps.clear()
             assert krein(sd, inst).krein == expected
-            monkeypatch.undo()
+            assert sweeps == []
+
+    def test_eigenmatrix_P_sweeps_once(self, sweeps):
+        for inst in (N35, N249, A1_16, A2_13):
+            sweeps.clear()
+            eigenmatrix_P(inst)
+            assert sweeps == [inst]
+
+    def test_eigenmatrix_Q_reads_multiplicities_from_P(self, sweeps):
+        for inst in (N35, N249, A1_16):
+            sd = eigenmatrix_P(inst)
+            sweeps.clear()
+            eigenmatrix_Q(sd, inst)
+            assert sweeps == []
+
+    def test_P_carries_the_exact_multiplicities(self):
+        for inst in (N35, N249, A1_16, S49):
+            assert eigenmatrix_P(inst).multiplicities == multiplicities(inst).orbits
+
+
+class TestCharacterRows:
+    def test_tied_rows_follow_exact_order(self):
+        # the three integer rows tie on b_1 = 2 (two of them) and differ
+        # only past it; rounding noise must not decide their order
+        sd = eigenmatrix_P(S49)
+        assert sd.orbits == ((0,), (1,), (2,), (3,))
+        exact = [(1, 16, 16, 16), (1, -5, 2, 2), (1, 2, -5, 2), (1, 2, 2, -5)]
+        assert err(sd.P, exact) < 1e-12
+        assert [p.coeffs for p in sd.orbit_polys] == [(-112, 1), (-7, 1), (0, 1), (14, 1)]
+
+    def test_conjugate_rows_ascend_by_imaginary_part(self):
+        # conjugate rows share their real parts exactly
+        sd = eigenmatrix_P(A2_13)
+        assert sd.orbits == ((0,), (1, 2, 3, 4))
+        with mp.workprec(sd.precision):
+            for a, b in ((1, 2), (3, 4)):
+                assert abs(sd.P[a][1] - mp.conj(sd.P[b][1])) < 1e-60
+                assert mp.im(sd.P[a][1]) < 0 < mp.im(sd.P[b][1])
+        assert mp.re(sd.P[1][1]) < mp.re(sd.P[3][1])
+
+    def test_irrational_multiplicities_keep_P_and_refuse_Q(self):
+        sd = eigenmatrix_P(A2_13)
+        assert sd.multiplicities is None
+        with pytest.raises(SitawimError, match="power-sum system is inconsistent: not a standard table"):
+            eigenmatrix_Q(sd, A2_13)
+
+    def test_nonreal_quartic_columns_are_numpy_eigenvalues(self):
+        np = pytest.importorskip("numpy")
+        sd = eigenmatrix_P(A2_13)
+        assert [f.degree for f in sd.orbit_polys] == [1, 4]
+        assert all(abs(mp.im(sd.P[l][1])) > 0.5 for l in range(1, 5))
+        for i, b in enumerate(A2_13_MATRICES):
+            want = np.linalg.eigvals(np.array(b, dtype=float))
+            got = [complex(sd.P[l][i]) for l in range(5)]
+            for z in want:
+                assert min(abs(z - g) for g in got) < 1e-9
+            for g in got:
+                assert min(abs(z - g) for z in want) < 1e-9
+
+    def test_unconverged_roots_are_refused(self, monkeypatch):
+        def stuck(*args, **kwargs):
+            raise mp.NoConvergence("stuck")
+
+        monkeypatch.setattr(mp, "polyroots", stuck)
+        with pytest.raises(SpectralError, match="did not converge"):
+            eigenmatrix_P(A1_16)
+
+    def test_coincident_roots_are_refused(self, monkeypatch):
+        # a repeated root would give one character row twice, and both
+        # copies pass the residual check
+        real = mp.polyroots
+
+        def collapsed(coeffs, *args, **kwargs):
+            roots = real(coeffs, *args, **kwargs)
+            return [roots[0]] * len(roots)
+
+        monkeypatch.setattr(mp, "polyroots", collapsed)
+        with pytest.raises(SpectralError, match="within tolerance"):
+            eigenmatrix_P(A1_16)
+
+    def test_missing_roots_are_refused(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_real_roots", lambda f, precision: _real_roots(f, precision)[1:])
+        with pytest.raises(SpectralError, match="roots for a degree"):
+            eigenmatrix_P(N35)
+
+    def test_inexact_root_fails_the_residual_check(self, monkeypatch):
+        shift = Fraction(1, 2**60)
+        monkeypatch.setattr(
+            spectra, "_real_roots", lambda f, precision: [q + shift for q in _real_roots(f, precision)]
+        )
+        with pytest.raises(SpectralError, match="residual"):
+            eigenmatrix_P(N35)
+
+
+# reference eigenmatrix: the adjugate kernel and mp.eig that eigenmatrix_P
+# replaced, with rows put in the same canonical order -------------------------
+
+
+def _ref_null_vector(mat, size):
+    """A kernel vector of a numerically rank-deficient square matrix, via
+    the adjugate: its largest column."""
+    cols = []
+    for j in range(size):
+        col = []
+        for i in range(size):
+            minor = mp.matrix(size - 1, size - 1)
+            for a in range(size - 1):
+                aa = a if a < i else a + 1
+                for b in range(size - 1):
+                    bb = b if b < j else b + 1
+                    minor[a, b] = mat[aa, bb]
+            cofactor = mp.det(minor) if size > 1 else mp.mpf(1)
+            col.append(-cofactor if (i + j) % 2 else cofactor)
+        cols.append(col)
+    vecs = [[cols[j][i] for j in range(size)] for i in range(size)]
+    return max(vecs, key=lambda vec: max(abs(v) for v in vec))
+
+
+def _ref_row_from_vector(mats, vec, eps):
+    """Character values (b_i v)[t] / v[t] of a right eigenvector at its
+    largest component t, each checked by the full residual."""
+    r = len(mats)
+    t = max(range(r), key=lambda i: abs(vec[i]))
+    row = []
+    for i in range(r):
+        image = [sum(mp.mpf(mats[i][a][b]) * vec[b] for b in range(r)) for a in range(r)]
+        mu = image[t] / vec[t]
+        assert max(abs(image[a] - mu * vec[a]) for a in range(r)) <= eps * abs(vec[t])
+        row.append(mu)
+    return (mp.mpf(1),) + tuple(row[1:])
+
+
+def reference_eigenmatrix_P(inst: Instance, precision: int = 256):
+    """(P, orbits, orbit_polys) from a right eigenvector per root: the
+    adjugate of combo - theta*I at each Sturm root of a symmetric table,
+    ``mp.eig`` of the generator otherwise, each eigenvalue matched to the
+    factor it is a root of."""
+    r = inst.rank
+    mats = inst.matrices
+    with mp.workprec(precision + 32):
+        eps = mp.ldexp(1, -100) * max(1, inst.order)
+        combo, factors, perron = structcheck._squarefree_generator(inst)
+        trivial = IntPoly((-perron, 1))
+        per_factor = {f: [] for f in factors if f != trivial}
+        if all(mats[j][0][j] for j in range(r)):
+            for f in per_factor:
+                for root in _real_roots(f, precision):
+                    theta = mp.mpf(root.numerator) / root.denominator
+                    A = mp.matrix([[combo[a][b] - (theta if a == b else 0) for b in range(r)] for a in range(r)])
+                    per_factor[f].append(_ref_row_from_vector(mats, _ref_null_vector(A, r), eps))
+        else:
+            eigvals, right = mp.eig(mp.matrix(combo), left=False, right=True)
+            for idx, lam in enumerate(eigvals):
+                host = min(factors, key=lambda f: abs(f(lam)))
+                assert abs(host(lam)) <= eps * max(1, abs(lam)) ** host.degree
+                if host != trivial:
+                    vec = [right[a, idx] for a in range(r)]
+                    per_factor[host].append(_ref_row_from_vector(mats, vec, eps))
+
+        def key(row):
+            bits = precision // 2
+            return [
+                (int(mp.nint(mp.ldexp(mp.re(v), bits))), int(mp.nint(mp.ldexp(mp.im(v), bits))))
+                for v in row[1:]
+            ]
+
+        blocks = sorted(
+            ((sorted(rows, key=key), f) for f, rows in per_factor.items()),
+            key=lambda block: (len(block[0]), key(block[0][0])),
+        )
+        P = [tuple(mp.mpf(d) for d in inst.degrees)]
+        orbits, polys = [(0,)], [trivial]
+        for rows, f in blocks:
+            assert len(rows) == f.degree
+            orbits.append(tuple(range(len(P), len(P) + len(rows))))
+            polys.append(f)
+            P.extend(rows)
+        return P, tuple(orbits), tuple(polys)
+
+
+@pytest.fixture(scope="module")
+def rank4_catalog():
+    """Every entry of the 4S and 4A1 pseudocyclic sweeps with k1 <= 40."""
+    s4 = SearchConfig(
+        itype="4S",
+        assumption="pseudocyclic",
+        grid=(GridAxis("m", 1, 40),),
+        simplex=SimplexSpec(("x8",), anchor="m"),
+    )
+    a1 = SearchConfig(itype="4A1", assumption="pseudocyclic", grid=(GridAxis("k1", 1, 40),))
+    return run_search(s4) + run_search(a1)
+
+
+class TestAgainstAdjugateReference:
+    def _assert_same(self, inst):
+        sd = eigenmatrix_P(inst)
+        P, orbits, polys = reference_eigenmatrix_P(inst)
+        assert sd.orbit_polys == polys
+        assert sd.orbits == orbits
+        tol = mp.ldexp(1, -200)
+        for got, want in zip(sd.P, P):
+            assert max(abs(a - b) for a, b in zip(got, want)) < tol
+
+    @pytest.mark.parametrize("name", ["n35", "n249", "a1_16", "s49", "a2_13"])
+    def test_fixtures(self, name):
+        self._assert_same({"n35": N35, "n249": N249, "a1_16": A1_16, "s49": S49, "a2_13": A2_13}[name])
+
+    def test_rank4_sweeps(self, rank4_catalog):
+        itypes = {inst.itype.name for inst in rank4_catalog}
+        assert itypes == {"4S", "4A1"} and len(rank4_catalog) > 20
+        for inst in rank4_catalog:
+            self._assert_same(inst)
 
 
 # reference root isolation: Sturm bisection on Fraction endpoints -------------
