@@ -16,8 +16,10 @@ the original eigenmatrix.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from mpmath import mp
@@ -547,6 +549,29 @@ def _to_fixed(value, bits: int) -> int:
     return -n if sign else n
 
 
+def _gegenbauer_levels(x: list, mfix: int, bits: int, cols: Sequence[int]):
+    """The columns ``cols`` of G_1, G_2, ... in fixed point with ``bits``
+    fractional bits, for x and m given on that grid (see :func:`gegenbauer`),
+    each level a list of integer columns."""
+    r = len(x)
+    half = 1 << (bits - 1)
+    prev2 = [[int(a == b) << bits for a in range(r)] for b in cols]
+    prev1 = [[(mfix * x[a][b] + half) >> bits for a in range(r)] for b in cols]
+    yield prev1
+    for l in itertools.count(2):
+        a1, a2 = 2 * l - 4, l - 4
+        lhalf = l << (bits - 1)
+        G = []
+        for g1, g2 in zip(prev1, prev2):
+            col = []
+            for xa, v in zip(x, g2):
+                xg = (sum(map(mul, xa, g1)) + half) >> bits
+                col.append((a1 * xg - a2 * v + ((mfix * (xg - v) + lhalf) >> bits)) // l)
+            G.append(col)
+        yield G
+        prev2, prev1 = prev1, G
+
+
 def gegenbauer(
     sd: SpectralData,
     i: int,
@@ -571,8 +596,14 @@ def gegenbauer(
     mantissas and exponents; each step shifts the product x*G_{l-1} back
     to F bits and divides by l, both rounded to nearest, so entries keep F
     fractional bits however large their integer part grows, and the fail
-    test compares exact integers.  Column b of G_l depends only on column b
-    of G_{l-1} and G_{l-2}, so under the shortcut only column 0 is carried.
+    test compares exact integers.  With xg = x*G_{l-1} and g = G_{l-2} on
+    the grid, M = m on the grid and c_s = (s << F) + M, the rounded step
+    floor((c_{2l-4}*xg - c_{l-4}*g + l*2^(F-1)) / (l*2^F)) is computed as
+    ((2l-4)*xg - (l-4)*g + ((M*(xg - g) + l*2^(F-1)) >> F)) // l, by the
+    identity floor(floor(y/2^F)/l) = floor(y/(l*2^F)) for l >= 1: one
+    big product and a division by the small int l.  Column b of G_l
+    depends only on column b of G_{l-1} and G_{l-2}, so under the shortcut
+    only column 0 is carried.
 
     The criterion comes from an embedding into a real unit sphere, which
     exists only when the character row is real; a nonreal row reports
@@ -603,28 +634,10 @@ def gegenbauer(
         if bound is None:
             bound = int(2 * max(sd.Q[0][k] for k in range(1, r)))
         x = [[_to_fixed(sd.krein[i][a][b] / m, bits) for b in range(r)] for a in range(r)]
-        mfix = _to_fixed(m, bits)
         floor = -_to_fixed(eps, bits)
-        half = 1 << (bits - 1)
-        # G_l restricted to the checked columns, stored column by column
         cols = (0,) if first_column_only else tuple(range(r))
-        prev2 = [[int(a == b) << bits for a in range(r)] for b in cols]
-        prev1 = [[(mfix * x[a][b] + half) >> bits for a in range(r)] for b in cols]
-        for l in range(1, bound + 1):
-            if l == 1:
-                G = prev1
-            else:
-                c1 = ((2 * l - 4) << bits) + mfix
-                c2 = ((l - 4) << bits) + mfix
-                div = l << bits
-                G = []
-                for g1, g2 in zip(prev1, prev2):
-                    col = []
-                    for a in range(r):
-                        xg = (sum(x[a][t] * g1[t] for t in range(r)) + half) >> bits
-                        col.append((2 * (c1 * xg - c2 * g2[a]) + div) // (2 * div))
-                    G.append(col)
-                prev2, prev1 = prev1, G
+        levels = _gegenbauer_levels(x, _to_fixed(m, bits), bits, cols)
+        for l, G in zip(range(1, bound + 1), levels):
             low = min(min(col) for col in G)
             if low < floor:
                 return ConditionResult(

@@ -9,10 +9,11 @@ Coefficient lists are ascending.  The degrees that show up are tiny
 (matrices are at most 5x5), so clarity beats asymptotics throughout, with
 one exception: the integer-root finder bounds its divisor test by the
 Cauchy bound, because the constant terms of eliminants can be huge.  One
-long-division loop over Q (:func:`_pdivmod`) serves exact division, the
-squarefree test and the Sturm remainders; one divisor enumerator
-(:func:`_divisors`) serves the root finder and the quadratic-factor
-search; and rational roots are the integer roots of a monic transform.
+fraction-free long-division loop on integers (:func:`_pdivrem`) serves
+exact division, the squarefree test and the Sturm remainders; one divisor
+enumerator (:func:`_divisors`) serves the root finder and the
+quadratic-factor search; and rational roots are the integer roots of a
+monic transform.
 """
 
 from __future__ import annotations
@@ -67,34 +68,49 @@ def _pmul(a: Sequence, b: Sequence) -> list:
     return _ptrim(out)
 
 
-def _pdivmod(a: Sequence, b: Sequence) -> tuple[list, list]:
-    """Quotient and trimmed remainder of ``a`` by ``b`` over Q, as lists of
-    rationals; ``b`` must have a nonzero leading coefficient."""
+def _pdivrem(a: Sequence[int], b: Sequence[int]) -> tuple[list, list, int]:
+    """Fraction-free long division of ``a`` by ``b`` (integer lists, ``b``
+    with a nonzero leading coefficient): ``(quo, rem, scale)`` with
+    ``scale > 0``, ``scale*a == quo*b + rem`` and ``deg rem < deg b``.
+
+    Before a step whose quotient coefficient ``v / lead`` is not an integer
+    the work is multiplied by ``|lead| // gcd(v, lead)``, so ``quo/scale``
+    and ``rem/scale`` are the quotient and remainder over Q, and ``scale``
+    is 1 exactly when that quotient is integral."""
     if not b:
         raise SitawimError("division by the zero polynomial")
-    rem = [qq(c) for c in a]
+    rem = list(a)
     db = len(b) - 1
-    lead = qq(b[-1])
-    quo = [qq(0)] * max(len(rem) - db, 0)
+    lead = b[-1]
+    quo = [0] * max(len(rem) - db, 0)
+    scale = 1
     for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] / lead
+        v = rem[i]
+        if not v:
+            continue
+        if v % lead:
+            f = abs(lead) // gcd(v, lead)
+            rem = [f * c for c in rem]
+            quo = [f * c for c in quo]
+            scale *= f
+            v *= f
+        c = v // lead
         quo[i - db] = c
-        if c:
-            for j in range(db + 1):
-                rem[i - db + j] -= c * b[j]
-    return quo, _ptrim(rem[:db])
+        for j in range(db + 1):
+            rem[i - db + j] -= c * b[j]
+    return quo, _ptrim(rem[:db]), scale
 
 
-def _pdivexact(a: Sequence, b: Sequence) -> list:
-    """Quotient of ``a`` by ``b`` when the division is exact over Q.
+def _pdivexact(a: Sequence[int], b: Sequence[int]) -> list:
+    """Quotient of ``a`` by ``b`` when the division is exact over Z.
 
     Raises :class:`SitawimError` if it is not (that would be a logic error
     in a fraction-free elimination, or a non-factor in a trial division).
     """
-    quo, rem = _pdivmod(a, b)
-    if rem or any(c.denominator != 1 for c in quo):
+    quo, rem, scale = _pdivrem(a, b)
+    if rem or scale != 1:
         raise SitawimError("inexact polynomial division")
-    return _ptrim([int(c) for c in quo])
+    return _ptrim(quo)
 
 
 def _pdivides(g: Sequence[int], p: Sequence[int]) -> Optional[list]:
@@ -106,11 +122,11 @@ def _pdivides(g: Sequence[int], p: Sequence[int]) -> Optional[list]:
 
 
 def _poly_gcd_degree(a: Sequence[int], b: Sequence[int]) -> int:
-    """Degree of gcd over Q (Euclid on rational remainders); -1 when both
-    are zero."""
+    """Degree of gcd over Q (Euclid on the fraction-free remainders, which
+    are positive multiples of the rational ones); -1 when both are zero."""
     a, b = _ptrim(list(a)), _ptrim(list(b))
     while b:
-        a, b = b, _pdivmod(a, b)[1]
+        a, b = b, _pdivrem(a, b)[1]
     return len(a) - 1
 
 
@@ -571,20 +587,18 @@ def _sign_at(coeffs: Sequence[int], num: int, den: int) -> int:
 
 
 def _sturm_chain(coeffs: Sequence[int]) -> list[list[int]]:
-    """The Sturm sequence of an integer polynomial of degree >= 1, each
-    member scaled to integer coefficients by a positive factor (which keeps
-    every sign)."""
+    """The Sturm sequence of an integer polynomial of degree >= 1, on
+    integers: each new member is the negated fraction-free remainder of the
+    previous two divided by its content.  That is a positive multiple of the
+    member the rational sequence has in its place, so every sign, and so
+    every sign count, is the same."""
     chain = [list(coeffs), [i * c for i, c in enumerate(coeffs) if i]]
     while True:
-        rem = _pdivmod(chain[-2], chain[-1])[1]
+        rem = _pdivrem(chain[-2], chain[-1])[1]
         if not rem:
-            break
-        chain.append([-v for v in rem])
-    scaled = []
-    for poly in chain:
-        den = lcm(*(int(v.denominator) for v in poly))
-        scaled.append([int(v * den) for v in poly])
-    return scaled
+            return chain
+        g = _content(rem)
+        chain.append([-v // g for v in rem])
 
 
 def _sign_changes(chain: list[list[int]], point: Fraction) -> int:

@@ -262,15 +262,15 @@ def krein(sd: SpectralData, inst: Instance) -> SpectralData:
         # Q[0][i] = m_i * conj(P[i][0]) / k_0 with P[i][0] = k_0 = 1
         m = sd.Q[0]
         deg2 = [mp.mpf(k) ** 2 for k in inst.degrees]
+        conj = [[mp.conj(v) for v in row] for row in sd.P]
         kappa = [[[None] * r for _ in range(r)] for _ in range(r)]
         for i in range(r):
             for j in range(r):
+                pij = [sd.P[i][l] * sd.P[j][l] for l in range(r)]
+                scale = m[i] * m[j] / n
                 for k in range(r):
-                    acc = sum(
-                        sd.P[i][l] * sd.P[j][l] * mp.conj(sd.P[k][l]) / deg2[l]
-                        for l in range(r)
-                    )
-                    value = m[i] * m[j] / n * acc
+                    acc = sum(pij[l] * conj[k][l] / deg2[l] for l in range(r))
+                    value = scale * acc
                     if abs(mp.im(value)) > sd.eps:
                         raise SpectralError(
                             f"kappa[{i}][{j}][{k}] has imaginary part "

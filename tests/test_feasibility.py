@@ -1,5 +1,6 @@
 """Feasibility battery: exact conditions, Krein-side conditions, fusions."""
 
+import itertools
 import json
 
 import pytest
@@ -27,7 +28,13 @@ from sitawim.feasibility import (
     sub_instance,
     triangle_count,
 )
-from sitawim.feasibility import _closed_subsets, _has_dual_rank2_subset, _structural_star
+from sitawim.feasibility import (
+    _closed_subsets,
+    _gegenbauer_levels,
+    _has_dual_rank2_subset,
+    _structural_star,
+    _to_fixed,
+)
 from sitawim.spectra import SpectralData, eigenmatrix_P, eigenmatrix_Q, krein
 from sitawim.structcheck import Instance, IntPoly, verify_sita
 
@@ -578,6 +585,78 @@ class TestGegenbauerReference:
         ]
         assert res.verdict == "fail"
         assert res.witness["l"] == (1 if name == "level-one" else 2)
+
+
+# reference fixed-point recurrence: the step with two F-bit coefficients -----
+
+
+def fixed_point_inputs(sd, i, first_column_only):
+    """x = L*_i / m and m on the 2^-F grid, F and the carried columns, as
+    ``gegenbauer`` forms them."""
+    r = sd.rank
+    bits = sd.precision + 32
+    with mp.workprec(bits):
+        if first_column_only is None:
+            first_column_only = _has_dual_rank2_subset(sd, i, mp.mpf(KREIN_ZERO_EPS))
+        m = sd.Q[0][i]
+        x = [[_to_fixed(sd.krein[i][a][b] / m, bits) for b in range(r)] for a in range(r)]
+        mfix = _to_fixed(m, bits)
+    return x, mfix, bits, (0,) if first_column_only else tuple(range(r))
+
+
+def reference_fixed_gegenbauer(x, mfix, bits, cols, bound):
+    """The integer columns of G_1 .. G_bound, each step rounding
+    (c1*xg - c2*g) / (l*2^F) to nearest with c1 = ((2l-4) << F) + m and
+    c2 = ((l-4) << F) + m."""
+    r = len(x)
+    half = 1 << (bits - 1)
+    prev2 = [[int(a == b) << bits for a in range(r)] for b in cols]
+    prev1 = [[(mfix * x[a][b] + half) >> bits for a in range(r)] for b in cols]
+    levels = [prev1]
+    for l in range(2, bound + 1):
+        c1 = ((2 * l - 4) << bits) + mfix
+        c2 = ((l - 4) << bits) + mfix
+        div = l << bits
+        G = []
+        for g1, g2 in zip(prev1, prev2):
+            col = []
+            for a in range(r):
+                xg = (sum(x[a][t] * g1[t] for t in range(r)) + half) >> bits
+                col.append((2 * (c1 * xg - c2 * g2[a]) + div) // (2 * div))
+            G.append(col)
+        levels.append(G)
+        prev2, prev1 = prev1, G
+    return levels[:bound]
+
+
+class TestGegenbauerFixedPoint:
+    def check(self, sd, first_column_only):
+        for i in range(1, sd.rank):
+            if max(abs(mp.im(v)) for v in sd.P[i]) > sd.eps:
+                continue  # nonreal rows never reach the recurrence
+            inputs = fixed_point_inputs(sd, i, first_column_only)
+            bound = max(int(2 * max(sd.Q[0][1:])), 12)
+            got = list(itertools.islice(_gegenbauer_levels(*inputs), bound))
+            assert got == reference_fixed_gegenbauer(*inputs, bound)
+
+    @pytest.mark.parametrize("name", ["sd35", "sd249", "a1_16"])
+    @pytest.mark.parametrize("first_column_only", [None, False])
+    def test_same_integers_at_every_level(self, request, name, first_column_only):
+        sd = request.getfixturevalue(name)
+        self.check(full(sd) if name == "a1_16" else sd, first_column_only)
+
+    @pytest.mark.parametrize("name", sorted(GEGENBAUER_FAILS))
+    @pytest.mark.parametrize("first_column_only", [None, False])
+    def test_same_integers_and_witness_on_failures(self, name, first_column_only):
+        tensor, Q0 = GEGENBAUER_FAILS[name]
+        sd = fabricated_sd(tensor, Q0)
+        self.check(sd, first_column_only)
+        res = gegenbauer(sd, 1, first_column_only=first_column_only)
+        inputs = fixed_point_inputs(sd, 1, first_column_only)
+        levels = reference_fixed_gegenbauer(*inputs, res.witness["l"])
+        low = min(min(col) for col in levels[-1])
+        assert res.witness["entry"] == float(mp.ldexp(low, -inputs[2]))
+        assert all(min(min(col) for col in G) >= -_to_fixed(sd.eps, inputs[2]) for G in levels[:-1])
 
 
 class TestBattery:

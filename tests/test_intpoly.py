@@ -1,13 +1,14 @@
 """Tests of the shared helpers of ``sitawim.intpoly`` against brute force:
 the divisor enumerator, rational roots through the monic transform, the
-long-division loop over Q and Horner evaluation."""
+fraction-free division loop against long division over Q, the gcd degree
+and Horner evaluation."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sitawim.errors import SitawimError
 from sitawim.intpoly import (
@@ -16,8 +17,9 @@ from sitawim.intpoly import (
     _padd,
     _pdivexact,
     _pdivides,
-    _pdivmod,
+    _pdivrem,
     _pmul,
+    _poly_gcd_degree,
     _ptrim,
     _rational_roots,
 )
@@ -56,15 +58,55 @@ def test_rational_roots_of_a_planted_product():
     assert _rational_roots([12, 25, -31, 6]) == [(-1, 3), (3, 2), (4, 1)]
 
 
+def fraction_divmod(a, b):
+    """Quotient and trimmed remainder of ``a`` by ``b`` over Q, by
+    schoolbook long division on Fractions."""
+    rem = [Fraction(v) for v in a]
+    db = len(b) - 1
+    quo = [Fraction(0)] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] / b[-1]
+        quo[i - db] = c
+        for j in range(db + 1):
+            rem[i - db + j] -= c * b[j]
+    return quo, _ptrim(rem[:db])
+
+
 _coeff_lists = st.lists(st.integers(-20, 20), max_size=6)
+_wide_lists = st.lists(st.integers(-(10**6), 10**6), max_size=6)
+# divisor leads: negative, non-unit and unit ones
+_leads = st.one_of(
+    st.sampled_from([-12, -6, -4, -3, -2, -1, 1, 2, 3, 4, 6, 12]),
+    st.integers(-40, 40).filter(bool),
+)
 
 
-@given(_coeff_lists, _coeff_lists, st.integers(-20, 20).filter(bool))
-def test_long_division_reconstructs_the_dividend(a, b, lead):
+@settings(max_examples=300)
+@given(st.one_of(_coeff_lists, _wide_lists), _coeff_lists, _leads)
+@example([1, 2, 3, 4, 5], [1, -3], -2)
+@example([0, 0, 0, 7], [5, 0, 6], 4)
+def test_fraction_free_division_is_scaled_long_division(a, b, lead):
     b = b + [lead]
-    quo, rem = _pdivmod(a, b)
+    quo, rem, scale = _pdivrem(a, b)
+    assert scale > 0
     assert len(rem) < len(b)
-    assert _padd(_pmul(quo, b), rem) == _ptrim(list(a))
+    assert _padd(_pmul(quo, b), rem) == _ptrim([scale * v for v in a])
+    fquo, frem = fraction_divmod(a, b)
+    assert [Fraction(q, scale) for q in quo] == fquo
+    assert [Fraction(v, scale) for v in rem] == frem
+    integral = all(q.denominator == 1 for q in fquo)
+    assert (scale == 1) == integral
+    if integral and not frem:
+        assert _pdivexact(a, b) == _ptrim([int(q) for q in fquo])
+    else:
+        with pytest.raises(SitawimError):
+            _pdivexact(a, b)
+
+
+@given(_coeff_lists, _coeff_lists, _leads)
+def test_exact_division_recovers_a_planted_cofactor(h, b, lead):
+    b = b + [lead]
+    assert _pdivexact(_pmul(h, b), b) == _ptrim(list(h))
 
 
 def test_exact_division_rejects_a_remainder_or_a_fraction():
@@ -75,6 +117,21 @@ def test_exact_division_rejects_a_remainder_or_a_fraction():
     assert _pdivides([-2, 1], [-1, 0, 1]) is None
     with pytest.raises(SitawimError):
         _pdivexact([-1, 0, 1], [-2, 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-30, 30), min_size=1, max_size=6).filter(any),
+    st.lists(st.integers(-30, 30), max_size=5),
+    st.lists(st.integers(-5, 5), max_size=3),
+)
+def test_gcd_degree_matches_sympy(a, b, common):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    if any(common):  # a planted common factor makes a nontrivial gcd likely
+        a, b = _pmul(a, common), _pmul(b, common)
+    want = sympy.gcd(sympy.Poly(list(reversed(a)), x), sympy.Poly(list(reversed(b)), x))
+    assert _poly_gcd_degree(a, b) == want.degree()
 
 
 @given(

@@ -20,7 +20,7 @@ from sitawim.spectra import (
     krein,
     render_matrix,
 )
-from sitawim.intpoly import _poly_gcd_degree, _real_roots
+from sitawim.intpoly import _poly_gcd_degree, _real_roots, _sign_changes, _sturm_chain
 from sitawim.structcheck import Instance, IntPoly, multiplicities
 
 from _fixtures import (
@@ -680,6 +680,48 @@ class TestAgainstAdjugateReference:
             self._assert_same(inst)
 
 
+# reference Krein tensor: the triple loop with every product formed per k ---
+
+
+def reference_krein(sd: SpectralData, inst: Instance):
+    """kappa_ijk = m_i m_j / n * sum_l P[i][l] P[j][l] conj(P[k][l]) / k_l^2,
+    laid out as ``krein`` lays it out, with the imaginary part dropped."""
+    r, n = sd.rank, inst.order
+    with mp.workprec(sd.precision + spectra._GUARD_BITS):
+        m = sd.Q[0]
+        deg2 = [mp.mpf(k) ** 2 for k in inst.degrees]
+        kappa = [[[None] * r for _ in range(r)] for _ in range(r)]
+        for i in range(r):
+            for j in range(r):
+                for k in range(r):
+                    acc = sum(
+                        sd.P[i][l] * sd.P[j][l] * mp.conj(sd.P[k][l]) / deg2[l]
+                        for l in range(r)
+                    )
+                    kappa[i][j][k] = mp.re(m[i] * m[j] / n * acc)
+    return tuple(
+        tuple(tuple(kappa[i][j][k] for j in range(r)) for k in range(r)) for i in range(r)
+    )
+
+
+def _bits(v):
+    return (mp.re(v)._mpf_, mp.im(v)._mpf_)
+
+
+class TestKreinAgainstTripleLoop:
+    @pytest.mark.parametrize("name", ["n35", "n249", "a1_16", "s49"])
+    def test_same_mpf_bits(self, name):
+        inst = {"n35": N35, "n249": N249, "a1_16": A1_16, "s49": S49}[name]
+        sd = eigenmatrix_Q(eigenmatrix_P(inst), inst)
+        got = krein(sd, inst).krein
+        want = reference_krein(sd, inst)
+        assert [_bits(v) for mat in got for row in mat for v in row] == [
+            _bits(v) for mat in want for row in mat for v in row
+        ]
+        if name == "a1_16":  # conjugate-paired rows: P has nonreal entries
+            assert any(mp.im(v) != 0 for row in sd.P for v in row)
+
+
 # reference root isolation: Sturm bisection on Fraction endpoints -------------
 
 
@@ -817,3 +859,30 @@ class TestRealRoots:
         )
         for root, (a, b) in zip(roots, boxes):
             assert a - tol <= root <= b + tol
+
+
+@st.composite
+def int_polys(draw) -> list:
+    degree = draw(st.integers(min_value=1, max_value=5))
+    coeffs = draw(st.lists(st.integers(-40, 40), min_size=degree, max_size=degree))
+    return coeffs + [draw(st.integers(-8, 8).filter(bool))]
+
+
+class TestSturmChain:
+    @settings(max_examples=150, deadline=None)
+    @given(int_polys(), st.lists(st.fractions(), min_size=1, max_size=4))
+    def test_sign_changes_match_the_rational_chain(self, coeffs, points):
+        chain = _sturm_chain(coeffs)
+        ref = _ref_sturm_chain(coeffs)
+        assert len(chain) == len(ref)
+        for point in points:
+            assert _sign_changes(chain, point) == _ref_sign_changes(ref, point)
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_polys())
+    def test_members_are_positive_multiples_of_the_rational_chain(self, coeffs):
+        for got, want in zip(_sturm_chain(coeffs), _ref_sturm_chain(coeffs)):
+            assert len(got) == len(want)
+            ratio = Fraction(got[-1]) / want[-1]
+            assert ratio > 0
+            assert [Fraction(v) for v in got] == [ratio * v for v in want]
