@@ -36,6 +36,13 @@ operation costs tens of integer ones:
   elimination and the fraction-free division of ``normal_form`` and
   ``buchberger``.  Each scales by nonzero integers only where the result
   is normalized or divided back, so results equal the rational ones.
+
+Monomials stay exponent tuples everywhere a polynomial is stored or
+returned, and in ``buchberger``, ``normal_form``, ``subs`` and
+``rational_span_basis``.  Only ``linear_reduce`` packs them, into one int
+each, for the length of its loop (see :mod:`sitawim.exactpoly.linear`);
+the solver keeps tuples short instead, by solving each grid point in a
+ring of its unknowns.
 """
 
 from __future__ import annotations
@@ -574,7 +581,7 @@ class MPoly:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset((m, c) for m, c in self.terms.items()))
+            self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
     def __bool__(self) -> bool:

@@ -21,15 +21,33 @@ divided by any degree symbol dividing all its terms), so the returned
 system generates the original ideal saturated at the positive symbols
 — exactly the ideal whose zero set matches on the locus where degrees
 are nonzero, which is the only locus that matters.
+
+:func:`linear_reduce` works on packed monomials: on entry each exponent
+tuple becomes one int of fixed-width byte fields (``int.from_bytes`` on a
+``struct`` layout), with the top bit of every field kept as a guard bit.
+A monomial product is then one int addition, the exponent of a variable a
+shift and a mask, and a generator's variable set the OR of its monomials.
+Every product is checked against the guard bits, so an exponent too large
+for its field raises :class:`~sitawim.errors.ResourceCapExceeded` instead
+of carrying into its neighbour.  Inside the loop each generator is signed
+at its largest packed monomial; the grevlex sign of the public
+:meth:`MPoly.normalize` is restored only where it shows, in the text that
+breaks ties and in the returned polynomials.  The chain and the returned
+system are those of the same elimination on exponent tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import add
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import reduce
+from itertools import filterfalse
+from math import gcd
+from operator import or_
+from struct import Struct
+from struct import error as StructError
+from typing import Iterable, Sequence
 
-from ..errors import InconsistentIdealError
+from ..errors import InconsistentIdealError, ResourceCapExceeded
 from .core import (
     MPoly,
     MonomialOrder,
@@ -38,10 +56,14 @@ from .core import (
     cleared_terms,
     format_poly,
     from_int_terms,
-    mul_terms_into,
     poly_sort_key,
     primitive_terms,
 )
+
+#: bytes per exponent field of a packed monomial in :func:`linear_reduce`;
+#: the top bit of each field is a guard bit
+_FIELD_BYTES = 1
+_FIELD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def rational_span_basis(
@@ -126,58 +148,6 @@ class LinearReduction:
         return used
 
 
-def _strip_positive_content(terms: dict, positive_idx: Sequence[int]) -> dict:
-    """Divide out any strictly positive variable dividing every term."""
-    if not terms:
-        return terms
-    changed = True
-    while changed:
-        changed = False
-        for i in positive_idx:
-            shift = min(m[i] for m in terms)
-            if shift:
-                terms = {
-                    m[:i] + (m[i] - shift,) + m[i + 1 :]: c for m, c in terms.items()
-                }
-                changed = True
-    return terms
-
-
-def _substitute(terms: dict, idx: int, a: int, powers: list[dict]) -> dict:
-    """``a^d * p(v = -B/a)`` for the integer polynomial ``p`` of degree ``d``
-    in the variable ``v`` at index ``idx``, where ``powers[e]`` holds
-    ``(-B)^e`` and is extended as needed; zero terms are dropped."""
-    d = max(m[idx] for m in terms)
-    while len(powers) <= d:
-        powers.append({m: c for m, c in mul_terms_into({}, powers[-1], powers[1]).items() if c})
-    apow = [a**k for k in range(d + 1)]
-    out: dict = {}
-    get = out.get
-    for mono, c in terms.items():
-        e = mono[idx]
-        if not e:
-            out[mono] = get(mono, 0) + c * apow[d]
-            continue
-        rest = mono[:idx] + (0,) + mono[idx + 1 :]
-        c *= apow[d - e]
-        for fm, fc in powers[e].items():
-            m = tuple(map(add, rest, fm))
-            out[m] = get(m, 0) + c * fc
-    return {m: c for m, c in out.items() if c}
-
-
-def _solvable_indices(poly: MPoly) -> list[int]:
-    """Indices of the variables ``v`` with ``poly = c*v + B`` for a nonzero
-    rational ``c`` and ``B`` free of ``v``: the variables whose only
-    occurrence is a bare linear term."""
-    lone = [m.index(1) for m in poly.terms if sum(m) == 1]
-    if not lone:
-        return []
-    others = zip(*(m for m in poly.terms if sum(m) != 1))
-    blocked = {i for i, col in enumerate(others) if any(col)}
-    return [i for i in lone if i not in blocked]
-
-
 def linear_reduce(
     polys: Iterable[MPoly],
     *,
@@ -207,6 +177,17 @@ def linear_reduce(
     Every generator then passes through the same first-occurrence dedup, so
     the surviving list is what rewriting every generator would produce.
 
+    Inside the loop a monomial is one int: the exponent of the ``i``-th ring
+    variable is the field of ``_FIELD_BYTES`` bytes at byte ``i *
+    _FIELD_BYTES``, so a product of monomials is an addition, and the top
+    bit of every field is a guard bit.  An exponent that reaches the guard
+    bit raises :class:`ResourceCapExceeded` before it can carry into the
+    next field.  A working generator is signed so that the coefficient of
+    its largest packed int is positive: a different representative of the
+    same class ``{c*p}`` than the grevlex one, so the dedup and the chain
+    are unchanged.  The grevlex-normalized form is built only to format
+    tied candidates and for the returned polynomials.
+
     Raises :class:`InconsistentIdealError` when a nonzero constant appears:
     the system has no solutions at all.
     """
@@ -214,75 +195,159 @@ def linear_reduce(
     if not work:
         return LinearReduction(Ring(()), [], [], ())
     ring = work[0].ring
-    keep, degree_set = set(keep), set(degree_symbols)
-    keep_idx = {i for name, i in ring.index.items() if name in keep}
-    degree_idx = {i for name, i in ring.index.items() if name in degree_set}
-    positive_idx = [ring.index[name] for name in degree_symbols]
-
     order = ring.default_order
+    index = ring.index
+    width = 8 * _FIELD_BYTES
+    layout = Struct(f"<{ring.nvars}{_FIELD_CODES[_FIELD_BYTES]}")
+    field = (1 << width) - 1
+    cap = (1 << (width - 1)) - 1
+    base = [1 << (width * i) for i in range(ring.nvars)]
+    var_of = {b: i for i, b in enumerate(base)}
+    ones = sum(base)
+    guard = ones << (width - 1)
+    below_guard = guard - ones
+    keep_bits = sum(base[index[name]] for name in set(keep))
+    degree_bits = sum(base[index[name]] for name in set(degree_symbols))
+    positive_masks = [field << (width * index[name]) for name in degree_symbols]
 
-    def tidy(terms: dict) -> MPoly:
-        """Stripped and normalized, with integer coefficients."""
-        terms = _strip_positive_content(terms, positive_idx)
+    def pack(mono: tuple) -> int:
+        try:
+            return int.from_bytes(layout.pack(*mono), "little")
+        except StructError:
+            raise ResourceCapExceeded("exponent", max(mono), cap) from None
+
+    def unpack(mono: int) -> tuple:
+        return layout.unpack(mono.to_bytes(layout.size, "little"))
+
+    def check(terms: dict) -> None:
+        """Raise when an exponent of the packed ``terms`` reached a guard bit."""
+        if reduce(or_, terms, 0) & guard:
+            worst = max(max(unpack(m)) for m in terms)
+            raise ResourceCapExceeded("exponent", worst, cap)
+
+    def variables(monos: Iterable[int]) -> int:
+        """One bit at each field base whose variable occurs in ``monos``."""
+        return ((reduce(or_, monos, 0) + below_guard) & guard) >> (width - 1)
+
+    def tidy(terms: dict):
+        """``(key, terms)``, stripped, primitive and signed, or None for 0."""
+        for mask in positive_masks:
+            shift = min(map(mask.__and__, terms), default=0)
+            if shift:
+                terms = {m - shift: c for m, c in terms.items()}
         if not terms:
-            return MPoly(ring, terms)
-        p = MPoly(ring, primitive_terms(terms, order))
-        if p.is_constant:
-            raise InconsistentIdealError(
-                f"reduction produced the nonzero constant {p.constant_value()}"
-            )
-        return p
+            return None
+        g = gcd(*terms.values())
+        if terms[max(terms)] < 0:
+            g = -g
+        if g != 1:
+            terms = {m: c // g for m, c in terms.items()}
+        if len(terms) == 1 and 0 in terms:
+            raise InconsistentIdealError(f"reduction produced the nonzero constant {terms[0]}")
+        return frozenset(terms.items()), terms
 
-    def dedup(batch: Iterable[MPoly]) -> list[MPoly]:
-        seen: set[MPoly] = set()
-        out = []
-        for p in batch:
-            if not p.is_zero and p not in seen:
-                seen.add(p)
-                out.append(p)
+    def dedup(batch: Iterable) -> dict:
+        out: dict = {}
+        for item in batch:
+            if item is not None:
+                out.setdefault(*item)
         return out
 
-    def candidates(f: MPoly) -> list[tuple[tuple, int]]:
+    def candidates(terms: dict) -> list[tuple[tuple, int]]:
         """(rank without the text tie-break, variable index) per variable
-        that ``f`` may solve."""
+        the generator may solve: its bare linear terms whose variable occurs
+        nowhere else."""
+        lone = [m for m in terms if m in var_of]
+        if not lone:
+            return []
+        blocked = variables(filterfalse(var_of.__contains__, terms)) | keep_bits
         out = []
-        only_degree = f.variables() <= degree_set
-        for idx in _solvable_indices(f):
-            if idx in keep_idx:
+        for bit in lone:
+            if bit & blocked:
                 continue
-            is_degree = idx in degree_idx
-            if is_degree and not only_degree:
+            is_degree = bit & degree_bits
+            if is_degree and variables(terms) & ~degree_bits:
                 continue
-            pos = -idx if is_degree else idx
+            idx = var_of[bit]
             # structure constants first
-            out.append(((1 if is_degree else 0, pos, f.num_terms()), idx))
+            out.append(((1 if is_degree else 0, -idx if is_degree else idx, len(terms)), idx))
         return out
 
-    work = dedup(tidy(cleared_terms(p.terms)[0]) for p in work)
+    def grevlex(terms: dict) -> MPoly:
+        """The generator on exponent tuples, with the grevlex sign and
+        integer coefficients (the cheaper ones to format)."""
+        return MPoly(ring, primitive_terms({unpack(m): c for m, c in terms.items()}, order))
+
+    def substitute(terms: dict, shift: int, a: int, powers: list[dict]) -> dict:
+        """``a^d * p(v = -B/a)`` for the generator ``p`` of degree ``d`` in
+        the variable ``v`` whose field starts at bit ``shift``, where
+        ``powers[e]`` holds ``(-B)^e`` and is extended as needed; zero terms
+        are dropped."""
+        mask = field << shift
+        d = max(map(mask.__and__, terms)) >> shift
+        while len(powers) <= d:
+            nxt: dict = {}
+            get = nxt.get
+            for ma, ca in powers[-1].items():
+                for mb, cb in powers[1].items():
+                    m = ma + mb
+                    nxt[m] = get(m, 0) + ca * cb
+            nxt = {m: c for m, c in nxt.items() if c}
+            check(nxt)
+            powers.append(nxt)
+        apow = [a**k for k in range(d + 1)]
+        out: dict = {}
+        get = out.get
+        for mono, c in terms.items():
+            bits = mono & mask
+            if not bits:
+                out[mono] = get(mono, 0) + c * apow[d]
+                continue
+            e = bits >> shift
+            rest = mono - bits
+            c *= apow[d - e]
+            for fm, fc in powers[e].items():
+                m = rest + fm
+                out[m] = get(m, 0) + c * fc
+        out = {m: c for m, c in out.items() if c}
+        check(out)
+        return out
+
+    packed = [{pack(m): c for m, c in cleared_terms(p.terms)[0].items()} for p in work]
+    for terms in packed:
+        check(terms)
+    gens = dedup(tidy(terms) for terms in packed)
     chain: list[tuple[str, MPoly]] = []
     eliminated: list[str] = []
-    cache: dict[MPoly, list[tuple[tuple, int]]] = {}
+    cache: dict = {}
 
     while True:
-        cache = {f: cache[f] if f in cache else candidates(f) for f in work}
-        ranked = [(rank, idx, f) for f, cands in cache.items() for rank, idx in cands]
+        cache = {k: cache[k] if k in cache else candidates(t) for k, t in gens.items()}
+        ranked = [(rank, idx, k) for k, cands in cache.items() for rank, idx in cands]
         if not ranked:
             break
         best = min(rank for rank, _, _ in ranked)
-        tied = [(idx, f) for rank, idx, f in ranked if rank == best]
-        idx, f = min(tied, key=lambda c: format_poly(c[1])) if len(tied) > 1 else tied[0]
+        tied = [(idx, k) for rank, idx, k in ranked if rank == best]
+        if len(tied) > 1:
+            idx, k = min(tied, key=lambda c: format_poly(grevlex(gens[c[1]])))
+        else:
+            idx, k = tied[0]
+        f = gens[k]
         name = ring.names[idx]
-        unit = tuple(int(i == idx) for i in range(ring.nvars))
-        a = f.terms[unit]
-        neg_b = {m: -c for m, c in f.terms.items() if m != unit}
-        chain.append((name, MPoly(ring, {m: _ratio(c, a) for m, c in neg_b.items()})))
+        bit = base[idx]
+        a = f[bit]
+        neg_b = {m: -c for m, c in f.items() if m != bit}
+        chain.append((name, MPoly(ring, {unpack(m): _ratio(c, a) for m, c in neg_b.items()})))
         eliminated.append(name)
-        powers = [{ring._zero_mono: 1}, neg_b]
-        work = dedup(
-            tidy(_substitute(p.terms, idx, a, powers)) if any(m[idx] for m in p.terms) else p
-            for p in work
+        powers = [{0: 1}, neg_b]
+        shift = width * idx
+        mask = field << shift
+        gens = dedup(
+            tidy(substitute(t, shift, a, powers)) if any(map(mask.__and__, t)) else (k, t)
+            for k, t in gens.items()
         )
 
-    work.sort(key=poly_sort_key)
-    polys = [from_int_terms(ring, p.terms) for p in work]
-    return LinearReduction(ring, chain, polys, tuple(eliminated))
+    polys = sorted((grevlex(t) for t in gens.values()), key=poly_sort_key)
+    return LinearReduction(
+        ring, chain, [from_int_terms(ring, p.terms) for p in polys], tuple(eliminated)
+    )

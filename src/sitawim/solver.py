@@ -14,7 +14,12 @@ lexicographic Groebner basis triangularizes the specialized system, the
 integer roots of the univariate eliminant come from a divisor test on its
 constant term bounded by the Cauchy bound
 (:func:`sitawim.intpoly._integer_roots`), and back-substitution proceeds
-one variable at a time.
+one variable at a time.  Once a point is put in, the system is moved into
+a ring of only its unknowns (a few of the template's dozens of variables),
+so every monomial the basis computation touches is short; lex there is the
+restriction of the template-ring lex order with the unknowns last, and the
+reduced basis, hence every solution, is the same.  Those small rings are
+cached by their variable names.
 
 Per-point diagnostics stream to the ``sitawim.solver`` logger with the
 stable line format ``point=<assignment> status=<sol|empty|posdim|cap>``;
@@ -29,7 +34,9 @@ import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, floor
+from operator import itemgetter
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -38,7 +45,7 @@ from .errors import (
     ResourceCapExceeded,
     SitawimError,
 )
-from .exactpoly import MPoly, Ring
+from .exactpoly import MonomialOrder, MPoly, Ring
 from .exactpoly.groebner import DEFAULT_MAX_DEGREE, DEFAULT_MAX_TERMS, buchberger
 from .exactpoly.linear import linear_reduce, rational_span_basis
 from .intpoly import _integer_roots
@@ -240,40 +247,57 @@ class Solution:
 # zero-dimensional solving
 
 
-def _leading_vars(poly: MPoly, order) -> list[int]:
-    mono, _ = poly.leading(order)
-    return [i for i, e in enumerate(mono) if e]
+@lru_cache(maxsize=256)
+def _lex_order(names: tuple[str, ...]) -> MonomialOrder:
+    """Lex on a ring of exactly ``names``, the first-listed variable largest."""
+    return Ring(names).order("lex")
+
+
+def _project(polys: list[MPoly], names: list[str]) -> tuple[list[MPoly], MonomialOrder]:
+    """``polys``, which use only the variables ``names`` (listed in ring
+    order), rewritten in the cached ring of just those variables, with its
+    lex order."""
+    order = _lex_order(tuple(names))
+    index = polys[0].ring.index
+    idx = [index[n] for n in names]
+    pick = itemgetter(*idx) if len(idx) > 1 else lambda m, i=idx[0]: (m[i],)
+    small = order.ring
+    return [MPoly(small, {pick(m): c for m, c in p.terms.items()}) for p in polys], order
 
 
 def _solve_triangular(
     polys: Sequence[MPoly],
-    partial: dict,
-    ring: Ring,
+    values: Mapping[str, int],
     max_degree: int,
     max_terms: int,
 ) -> list[dict]:
+    """Integer points of ``V(polys)`` with ``values`` put in, as assignments
+    of the variables left over.  Those unknowns are solved in a ring of
+    their own: lex there is the order the wider ring's lex with the other
+    variables first induces on them, so the reduced basis is the same."""
     sub = []
     for p in polys:
-        q = p.subs(partial) if partial else p
+        q = p.subs(values) if values else p
         if q.is_zero:
             continue
         if not q.variables():
             return []  # a nonzero constant: the specialized ideal is trivial
         sub.append(q)
-    unknown_set = set().union(*[q.variables() for q in sub]) if sub else set()
-    unknowns = sorted(unknown_set, key=ring.index.__getitem__)
-    if not unknowns:
-        return [dict(partial)]
-    others = [n for n in ring.names if n not in unknown_set]
-    order = ring.order("lex", priority=others + unknowns)
+    if not sub:
+        return [{}]
+    ring = sub[0].ring
+    unknown_set = set().union(*[q.variables() for q in sub])
+    unknowns = [n for n in ring.names if n in unknown_set]
+    sub, order = _project(sub, unknowns)
     gb = buchberger(sub, order, max_degree=max_degree, max_terms=max_terms)
     if any(not g.variables() for g in gb):
         return []
     pure = set()
     for g in gb:
-        lead = _leading_vars(g, order)
+        mono, _ = g.leading(order)
+        lead = [name for name, e in zip(unknowns, mono) if e]
         if len(lead) == 1:
-            pure.add(ring.names[lead[0]])
+            pure.add(lead[0])
     free = [u for u in unknowns if u not in pure]
     if free:
         raise PositiveDimensionalError(
@@ -286,9 +310,8 @@ def _solve_triangular(
     )
     out = []
     for root in _integer_roots(eliminant.as_univariate(smallest)):
-        out.extend(
-            _solve_triangular(gb, {**partial, smallest: root}, ring, max_degree, max_terms)
-        )
+        for rest in _solve_triangular(gb, {smallest: root}, max_degree, max_terms):
+            out.append({smallest: root, **rest})
     return out
 
 
@@ -301,10 +324,12 @@ def specialize_and_solve(
 ) -> list[Solution]:
     """All integer points of ``V(polys)`` extending ``partial``.
 
-    Substitutes the partial assignment, triangularizes what is left with a
-    lexicographic Groebner basis, reads integer roots off the univariate
-    eliminant, and back-substitutes one variable at a time.  Returns the
-    empty list when the specialized ideal is trivial.  Raises
+    Substitutes the partial assignment and moves what is left into a ring
+    of only its unknowns (cached by their names), where a lexicographic
+    Groebner basis triangularizes it; integer roots are read off the
+    univariate eliminant and back-substituted one variable at a time, each
+    step again in a ring of the unknowns that remain.  Returns the empty
+    list when the specialized ideal is trivial.  Raises
     :class:`PositiveDimensionalError` when the remainder has a free
     variable and :class:`ResourceCapExceeded` when a basis computation
     blows its budget.  Every returned solution is re-checked exactly
@@ -313,9 +338,8 @@ def specialize_and_solve(
     start = {str(k): int(v) for k, v in partial.items()}
     if not polys:
         return [Solution(start)]
-    ring = polys[0].ring
-    raw = _solve_triangular(list(polys), start, ring, max_degree, max_terms)
-    solutions = sorted(Solution(pt) for pt in raw)
+    raw = _solve_triangular(list(polys), start, max_degree, max_terms)
+    solutions = sorted(Solution({**start, **pt}) for pt in raw)
     for sol in solutions:
         point = sol.as_dict()
         for p in polys:
@@ -464,9 +488,7 @@ def _stripe_worker(
     ``prep`` is the parent's prepared system, shipped pickled, so no worker
     repeats the template and linear-elimination work."""
     out = []
-    for idx, point in enumerate(_iter_points(cfg)):
-        if idx % width != stripe:
-            continue
+    for idx, point in itertools.islice(enumerate(_iter_points(cfg)), stripe, None, width):
         status, found = _solve_point(prep, cfg, point)
         out.append((idx, _fmt_point(point), status, found))
     return out

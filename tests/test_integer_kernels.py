@@ -11,6 +11,7 @@ they return.
 from __future__ import annotations
 
 import math
+import operator
 import pickle
 
 import pytest
@@ -30,9 +31,27 @@ from sitawim.exactpoly import (
     rational_span_basis,
     s_polynomial,
 )
-from sitawim.exactpoly.core import cleared_terms, from_int_terms
+from sitawim.exactpoly import linear
+from sitawim.exactpoly.core import (
+    _ratio,
+    cleared_terms,
+    format_poly,
+    from_int_terms,
+    mul_terms_into,
+    poly_sort_key,
+    primitive_terms,
+)
+from sitawim.exactpoly.linear import LinearReduction
 from sitawim.exactpoly.groebner import _PairQueue, _check_caps, _interreduce, _reducer
-from sitawim.solver import GridAxis, SearchConfig, SimplexSpec, _prepare, run_search
+from sitawim.solver import GridAxis, SearchConfig, SimplexSpec, WindowSpec, _prepare, run_search
+from sitawim.varietygen import (
+    INVOLUTION_TYPES,
+    RationalCharTable,
+    build_template,
+    emit_structure_polys,
+    homogeneity_constraints,
+    trace_constraints,
+)
 
 XYZ = Ring("x y z")
 
@@ -264,6 +283,121 @@ def reference_linear_reduce(polys, *, degree_symbols=(), keep=()):
     return chain, work
 
 
+def _tuple_strip_positive_content(terms, positive_idx):
+    """Divide out any strictly positive variable dividing every term."""
+    if not terms:
+        return terms
+    changed = True
+    while changed:
+        changed = False
+        for i in positive_idx:
+            shift = min(m[i] for m in terms)
+            if shift:
+                terms = {m[:i] + (m[i] - shift,) + m[i + 1 :]: c for m, c in terms.items()}
+                changed = True
+    return terms
+
+
+def _tuple_substitute(terms, idx, a, powers):
+    """``a^d * p(v = -B/a)`` on exponent tuples, ``powers[e] = (-B)^e``."""
+    d = max(m[idx] for m in terms)
+    while len(powers) <= d:
+        powers.append({m: c for m, c in mul_terms_into({}, powers[-1], powers[1]).items() if c})
+    apow = [a**k for k in range(d + 1)]
+    out = {}
+    for mono, c in terms.items():
+        e = mono[idx]
+        if not e:
+            out[mono] = out.get(mono, 0) + c * apow[d]
+            continue
+        rest = mono[:idx] + (0,) + mono[idx + 1 :]
+        c *= apow[d - e]
+        for fm, fc in powers[e].items():
+            m = tuple(map(operator.add, rest, fm))
+            out[m] = out.get(m, 0) + c * fc
+    return {m: c for m, c in out.items() if c}
+
+
+def _tuple_solvable_indices(poly):
+    lone = [m.index(1) for m in poly.terms if sum(m) == 1]
+    if not lone:
+        return []
+    others = zip(*(m for m in poly.terms if sum(m) != 1))
+    blocked = {i for i, col in enumerate(others) if any(col)}
+    return [i for i in lone if i not in blocked]
+
+
+def reference_tuple_linear_reduce(polys, *, degree_symbols=(), keep=()):
+    """The fraction-free elimination on exponent tuples, every generator
+    kept with its grevlex sign: what :func:`linear_reduce` computed before
+    it packed its monomials."""
+    work = [p for p in polys if not p.is_zero]
+    if not work:
+        return LinearReduction(Ring(()), [], [], ())
+    ring = work[0].ring
+    keep, degree_set = set(keep), set(degree_symbols)
+    keep_idx = {i for name, i in ring.index.items() if name in keep}
+    degree_idx = {i for name, i in ring.index.items() if name in degree_set}
+    positive_idx = [ring.index[name] for name in degree_symbols]
+    order = ring.default_order
+
+    def tidy(terms):
+        terms = _tuple_strip_positive_content(terms, positive_idx)
+        if not terms:
+            return MPoly(ring, terms)
+        p = MPoly(ring, primitive_terms(terms, order))
+        if p.is_constant:
+            raise InconsistentIdealError(
+                f"reduction produced the nonzero constant {p.constant_value()}"
+            )
+        return p
+
+    def dedup(batch):
+        seen, out = set(), []
+        for p in batch:
+            if not p.is_zero and p not in seen:
+                seen.add(p)
+                out.append(p)
+        return out
+
+    def candidates(f):
+        out = []
+        only_degree = f.variables() <= degree_set
+        for idx in _tuple_solvable_indices(f):
+            if idx in keep_idx:
+                continue
+            is_degree = idx in degree_idx
+            if is_degree and not only_degree:
+                continue
+            pos = -idx if is_degree else idx
+            out.append(((1 if is_degree else 0, pos, f.num_terms()), idx))
+        return out
+
+    work = dedup(tidy(cleared_terms(p.terms)[0]) for p in work)
+    chain, eliminated = [], []
+    while True:
+        ranked = [(rank, idx, f) for f in work for rank, idx in candidates(f)]
+        if not ranked:
+            break
+        best = min(rank for rank, _, _ in ranked)
+        tied = [(idx, f) for rank, idx, f in ranked if rank == best]
+        idx, f = min(tied, key=lambda c: format_poly(c[1])) if len(tied) > 1 else tied[0]
+        name = ring.names[idx]
+        unit = tuple(int(i == idx) for i in range(ring.nvars))
+        a = f.terms[unit]
+        neg_b = {m: -c for m, c in f.terms.items() if m != unit}
+        chain.append((name, MPoly(ring, {m: _ratio(c, a) for m, c in neg_b.items()})))
+        eliminated.append(name)
+        powers = [{ring._zero_mono: 1}, neg_b]
+        work = dedup(
+            tidy(_tuple_substitute(p.terms, idx, a, powers)) if any(m[idx] for m in p.terms) else p
+            for p in work
+        )
+    work.sort(key=poly_sort_key)
+    polys = [from_int_terms(ring, p.terms) for p in work]
+    return LinearReduction(ring, chain, polys, tuple(eliminated))
+
+
 # ---------------------------------------------------------------------------
 # strategies
 # ---------------------------------------------------------------------------
@@ -447,6 +581,127 @@ def test_linear_reduce_substitutes_a_non_unit_solve():
     assert (red.chain, red.polys) == (chain, want)
     # x1 := 2/5*x3 from the stripped 5*x1 - 2*x3, then x2 from 10*x2 - 6*x3 - 5
     assert red.chain == [("x1", qq("2/5") * x3), ("x2", qq("3/5") * x3 + qq("1/2"))]
+
+
+# The benchmark's five sweeps and five unassumed types: the systems the
+# packed elimination must reduce exactly as the tuple one does.
+N35_TABLE = RationalCharTable(35, 4, 10, (4, 6, 12, 12), (-1, 6, -3, -3), (0, -3, 0, 0))
+TEMPLATE_SYSTEMS = {
+    "4S-pseudocyclic": SearchConfig(
+        itype="4S",
+        assumption="pseudocyclic",
+        grid=(GridAxis("m", 1, 40),),
+        simplex=SimplexSpec(("x8",), anchor="m"),
+    ),
+    "4A1-pseudocyclic": SearchConfig(
+        itype="4A1", assumption="pseudocyclic", grid=(GridAxis("k1", 1, 400),)
+    ),
+    "5S-pseudocyclic": SearchConfig(
+        itype="5S",
+        assumption="pseudocyclic",
+        grid=(GridAxis("m", 62, 62),),
+        window=WindowSpec(("x1", "x2", "x3"), anchor="m"),
+    ),
+    "5A2-pseudocyclic": SearchConfig(
+        itype="5A2",
+        assumption="pseudocyclic",
+        grid=(GridAxis("m", 1, 20),),
+        simplex=SimplexSpec(("x14",), anchor="m"),
+    ),
+    "5S-n35-table": SearchConfig(
+        itype="5S",
+        assumption=N35_TABLE,
+        grid=(GridAxis("x22", 5, 7), GridAxis("x23", 2, 4), GridAxis("x24", 4, 6)),
+    ),
+    **{f"{t}-none": SearchConfig(itype=t) for t in ("4S", "4A1", "5S", "5A1", "5A2")},
+}
+
+
+@pytest.mark.parametrize("label", sorted(TEMPLATE_SYSTEMS))
+def test_packed_linear_reduce_matches_the_tuple_one_on_template_systems(label):
+    cfg = TEMPLATE_SYSTEMS[label]
+    template = build_template(INVOLUTION_TYPES[cfg.itype].rank, cfg.itype, cfg.assumption)
+    gens = emit_structure_polys(template)
+    if cfg.assumption != "none":
+        gens = gens + trace_constraints(template, cfg.assumption)
+    if cfg.assumption == "pseudocyclic":
+        gens = gens + homogeneity_constraints(template)
+    kwargs = dict(degree_symbols=template.degree_symbols, keep=tuple(cfg.enumerated_names()))
+    red = linear_reduce(gens, **kwargs)
+    want = reference_tuple_linear_reduce(gens, **kwargs)
+    assert red.chain == want.chain
+    assert red.polys == want.polys
+    assert red.eliminated == want.eliminated
+
+
+# generators with a bare linear term of a chosen variable and a fixed number
+# of terms, so several often tie for the same variable until the text order
+_linear5 = st.builds(
+    lambda name, a, tail: a * R5.var(name) + tail,
+    st.sampled_from(R5.names),
+    st.integers(-3, 3).filter(bool),
+    st.dictionaries(_monos5, st.integers(-4, 4).filter(bool), min_size=2, max_size=2).map(
+        R5.poly
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            _linear5, st.dictionaries(_monos5, _rationals, min_size=1, max_size=4).map(R5.poly)
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.sampled_from([(), ("k",), ("x4", "k")]),
+    st.sets(st.sampled_from(["x1", "x2", "x3", "x4", "k"]), max_size=2),
+)
+def test_packed_linear_reduce_matches_the_tuple_one(polys, degree_symbols, keep):
+    polys = [p for p in polys if not p.is_zero]
+    assume(polys)
+    kwargs = dict(degree_symbols=degree_symbols, keep=keep)
+    try:
+        want = reference_tuple_linear_reduce(polys, **kwargs)
+    except InconsistentIdealError:
+        with pytest.raises(InconsistentIdealError):
+            linear_reduce(polys, **kwargs)
+        return
+    red = linear_reduce(polys, **kwargs)
+    assert (red.chain, red.polys, red.eliminated) == (want.chain, want.polys, want.eliminated)
+
+
+def test_tied_candidates_are_ranked_by_their_grevlex_text():
+    # Both generators solve x1 with three terms.  The second one's largest
+    # packed monomial is k, whose coefficient is negative, so inside the loop
+    # it is kept as -x3^2 - x1 + k; that text would sort before x2^2 + x1 + x3.
+    # Ranked by the grevlex forms, x3^2 + x1 - k comes second.
+    x1, x2, x3, x4, k = R5.gens()
+    polys = [x1 + x3**2 - k, x1 + x2**2 + x3]
+    red = linear_reduce(polys)
+    want = reference_tuple_linear_reduce(polys)
+    assert (red.chain, red.polys, red.eliminated) == (want.chain, want.polys, want.eliminated)
+    assert red.chain[0] == ("x1", -(x2**2) - x3)
+
+
+def test_packed_exponents_raise_before_they_carry(monkeypatch):
+    x1, x2, x3, x4, k = R5.gens()
+    # x1 := x2^127 turns x1*x2 - x3 into x2^128 - x3: the guard bit of a byte
+    polys = [x1 - x2**127, x1 * x2 - x3]
+    with pytest.raises(ResourceCapExceeded):
+        linear_reduce(polys)
+    for too_big in (200, 300):  # a guard bit, and no room in a byte at all
+        with pytest.raises(ResourceCapExceeded):
+            linear_reduce([x1 - x2**too_big])
+    # with two-byte fields the same system fits, and the guard bit is 2^15
+    monkeypatch.setattr(linear, "_FIELD_BYTES", 2)
+    red = linear_reduce(polys)
+    want = reference_tuple_linear_reduce(polys)
+    assert (red.chain, red.polys, red.eliminated) == (want.chain, want.polys, want.eliminated)
+    assert red.chain == [("x1", x2**127), ("x3", x2**128)]
+    with pytest.raises(ResourceCapExceeded):
+        linear_reduce([x1 - x2 ** (2**14), x1 * x2 ** (2**14) - x3])
 
 
 # ---------------------------------------------------------------------------

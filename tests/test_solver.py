@@ -18,8 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _fixtures import A1_16_MATRICES, N35_MATRICES, N249_MATRICES
+from sitawim import solver
 from sitawim.errors import PositiveDimensionalError, SitawimError
-from sitawim.exactpoly import Ring, format_poly, qq
+from sitawim.exactpoly import Ring, buchberger, format_poly, qq
+from sitawim.intpoly import _integer_roots
 from sitawim.solver import (
     GridAxis,
     SearchConfig,
@@ -32,7 +34,6 @@ from sitawim.solver import (
     run_search,
     specialize_and_solve,
 )
-from sitawim.intpoly import _integer_roots
 from sitawim.structcheck import Instance, multiplicities
 from sitawim.varietygen import RationalCharTable
 
@@ -438,3 +439,156 @@ def test_prepared_system_matches_pinned_text(label):
     prep = _prepare(PREPARE_CONFIGS[label])
     assert [format_poly(p) for p in prep.polys] == PREPARE_PINS[label]["polys"]
     assert [[name, format_poly(r)] for name, r in prep.chain] == PREPARE_PINS[label]["chain"]
+
+
+# ---------------------------------------------------------------------------
+# the ring of the unknowns against the template ring
+
+
+def reference_solve_triangular(polys, partial, ring, max_degree, max_terms):
+    """The back-substitution in the ring the polynomials came in, with the
+    unknowns placed last in a lex order of every variable."""
+    sub = []
+    for p in polys:
+        q = p.subs(partial) if partial else p
+        if q.is_zero:
+            continue
+        if not q.variables():
+            return []
+        sub.append(q)
+    unknown_set = set().union(*[q.variables() for q in sub]) if sub else set()
+    unknowns = sorted(unknown_set, key=ring.index.__getitem__)
+    if not unknowns:
+        return [dict(partial)]
+    others = [n for n in ring.names if n not in unknown_set]
+    order = ring.order("lex", priority=others + unknowns)
+    gb = buchberger(sub, order, max_degree=max_degree, max_terms=max_terms)
+    if any(not g.variables() for g in gb):
+        return []
+    pure = set()
+    for g in gb:
+        lead = [i for i, e in enumerate(g.leading(order)[0]) if e]
+        if len(lead) == 1:
+            pure.add(ring.names[lead[0]])
+    free = [u for u in unknowns if u not in pure]
+    if free:
+        raise PositiveDimensionalError(
+            f"specialized system leaves {free} free (no pure-power leading term)"
+        )
+    smallest = unknowns[-1]
+    eliminant = min(
+        (g for g in gb if g.variables() <= {smallest}), key=lambda g: g.total_degree()
+    )
+    out = []
+    for root in _integer_roots(eliminant.as_univariate(smallest)):
+        out.extend(
+            reference_solve_triangular(
+                gb, {**partial, smallest: root}, ring, max_degree, max_terms
+            )
+        )
+    return out
+
+
+def _outcome(solve, polys, point, **caps):
+    """The sorted solutions, or the type and text of the error raised."""
+    caps = {"max_degree": 60, "max_terms": 10**6, **caps}
+    try:
+        raw = solve(polys, point, **caps)
+    except SitawimError as exc:
+        return type(exc), str(exc)
+    return sorted(Solution(pt) for pt in raw)
+
+
+def _narrow(polys, point, **caps):
+    return [s.as_dict() for s in specialize_and_solve(polys, point, **caps)]
+
+
+def _wide(polys, point, **caps):
+    return reference_solve_triangular(
+        list(polys), dict(point), polys[0].ring, caps["max_degree"], caps["max_terms"]
+    )
+
+
+@pytest.mark.parametrize("label", sorted(PREPARE_CONFIGS))
+def test_ring_of_unknowns_matches_the_template_ring_at_every_point(label):
+    cfg = PREPARE_CONFIGS[label]
+    prep = _prepare(cfg)
+    outcomes = []
+    for point in _iter_points(cfg):
+        want = _outcome(_wide, prep.polys, point)
+        assert _outcome(_narrow, prep.polys, point) == want, point
+        outcomes.append("sol" if want and isinstance(want, list) else want)
+    assert "sol" in outcomes
+
+
+def test_ring_of_unknowns_matches_under_a_tight_cap():
+    prep = _prepare(PREPARE_CONFIGS["5S-pseudocyclic"])
+    point = next(_iter_points(PREPARE_CONFIGS["5S-pseudocyclic"]))
+    for cap in (1, 2, 3):
+        want = _outcome(_wide, prep.polys, point, max_degree=cap)
+        assert _outcome(_narrow, prep.polys, point, max_degree=cap) == want
+
+
+WIDE = Ring("a b c d e f g")
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    names=st.lists(st.sampled_from(WIDE.names), min_size=2, max_size=4, unique=True),
+    roots=st.lists(st.integers(-6, 6), min_size=1, max_size=3, unique=True),
+    slopes=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    value=st.integers(-3, 3),
+    tail=st.booleans(),
+    free=st.booleans(),
+)
+def test_planted_triangular_systems_solve_alike(names, roots, slopes, value, tail, free):
+    """Plant integer roots in a triangular system over some of the seven
+    variables; the first name drawn is the specialized one, the rest are
+    unknowns, and the others are never used."""
+    fixed, *unknowns = names
+    unknowns.sort(key=WIDE.index.__getitem__)
+    t = WIDE.var(fixed)
+    *upper, last = [WIDE.var(n) for n in unknowns]
+    z = last**0
+    for r in roots:
+        z = z * (last - r)
+    if tail:
+        z = z * (last**2 + 1)  # no integer roots, no new solutions
+    polys = [z]
+    for i, u in enumerate(upper):
+        polys.append(u - slopes[i] * last - t * (i + 1))
+    if free and upper:
+        # the first upper unknown is free on the line last = roots[0]
+        polys[1] = (last - roots[0]) * upper[0]
+    point = {fixed: value}
+    want = _outcome(_wide, polys, point)
+    assert _outcome(_narrow, polys, point) == want
+    if free and upper:
+        assert want[0] is PositiveDimensionalError
+    else:
+        assert len(want) == len(roots)
+
+
+def test_every_basis_is_computed_in_the_ring_of_its_unknowns(monkeypatch):
+    seen = []
+
+    def spy(gens, order, **caps):
+        used = set().union(*[g.variables() for g in gens])
+        seen.append((order.ring.names, used, order.kind))
+        return buchberger(gens, order, **caps)
+
+    monkeypatch.setattr(solver, "buchberger", spy)
+    for label in sorted(PREPARE_CONFIGS):
+        cfg = PREPARE_CONFIGS[label]
+        prep = _prepare(cfg)
+        template = prep.template.ring
+        for point in itertools.islice(_iter_points(cfg), 6):
+            try:
+                specialize_and_solve(prep.polys, point)
+            except SitawimError:
+                pass
+    assert len(seen) > 12  # back-substitution runs bases of its own
+    for names, used, kind in seen:
+        assert kind == "lex"
+        assert len(names) == len(used)
+        assert list(names) == [n for n in template.names if n in used]
