@@ -31,9 +31,8 @@ from .spectra import (
     eigenmatrix_P,
     eigenmatrix_Q,
     krein,
-    row_multiplicities,
 )
-from .structcheck import Instance, multiplicities, verify_sita
+from .structcheck import NOT_STANDARD, Instance, multiplicities, verify_sita
 from .varietygen import InvolutionType
 
 __all__ = [
@@ -577,7 +576,6 @@ def gegenbauer(
     i: int,
     lmax: Optional[int] = None,
     *,
-    lstar: Optional[int] = None,
     first_column_only: Optional[bool] = None,
     eps=None,
 ) -> ConditionResult:
@@ -587,8 +585,8 @@ def gegenbauer(
     G_0 = 1, G_1(x) = m*x, l*G_l(x) = (2l+m-4)*x*G_{l-1}(x) -
     (l+m-4)*G_{l-2}(x) and requires every entry (or, under the rank-2
     dual-subset shortcut, every first-column entry) to be >= -eps for
-    l = 1..bound.  The bound is ``lstar`` when supplied (the externally
-    computed threshold), else ``lmax``, else 2*max multiplicity.
+    l = 1..bound.  The bound is ``lmax`` when supplied (for example an
+    externally computed threshold), else 2*max multiplicity.
 
     The recurrence runs in fixed point on plain ints: every value is an
     integer multiple of 2^-F with F = ``sd.precision + 32``.  x = L*_i / m
@@ -630,9 +628,7 @@ def gegenbauer(
         m = sd.Q[0][i]
         if m < 1:
             raise SitawimError("gegenbauer requires multiplicity >= 1")
-        bound = lstar if lstar is not None else lmax
-        if bound is None:
-            bound = int(2 * max(sd.Q[0][k] for k in range(1, r)))
+        bound = lmax if lmax is not None else int(2 * max(sd.Q[0][k] for k in range(1, r)))
         x = [[_to_fixed(sd.krein[i][a][b] / m, bits) for b in range(r)] for a in range(r)]
         floor = -_to_fixed(eps, bits)
         cols = (0,) if first_column_only else tuple(range(r))
@@ -657,11 +653,11 @@ def gegenbauer(
     )
 
 
-def _gegenbauer_all(sd: SpectralData, lmax, lstar, eps) -> ConditionResult:
+def _gegenbauer_all(sd: SpectralData, lmax, eps) -> ConditionResult:
     details = []
     ran = False
     for i in range(1, sd.rank):
-        res = gegenbauer(sd, i, lmax, lstar=lstar, eps=eps)
+        res = gegenbauer(sd, i, lmax, eps=eps)
         details.append(res.detail)
         ran = ran or res.verdict == "pass"
         if res.verdict == "fail":
@@ -683,7 +679,6 @@ def run_battery(
     precision: int = DEFAULT_PRECISION,
     eps=None,
     lmax: Optional[int] = None,
-    lstar: Optional[int] = None,
     stop_on_fail: bool = True,
 ) -> FeasibilityReport:
     """All six conditions against one instance, cheap exact checks first.
@@ -705,7 +700,7 @@ def run_battery(
     for maker in (
         lambda: absolute_bound(spectral),
         lambda: krein_nonneg(spectral, eps=eps),
-        lambda: _gegenbauer_all(spectral, lmax, lstar, eps),
+        lambda: _gegenbauer_all(spectral, lmax, eps),
     ):
         if failed and stop_on_fail:
             name = CONDITIONS[len(results)]
@@ -717,7 +712,7 @@ def run_battery(
     return FeasibilityReport(
         conditions=tuple(results),
         eps=eps,
-        lmax=lmax if lstar is None else lstar,
+        lmax=lmax,
     )
 
 
@@ -793,7 +788,9 @@ def fusion_check(inst: Instance, sd: SpectralData, partition) -> FusionResult:
     )
     with mp.workprec(sd.precision + 32):
         tol = sd.eps * max(1, inst.order)
-        m = row_multiplicities(sd)
+        m = sd.multiplicities
+        if m is None:
+            raise SitawimError(NOT_STANDARD)
         # group original rows by their block row sums — identity (ii)
         sums = [
             tuple(sum(sd.P[l][j] for j in B) for B in blocks) for l in range(r)

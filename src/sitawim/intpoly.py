@@ -25,7 +25,6 @@ from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 from .errors import SitawimError
-from .exactpoly import qq
 
 __all__ = [
     "GaloisClass",
@@ -137,12 +136,8 @@ def _content(c: Sequence[int]) -> int:
     return g
 
 
-def _is_square(v) -> bool:
-    if v < 0:
-        return False
-    num, den = v.numerator, v.denominator
-    rn, rd = isqrt(int(num)), isqrt(int(den))
-    return rn * rn == num and rd * rd == den
+def _is_square(v: int) -> bool:
+    return v >= 0 and isqrt(v) ** 2 == v
 
 
 @dataclass(frozen=True)
@@ -536,7 +531,8 @@ def galois_class(p: IntPoly) -> GaloisClass:
     means S4 (A4 when the discriminant is a square), three mean V4, and
     exactly one leaves C4 vs D4, settled by the Kappe-Warren criterion
     (both associated quadratics ``z^2 - Bz + d`` and ``z^2 - az + (b - B)``
-    must split over Q(sqrt(disc)) for C4 -- a rational-square test).
+    must split over Q(sqrt(disc)) for C4 -- an integer-square test, since
+    every value it sees is an integer).
     """
     deg = p.degree
     if deg == 1:
@@ -546,7 +542,7 @@ def galois_class(p: IntPoly) -> GaloisClass:
     if deg == 3:
         d0, c0, b0, a0 = p.coeffs[0], p.coeffs[1], p.coeffs[2], p.coeffs[3]
         disc = _cubic_disc(a0, b0, c0, d0)
-        return GaloisClass("C3" if _is_square(qq(disc)) else "S3")
+        return GaloisClass("C3" if _is_square(disc) else "S3")
     if deg != 4:
         raise SitawimError(f"Galois classification supports degree <= 4, got {deg}")
     # scale to a monic quartic with the same splitting field
@@ -556,15 +552,15 @@ def galois_class(p: IntPoly) -> GaloisClass:
     c = p.coeffs[1] * lc * lc
     d = p.coeffs[0] * lc**3
     resolvent = [-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b, 1]
-    disc = qq(_cubic_disc(1, resolvent[2], resolvent[1], resolvent[0]))
+    disc = _cubic_disc(1, resolvent[2], resolvent[1], resolvent[0])
     roots = _integer_roots(resolvent)
     if len(roots) == 0:
         return GaloisClass("A4" if _is_square(disc) else "S4")
     if len(roots) >= 3:
         return GaloisClass("V4")
     beta = roots[0]
-    t1 = qq(beta * beta - 4 * d)
-    t2 = qq(a * a - 4 * (b - beta))
+    t1 = beta * beta - 4 * d
+    t2 = a * a - 4 * (b - beta)
     def splits(t) -> bool:
         return _is_square(t) or _is_square(t * disc)
     return GaloisClass("C4" if splits(t1) and splits(t2) else "D4")

@@ -379,7 +379,7 @@ def canonical_form(inst: Instance) -> Instance:
         )
         if best is None or relabeled < best:
             best = relabeled
-    return Instance(best, itype=inst.itype, multiplicities=inst.multiplicities)
+    return Instance(best, itype=inst.itype)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +504,6 @@ def run_search(cfg: SearchConfig) -> list[Instance]:
     repeated runs — serial or parallel — produce identical catalogs.
     Per-point failures are logged and never abort the sweep.
     """
-    entries: list[tuple[str, str, list[Instance]]] = []
     try:
         prep = _prepare(cfg)
     except InconsistentIdealError as exc:
@@ -512,9 +511,7 @@ def run_search(cfg: SearchConfig) -> list[Instance]:
         return []
     width = sum(1 for _ in itertools.islice(_iter_points(cfg), cfg.workers))
     if width <= 1:
-        for point in _iter_points(cfg):
-            status, found = _solve_point(prep, cfg, point)
-            entries.append((_fmt_point(point), status, found))
+        indexed = _stripe_worker(prep, cfg, 0, 1)
     else:
         with ProcessPoolExecutor(max_workers=width) as pool:
             futures = [
@@ -522,10 +519,9 @@ def run_search(cfg: SearchConfig) -> list[Instance]:
             ]
             indexed = [row for fut in futures for row in fut.result()]
         indexed.sort(key=lambda row: row[0])
-        entries = [(text, status, found) for _, text, status, found in indexed]
     catalog: list[Instance] = []
     seen = set()
-    for text, status, found in entries:
+    for _, text, status, found in indexed:
         level = logging.WARNING if status in ("posdim", "cap") else logging.INFO
         log.log(level, "point=%s status=%s", text, status)
         for inst in found:

@@ -5,9 +5,12 @@ first eigenmatrix P, the second eigenmatrix Q, and the Krein/dual
 intersection matrices — lives here, computed with arbitrary-precision
 binary floats (mpmath), 256 bits by default.
 
-The exact layer anchors the numerics: each Galois orbit of characters is
-an irreducible factor of the characteristic polynomial of the squarefree
-generator ``M`` that the exact multiplicities use too.  By the column-0
+The exact layer anchors the numerics: :func:`eigenmatrix_P` runs the one
+orbit solve of :mod:`sitawim.structcheck`, so each Galois orbit of
+characters is an irreducible factor of the characteristic polynomial of the
+squarefree generator ``M`` that the exact multiplicities use too, and the
+exact multiplicity of each character row is stored next to that row in
+:attr:`SpectralData.multiplicities`.  By the column-0
 convention ``M_l e_0 = e_l`` each character row is the left kernel vector
 of ``M - theta*I`` with entry 1 on ``b_0``, for ``theta`` a root of its
 factor: an exact Sturm root (:func:`sitawim.intpoly._real_roots`) when the
@@ -32,12 +35,11 @@ from mpmath import mp
 
 from .errors import SitawimError, SpectralError
 from .intpoly import IntPoly, _real_roots
-from .structcheck import NOT_STANDARD, Instance, _orbit_multiplicities, _squarefree_generator
+from .structcheck import NOT_STANDARD, Instance, _orbit_solve
 
 __all__ = [
     "SpectralData",
     "eigenmatrix_P",
-    "row_multiplicities",
     "eigenmatrix_Q",
     "krein",
     "as_rational",
@@ -55,9 +57,10 @@ class SpectralData:
     ``P[l][i]`` is the value of the l-th character row on ``b_i``;
     ``orbits`` partitions the row indices by Galois orbit (the degree row
     is the singleton ``(0,)``).  ``multiplicities`` holds the exact
-    ``(factor, multiplicity)`` pair of every orbit, or None when the
-    power-sum system has no standard solution.  ``Q`` and ``krein`` start
-    as ``None`` and are filled by :func:`eigenmatrix_Q` / :func:`krein`.
+    multiplicity of every row, as a ``Fraction`` and in row order, or None
+    when the power-sum system has no standard solution.  ``Q`` and
+    ``krein`` start as ``None`` and are filled by :func:`eigenmatrix_Q` /
+    :func:`krein`.
     ``eps`` is the working zero tolerance every residual was checked
     against.
     """
@@ -67,7 +70,7 @@ class SpectralData:
     P: tuple[tuple[object, ...], ...]
     orbits: tuple[tuple[int, ...], ...]
     orbit_polys: tuple[IntPoly, ...]
-    multiplicities: Optional[tuple[tuple[IntPoly, object], ...]]
+    multiplicities: Optional[tuple[Fraction, ...]]
     Q: Optional[tuple[tuple[object, ...], ...]] = None
     krein: Optional[tuple[tuple[tuple[object, ...], ...], ...]] = None
 
@@ -158,27 +161,27 @@ def eigenmatrix_P(
     one kernel system per root of its factor (exact Sturm roots when every
     element is self-paired, ``mp.polyroots`` otherwise) and is validated
     entrywise against every basis matrix by a residual bound.  The exact
-    multiplicity of every orbit comes from the same generator.
+    multiplicity of every orbit comes from the same orbit solve and is
+    stored once per row.
     """
     r = inst.rank
     mats = inst.matrices
     with mp.workprec(precision + _GUARD_BITS):
         if eps is None:
             eps = mp.ldexp(1, -100) * max(1, inst.order)
-        combo, factors, perron = _squarefree_generator(inst)
-        trivial = IntPoly((-perron, 1))
-        if trivial not in factors:
+        solved = _orbit_solve(inst)
+        if solved is None:
             raise SitawimError("generator has no rational degree eigenvalue")
-        mu = _orbit_multiplicities(inst, combo, factors, perron)
+        combo, factors, perron, mu = solved
+        if mu is None:
+            mu = [None] * len(factors)
         # structural symmetry: b_j*b_j meets the identity iff b_j* = b_j,
         # so the declared involution type cannot misroute the dispatch
         symmetric = all(mats[j][0][j] for j in range(r))
         M = [[mp.mpf(v) for v in row] for row in combo]
         bits = precision // 2
-        blocks: list[tuple[list, IntPoly]] = []
-        for f in factors:
-            if f == trivial:
-                continue
+        blocks: list[tuple[list, IntPoly, Optional[Fraction]]] = []
+        for f, m in zip(factors, mu):
             if symmetric:
                 roots = [_mpf_of(q) for q in _real_roots(f, precision)]
             else:
@@ -189,40 +192,25 @@ def eigenmatrix_P(
                 )
             rows = [_character_row(M, theta, mats, eps) for theta in roots]
             rows.sort(key=lambda row: _row_key(row, bits))
-            blocks.append((rows, f))
+            blocks.append((rows, f, m))
         blocks.sort(key=lambda block: (len(block[0]), _row_key(block[0][0], bits)))
         P = [tuple(mp.mpf(d) for d in inst.degrees)]
         orbits = [(0,)]
-        orbit_polys = [trivial]
-        for rows, f in blocks:
+        orbit_polys = [IntPoly((-perron, 1))]
+        row_mu = [Fraction(1)]
+        for rows, f, m in blocks:
             orbits.append(tuple(range(len(P), len(P) + len(rows))))
             orbit_polys.append(f)
             P.extend(rows)
+            row_mu.extend([m] * len(rows))
         return SpectralData(
             precision=precision,
             eps=eps,
             P=tuple(P),
             orbits=tuple(orbits),
             orbit_polys=tuple(orbit_polys),
-            multiplicities=None if mu is None else tuple(zip(factors, mu)),
+            multiplicities=None if None in row_mu else tuple(row_mu),
         )
-
-
-def row_multiplicities(sd: SpectralData) -> list:
-    """Exact multiplicity (as a Fraction) of each P row, matched through
-    the Galois-orbit factor rather than by value order."""
-    if sd.multiplicities is None:
-        raise SitawimError(NOT_STANDARD)
-    by_factor = dict(sd.multiplicities)
-    out = [None] * sd.rank
-    for orbit, poly in zip(sd.orbits, sd.orbit_polys):
-        mu = by_factor.get(poly)
-        if mu is None:
-            raise SpectralError(f"no multiplicity recorded for factor {poly}")
-        q = Fraction(int(mu.numerator), int(mu.denominator))
-        for l in orbit:
-            out[l] = q
-    return out
 
 
 def eigenmatrix_Q(sd: SpectralData, inst: Instance) -> SpectralData:
@@ -231,7 +219,9 @@ def eigenmatrix_Q(sd: SpectralData, inst: Instance) -> SpectralData:
     r = sd.rank
     n = inst.order
     with mp.workprec(sd.precision + _GUARD_BITS):
-        m = [_mpf_of(q) for q in row_multiplicities(sd)]
+        if sd.multiplicities is None:
+            raise SitawimError(NOT_STANDARD)
+        m = [_mpf_of(q) for q in sd.multiplicities]
         Q = tuple(
             tuple(m[i] * mp.conj(sd.P[i][j]) / inst.degrees[j] for i in range(r))
             for j in range(r)

@@ -9,6 +9,11 @@ univariate work underneath (characteristic polynomials, factorization over
 the integers, Galois classes of the factors) is :mod:`sitawim.intpoly`;
 its public names are re-exported here.
 
+One orbit solve (:func:`_orbit_solve`) finds a squarefree generator, the
+factors of its characteristic polynomial and one exact multiplicity per
+factor; :func:`multiplicities` lists them by character, and
+:func:`sitawim.spectra.eigenmatrix_P` stores them by character row.
+
 Everything here is integer or rational arithmetic end to end: the whole
 point of the multiplicity and cyclotomy verdicts is that no rounding step
 gets to decide them.
@@ -22,10 +27,10 @@ indicator of row ``j``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from fractions import Fraction
+from typing import Optional
 
 from .errors import SitawimError
-from .exactpoly import qq
 from .intpoly import (
     GaloisClass,
     IntPoly,
@@ -67,14 +72,15 @@ class Instance:
     ``itype`` names the involution type (a key of
     :data:`sitawim.varietygen.INVOLUTION_TYPES`), or None for a symmetric
     table of any rank (identity star).  ``degrees`` defaults to the row-0
-    sums of the matrices; ``multiplicities`` stays None until
-    :func:`multiplicities` fills it in.
+    sums of the matrices.  The exact multiplicities are not stored here:
+    :func:`multiplicities` computes them, and
+    :attr:`sitawim.spectra.SpectralData.multiplicities` carries them by
+    character row.
     """
 
     matrices: tuple[tuple[tuple[int, ...], ...], ...]
     itype: Optional[InvolutionType] = None
     degrees: tuple[int, ...] = ()
-    multiplicities: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         mats = tuple(
@@ -114,9 +120,6 @@ class Instance:
         if self.itype is None:
             return tuple(range(self.rank))
         return self.itype.star
-
-    def with_multiplicities(self, values: Sequence) -> "Instance":
-        return Instance(self.matrices, self.itype, self.degrees, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -252,36 +255,37 @@ def verify_sita(inst: Instance) -> AxiomReport:
 
 @dataclass(frozen=True)
 class MultiplicityResult:
-    """Exact multiplicities, trivial character first, the rest ascending."""
+    """Exact multiplicities, one per character: the trivial character's 1
+    first, the rest ascending.  ``values`` are ints when ``integral``, else
+    ``Fraction``s."""
 
     values: tuple
     integral: bool
-    orbits: tuple = ()  # (factor, multiplicity) pairs
 
 
 NOT_STANDARD = "power-sum system is inconsistent: not a standard table"
 
 
-def _power_sums(f: IntPoly, smax: int) -> list:
+def _power_sums(f: IntPoly, smax: int) -> list[int]:
     """Newton power sums p_0..p_smax of the roots of a monic factor:
     p_s = -s*a_s - sum_{i<s} a_i p_{s-i} with a_i the descending
     coefficients (a_i = 0 past the degree)."""
     d = f.degree
     a = list(reversed(f.coeffs))  # descending, a[0] = 1
-    ps = [qq(d)]
+    ps = [d]
     for s in range(1, smax + 1):
-        acc = qq(-s * a[s]) if s <= d else qq(0)
+        acc = -s * a[s] if s <= d else 0
         for i in range(1, min(s - 1, d) + 1):
             acc -= a[i] * ps[s - i]
         ps.append(acc)
     return ps
 
 
-def _solve_exact(rows: list[list], rhs: list) -> Optional[list]:
+def _solve_exact(rows: list[list[int]], rhs: list[int]) -> Optional[list[Fraction]]:
     """Solve an overdetermined full-column-rank rational system exactly,
     checking every equation; None when the system is inconsistent."""
     m, n = len(rows), len(rows[0]) if rows else 0
-    aug = [[qq(v) for v in row] + [qq(b)] for row, b in zip(rows, rhs)]
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
     for col in range(n):
         pr = next((i for i in range(col, m) if aug[i][col] != 0), None)
         if pr is None:
@@ -299,14 +303,20 @@ def _solve_exact(rows: list[list], rhs: list) -> Optional[list]:
     return [aug[i][n] / aug[i][i] for i in range(n)]
 
 
-def _squarefree_generator(inst: Instance) -> tuple[list[list[int]], list[IntPoly], int]:
-    """The first combination ``M = sum_j t^(j-1) b_j``, t = 1, 2, ..., whose
-    characteristic polynomial is squarefree: ``(M, factors, perron)`` with
-    the factors of that polynomial and the degree eigenvalue
-    ``perron = sum_j t^(j-1) k_j``.
+def _orbit_solve(
+    inst: Instance,
+) -> Optional[tuple[list[list[int]], list[IntPoly], int, Optional[list[Fraction]]]]:
+    """The orbit solve behind :func:`multiplicities` and
+    :func:`sitawim.spectra.eigenmatrix_P`: ``(M, factors, perron, mu)``.
 
-    :func:`multiplicities` and :func:`sitawim.spectra.eigenmatrix_P` both
-    name each Galois orbit by its factor here, so they must share ``M``.
+    ``M = sum_j t^(j-1) b_j`` for the first t = 1, 2, ... whose
+    characteristic polynomial is squarefree; ``factors`` its nontrivial
+    irreducible factors, one per Galois orbit of characters; ``perron =
+    sum_j t^(j-1) k_j`` the degree eigenvalue; ``mu`` the exact multiplicity
+    of each factor's orbit, or None when the power-sum system of
+    :func:`multiplicities` has no standard solution (inconsistent, some
+    value <= 0, or a trivial value other than 1).  None when the trivial
+    factor ``x - perron`` is missing.
     """
     r = inst.rank
     mats = inst.matrices
@@ -317,35 +327,29 @@ def _squarefree_generator(inst: Instance) -> tuple[list[list[int]], list[IntPoly
         ]
         cp = charpoly(M)
         if _poly_gcd_degree(cp.coeffs, cp.derivative().coeffs) == 0:
-            perron = sum(t ** (j - 1) * inst.degrees[j] for j in range(1, r))
-            return M, factor_int_poly(cp), perron
-    raise SitawimError("no squarefree generator found")
-
-
-def _orbit_multiplicities(
-    inst: Instance, M: list[list[int]], factors: list[IntPoly], perron: int
-) -> Optional[list]:
-    """The multiplicity of each Galois orbit of the generator ``M`` (one per
-    factor, in the order of ``factors``), or None when the power-sum system
-    of :func:`multiplicities` has no standard solution: no trivial factor
-    ``x - perron``, an inconsistent system, a multiplicity <= 0, or a
-    trivial multiplicity other than 1."""
-    r = inst.rank
-    n = inst.order
+            break
+    else:
+        raise SitawimError("no squarefree generator found")
+    perron = sum(t ** (j - 1) * inst.degrees[j] for j in range(1, r))
+    factors = factor_int_poly(cp)
     trivial = IntPoly((-perron, 1))
     if trivial not in factors:
         return None
+    # sum over orbits of mu * p_s(orbit) = n * (M^s)[0][0], s = 0..r-1
     sums = [_power_sums(f, r - 1) for f in factors]
     rows, rhs = [], []
-    P = [[1 if i == k else 0 for k in range(r)] for i in range(r)]
+    power = [[1 if i == k else 0 for k in range(r)] for i in range(r)]
     for s in range(r):
         rows.append([ps[s] for ps in sums])
-        rhs.append(n * P[0][0])
-        P = _matmul_int(P, M)
+        rhs.append(inst.order * power[0][0])
+        power = _matmul_int(power, M)
     mu = _solve_exact(rows, rhs)
-    if mu is None or any(v <= 0 for v in mu) or mu[factors.index(trivial)] != 1:
-        return None
-    return mu
+    at = factors.index(trivial)
+    del factors[at]
+    if mu is None or min(mu) <= 0 or mu[at] != 1:
+        return M, factors, perron, None
+    del mu[at]
+    return M, factors, perron, mu
 
 
 def multiplicities(inst: Instance) -> MultiplicityResult:
@@ -366,19 +370,19 @@ def multiplicities(inst: Instance) -> MultiplicityResult:
     ``M = sum_j t^(j-1) b_j`` over t = 1, 2, ... finds one.
     """
     if inst.rank == 1:
-        return MultiplicityResult((1,), True, ((IntPoly((-1, 1)), qq(1)),))
-    M, factors, perron = _squarefree_generator(inst)
-    mu = _orbit_multiplicities(inst, M, factors, perron)
-    if mu is None:
+        return MultiplicityResult((1,), True)
+    solved = _orbit_solve(inst)
+    if solved is None or solved[3] is None:
         raise SitawimError(NOT_STANDARD)
+    _, factors, _, mu = solved
     # one value per character; the trivial character's 1 is listed first
-    rest = sorted(v for f, v in zip(factors, mu) for _ in range(f.degree))
-    rest.remove(1)
-    values = (qq(1),) + tuple(rest)
+    values = (Fraction(1),) + tuple(
+        sorted(v for f, v in zip(factors, mu) for _ in range(f.degree))
+    )
     integral = all(v.denominator == 1 for v in values)
     if integral:
         values = tuple(int(v) for v in values)
-    return MultiplicityResult(values, integral, tuple(zip(factors, mu)))
+    return MultiplicityResult(values, integral)
 
 
 # ---------------------------------------------------------------------------

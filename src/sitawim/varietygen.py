@@ -38,11 +38,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import isqrt, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import SitawimError
-from .exactpoly import MPoly, Ring, qq
+from .exactpoly import MPoly, Ring
 from .exactpoly.core import cleared_terms, mul_terms_into, poly_sort_key
 
 __all__ = [
@@ -154,9 +155,9 @@ class RationalCharTable:
             raise SitawimError("row orthogonality needs sum(a) = -1")
         if sum(t) != -3:
             raise SitawimError("row orthogonality needs sum(t) = -3")
-        if sum(qq(a[j] * a[j]) / delta[j] for j in range(4)) != qq(n) / m1 - 1:
+        if sum(Fraction(a[j] * a[j], delta[j]) for j in range(4)) != Fraction(n, m1) - 1:
             raise SitawimError("row norm of the rational character is off")
-        if sum(qq(a[j] * t[j]) / delta[j] for j in range(4)) != -3:
+        if sum(Fraction(a[j] * t[j], delta[j]) for j in range(4)) != -3:
             raise SitawimError("the two nontrivial rows are not orthogonal")
         for j in range(4):
             if delta[j] + m1 * a[j] + m2 * t[j] != 0:

@@ -446,7 +446,7 @@ class TestGegenbauer:
         assert res.verdict == "pass"
 
     def test_order35_documented_threshold(self, sd35):
-        res = gegenbauer(sd35, 2, lstar=7)
+        res = gegenbauer(sd35, 2, lmax=7)
         assert res.verdict == "pass"
         assert res.detail["bound"] == 7
 
@@ -497,7 +497,7 @@ class TestGegenbauer:
 # reference Gegenbauer recurrence: r x r matrix steps on mpf values ---------
 
 
-def reference_gegenbauer(sd, i, lmax=None, *, lstar=None, first_column_only=None, eps=None):
+def reference_gegenbauer(sd, i, lmax=None, *, first_column_only=None, eps=None):
     """The criterion evaluated on full mpf matrices at sd.precision + 32 bits."""
     r = sd.rank
     with mp.workprec(sd.precision + 32):
@@ -510,7 +510,7 @@ def reference_gegenbauer(sd, i, lmax=None, *, lstar=None, first_column_only=None
         if first_column_only is None:
             first_column_only = _has_dual_rank2_subset(sd, i, mp.mpf(KREIN_ZERO_EPS))
         m = sd.Q[0][i]
-        bound = lstar if lstar is not None else lmax
+        bound = lmax
         if bound is None:
             bound = int(2 * max(sd.Q[0][k] for k in range(1, r)))
         detail = {"i": i, "bound": bound, "first_column_only": first_column_only}
@@ -571,7 +571,7 @@ class TestGegenbauerReference:
         if name == "a1_16":
             sd = full(sd)
         for i in range(1, sd.rank):
-            for kw in ({}, {"lmax": 1}, {"lstar": 7}):
+            for kw in ({}, {"lmax": 1}):
                 self.check(sd, i, first_column_only=first_column_only, **kw)
 
     @pytest.mark.parametrize("name", sorted(GEGENBAUER_FAILS))
@@ -581,7 +581,7 @@ class TestGegenbauerReference:
         sd = fabricated_sd(tensor, Q0)
         res, *_ = [
             self.check(sd, 1, first_column_only=first_column_only, **kw)
-            for kw in ({}, {"lmax": 1}, {"lstar": 7})
+            for kw in ({}, {"lmax": 1})
         ]
         assert res.verdict == "fail"
         assert res.witness["l"] == (1 if name == "level-one" else 2)
@@ -801,7 +801,7 @@ class TestFusion:
         # only the fused instance gets a generator sweep of its own
         sd = eigenmatrix_P(n249)
         swept = []
-        real = structcheck._squarefree_generator
+        real = structcheck._orbit_solve
 
         def spy(inst):
             swept.append(inst)
@@ -810,8 +810,8 @@ class TestFusion:
         def refuse(*args, **kwargs):
             raise AssertionError("fusion_check recomputed the multiplicities")
 
-        monkeypatch.setattr(spectra, "_squarefree_generator", spy)
-        monkeypatch.setattr(structcheck, "_squarefree_generator", spy)
+        monkeypatch.setattr(spectra, "_orbit_solve", spy)
+        monkeypatch.setattr(structcheck, "_orbit_solve", spy)
         monkeypatch.setattr(structcheck, "multiplicities", refuse)
         monkeypatch.setattr(feasibility, "multiplicities", refuse)
         res = fusion_check(n249, sd, [(0,), (1, 2, 3, 4)])

@@ -410,19 +410,6 @@ class TestFailureModes:
         with pytest.raises(SpectralError):
             eigenmatrix_Q(bad, N35)
 
-    def test_foreign_factor_has_no_multiplicity(self):
-        sd = eigenmatrix_P(N35)
-        bad = SpectralData(
-            precision=sd.precision,
-            eps=sd.eps,
-            P=sd.P,
-            orbits=sd.orbits,
-            orbit_polys=(IntPoly((1, 1)),) + sd.orbit_polys[1:],
-            multiplicities=sd.multiplicities,
-        )
-        with pytest.raises(SpectralError):
-            eigenmatrix_Q(bad, N35)
-
     def test_tight_eps_rejects_honest_rows(self):
         with pytest.raises(SpectralError):
             eigenmatrix_P(N35, eps=mp.ldexp(1, -600))
@@ -441,10 +428,10 @@ class TestPrecisionPlumbing:
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Records every squarefree-generator sweep (by instance) and refuses
-    any call of ``multiplicities``."""
+    """Records every orbit solve (by instance) and refuses any call of
+    ``multiplicities``."""
     calls = []
-    real = structcheck._squarefree_generator
+    real = structcheck._orbit_solve
 
     def spy(inst):
         calls.append(inst)
@@ -453,8 +440,8 @@ def sweeps(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("multiplicities recomputed")
 
-    monkeypatch.setattr(spectra, "_squarefree_generator", spy)
-    monkeypatch.setattr(structcheck, "_squarefree_generator", spy)
+    monkeypatch.setattr(spectra, "_orbit_solve", spy)
+    monkeypatch.setattr(structcheck, "_orbit_solve", spy)
     monkeypatch.setattr(structcheck, "multiplicities", refuse)
     return calls
 
@@ -482,8 +469,49 @@ class TestKreinMultiplicities:
             assert sweeps == []
 
     def test_P_carries_the_exact_multiplicities(self):
+        # one Fraction per row, constant on each Galois orbit, and the
+        # same multiset as the values ``multiplicities`` lists
         for inst in (N35, N249, A1_16, S49):
-            assert eigenmatrix_P(inst).multiplicities == multiplicities(inst).orbits
+            sd = eigenmatrix_P(inst)
+            m = sd.multiplicities
+            assert len(m) == sd.rank and all(type(v) is Fraction for v in m)
+            assert all(len({m[l] for l in orbit}) == 1 for orbit in sd.orbits)
+            values = multiplicities(inst).values
+            assert m[0] == values[0] == 1
+            assert sorted(m[1:]) == list(values[1:])
+
+
+def numeric_multiplicity(sd: SpectralData, inst: Instance, l: int):
+    """m_l = n / sum_i |P[l][i]|^2 / k_i (Bannai & Ito, *Algebraic
+    Combinatorics I*, 1984), from the numeric row alone."""
+    with mp.workprec(sd.precision + spectra._GUARD_BITS):
+        norm = sum(abs(v) ** 2 / k for v, k in zip(sd.P[l], inst.degrees))
+        return inst.order / norm
+
+
+class TestMultiplicitiesAgainstRowNorms:
+    def _assert_rows_match(self, inst):
+        sd = eigenmatrix_P(inst)
+        assert sd.multiplicities is not None
+        for l, exact in enumerate(sd.multiplicities):
+            numeric = numeric_multiplicity(sd, inst, l)
+            assert abs(numeric - spectra._mpf_of(exact)) <= sd.eps, (l, exact)
+
+    @pytest.mark.parametrize("name", ["n35", "n249", "a1_16", "s49"])
+    def test_fixtures(self, name):
+        self._assert_rows_match({"n35": N35, "n249": N249, "a1_16": A1_16, "s49": S49}[name])
+
+    def test_rank4_sweeps(self, rank4_catalog):
+        for inst in rank4_catalog:
+            self._assert_rows_match(inst)
+
+    def test_irrational_multiplicities_leave_the_field_empty(self):
+        # the identity still gives the standard multiplicities: irrational,
+        # and different inside the one Galois orbit
+        sd = eigenmatrix_P(A2_13)
+        assert sd.multiplicities is None
+        numeric = [round(float(numeric_multiplicity(sd, A2_13, l)), 4) for l in range(5)]
+        assert numeric == [1.0, 1.5448, 1.5448, 4.4552, 4.4552]
 
 
 class TestCharacterRows:
@@ -607,9 +635,9 @@ def reference_eigenmatrix_P(inst: Instance, precision: int = 256):
     mats = inst.matrices
     with mp.workprec(precision + 32):
         eps = mp.ldexp(1, -100) * max(1, inst.order)
-        combo, factors, perron = structcheck._squarefree_generator(inst)
+        combo, factors, perron, _ = structcheck._orbit_solve(inst)
         trivial = IntPoly((-perron, 1))
-        per_factor = {f: [] for f in factors if f != trivial}
+        per_factor = {f: [] for f in factors}
         if all(mats[j][0][j] for j in range(r)):
             for f in per_factor:
                 for root in _real_roots(f, precision):
@@ -619,7 +647,7 @@ def reference_eigenmatrix_P(inst: Instance, precision: int = 256):
         else:
             eigvals, right = mp.eig(mp.matrix(combo), left=False, right=True)
             for idx, lam in enumerate(eigvals):
-                host = min(factors, key=lambda f: abs(f(lam)))
+                host = min(factors + [trivial], key=lambda f: abs(f(lam)))
                 assert abs(host(lam)) <= eps * max(1, abs(lam)) ** host.degree
                 if host != trivial:
                     vec = [right[a, idx] for a in range(r)]
