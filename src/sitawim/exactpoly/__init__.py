@@ -23,9 +23,7 @@ from .groebner import (
     DEFAULT_MAX_TERMS,
     buchberger,
     ideal_contains,
-    is_groebner,
     normal_form,
-    s_polynomial,
 )
 from .linear import LinearReduction, linear_reduce, rational_span_basis
 
@@ -49,9 +47,7 @@ __all__ = [
     "DEFAULT_MAX_TERMS",
     "buchberger",
     "ideal_contains",
-    "is_groebner",
     "normal_form",
-    "s_polynomial",
     "LinearReduction",
     "linear_reduce",
     "rational_span_basis",

@@ -51,7 +51,7 @@ import math
 import re
 from functools import partial
 from operator import add, itemgetter, le, neg, sub
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 # --------------------------------------------------------------------------
 # coefficient field
@@ -336,9 +336,6 @@ class MPoly:
         order = order or self.ring.default_order
         return sorted(self.terms.items(), key=lambda kv: order.key(kv[0]), reverse=True)
 
-    def coefficient(self, mono: Monomial) -> "_ratio":
-        return self.terms.get(tuple(mono), Q0)
-
     # -- arithmetic ------------------------------------------------------------
 
     def _coerce(self, other: object) -> "MPoly | None":
@@ -525,22 +522,6 @@ class MPoly:
         return acc
 
     # -- linear structure ---------------------------------------------------------
-
-    def split_linear(self, name: str) -> tuple["MPoly", "MPoly"]:
-        """Write ``self = A*v + B`` for a variable of degree <= 1; return (A, B)."""
-        i = self.ring.index[name]
-        a: dict = {}
-        b: dict = {}
-        for mono, coeff in self.terms.items():
-            e = mono[i]
-            if e == 0:
-                b[mono] = coeff
-            elif e == 1:
-                reduced = mono[:i] + (0,) + mono[i + 1 :]
-                a[reduced] = a.get(reduced, Q0) + coeff
-            else:
-                raise ValueError(f"degree in {name} exceeds 1")
-        return MPoly(self.ring, {m: c for m, c in a.items() if c}), MPoly(self.ring, b)
 
     def as_univariate(self, name: str) -> list:
         """Ascending coefficient list in one variable; other variables must be absent."""

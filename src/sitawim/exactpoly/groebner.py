@@ -22,7 +22,7 @@ anything a sane run needs.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from operator import add, le, sub
 from typing import Iterable, Sequence
 
@@ -146,15 +146,6 @@ def normal_form(
     rem, scale = _reduce(work, reducers, order, max_degree, max_terms)
     scale *= den
     return MPoly(f.ring, {m: _ratio(c, scale) for m, c in rem.items()})
-
-
-def s_polynomial(f: MPoly, g: MPoly, order: MonomialOrder | None = None) -> MPoly:
-    """The S-polynomial: both leading terms scaled to their lcm and cancelled."""
-    order = order or f.ring.default_order
-    fr = _reducer(cleared_terms(f.terms)[0], order)
-    gr = _reducer(cleared_terms(g.terms)[0], order)
-    scale = lcm(fr[1], gr[1])
-    return MPoly(f.ring, {m: _ratio(c, scale) for m, c in _s_terms(fr, gr).items()})
 
 
 def _s_terms(f: tuple, g: tuple) -> dict:
@@ -296,46 +287,6 @@ def _interreduce(basis: Sequence[tuple], order: MonomialOrder) -> list[dict]:
             reduced.append(primitive_terms(rem, order))
     reduced.sort(key=lambda t: key(order.leading(t)))
     return reduced
-
-
-def is_groebner(basis: Sequence[MPoly], order: MonomialOrder | None = None) -> bool:
-    """Whether every S-polynomial has a standard representation (test helper).
-
-    Pairs are settled in ascending order of their lcm.  A pair is skipped
-    when its leading monomials are coprime (Buchberger's product criterion)
-    or when some third element's leading monomial divides its lcm and both
-    pairs through that element are already settled (the chain criterion);
-    every other S-polynomial must reduce to zero.
-    """
-    polys = [g for g in basis if not g.is_zero]
-    if len(polys) < 2:
-        return True
-    order = order or polys[0].ring.default_order
-    key = order.key
-    lts = [g.leading(order)[0] for g in polys]
-    pairs = []
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            lcm = mono_lcm(lts[i], lts[j])
-            pairs.append((mono_total(lcm), key(lcm), i, j, lcm))
-    pairs.sort(key=lambda p: p[:4])
-    settled: set[tuple[int, int]] = set()
-    for _, _, i, j, lcm in pairs:
-        settled.add((i, j))
-        if mono_mul(lts[i], lts[j]) == lcm:
-            continue
-        if any(
-            k != i
-            and k != j
-            and (min(i, k), max(i, k)) in settled
-            and (min(j, k), max(j, k)) in settled
-            and mono_divides(lts[k], lcm)
-            for k in range(len(polys))
-        ):
-            continue
-        if not normal_form(s_polynomial(polys[i], polys[j], order), polys, order).is_zero:
-            return False
-    return True
 
 
 def ideal_contains(f: MPoly, groebner: Sequence[MPoly], order: MonomialOrder | None = None) -> bool:

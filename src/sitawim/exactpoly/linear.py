@@ -141,12 +141,6 @@ class LinearReduction:
             poly = poly.subs({name: replacement})
         return poly
 
-    def survivors(self) -> set[str]:
-        used: set[str] = set()
-        for p in self.polys:
-            used |= p.variables()
-        return used
-
 
 def linear_reduce(
     polys: Iterable[MPoly],

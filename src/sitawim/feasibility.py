@@ -1,4 +1,4 @@
-"""Feasibility battery and fusion verification for verified instances.
+"""Feasibility battery for verified instances.
 
 Six conditions, in increasing cost order: the handshake parity condition,
 realizability of closed subsets and quotients, the triangle-count
@@ -7,11 +7,6 @@ parameters, and the matrix Gegenbauer criterion.  The first three are
 exact integer computations; the last three read the high-precision Krein
 tensor.  ``run_battery`` produces a :class:`FeasibilityReport` with one
 verdict per condition and a witness for every failure.
-
-``fusion_check`` verifies that a partition of the basis fuses (the block
-sums close multiplicatively, checked exactly) and that the fused character
-table satisfies the partial row- and column-sum identities linking it to
-the original eigenmatrix.
 """
 
 from __future__ import annotations
@@ -20,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from mpmath import mp
 
@@ -32,17 +27,14 @@ from .spectra import (
     eigenmatrix_Q,
     krein,
 )
-from .structcheck import NOT_STANDARD, Instance, multiplicities, verify_sita
+from .structcheck import Instance, multiplicities, verify_sita
 from .varietygen import InvolutionType
 
 __all__ = [
     "ConditionResult",
     "FeasibilityReport",
-    "FusionResult",
     "absolute_bound",
     "closed_subsets_quotients",
-    "condition_grid",
-    "fusion_check",
     "gegenbauer",
     "handshake",
     "krein_nonneg",
@@ -284,32 +276,6 @@ def sub_instance(inst: Instance, subset: Sequence[int]) -> Instance:
     return Instance(mats, induced)
 
 
-def _block_sums(mats, blocks) -> tuple[Optional[list], Optional[dict]]:
-    """Exact closure of the block sums ``B^+ = sum_{i in B} b_i``.
-
-    Returns ``(sums, None)`` when every product ``B^+ C^+`` is an integer
-    combination of block sums, with ``sums[B][D][C]`` the coefficient of
-    ``D^+`` (the common coefficient of every ``b_a``, ``a`` in ``D``);
-    otherwise ``(None, witness)`` for the first product that is uneven on
-    some block.
-    """
-    r, d = len(mats), len(blocks)
-    sums = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for bi, B in enumerate(blocks):
-        for ci, C in enumerate(blocks):
-            v = [sum(mats[i][a][j] for i in B for j in C) for a in range(r)]
-            for di, D in enumerate(blocks):
-                vals = {v[a] for a in D}
-                if len(vals) != 1:
-                    return None, {
-                        "blocks": (B, C),
-                        "uneven": D,
-                        "coefficients": tuple(v[a] for a in D),
-                    }
-                sums[bi][di][ci] = vals.pop()
-    return sums, None
-
-
 def quotient_data(inst: Instance, subset: Sequence[int]):
     """Coset blocks, quotient degrees, and quotient structure constants for
     a closed subset.
@@ -353,13 +319,24 @@ def quotient_data(inst: Instance, subset: Sequence[int]):
     degrees = tuple(
         Fraction(sum(inst.degrees[i] for i in B), n_T) for B in blocks
     )
-    sums, uneven = _block_sums(mats, blocks)
-    if uneven is not None:
-        raise SitawimError("coset block sums do not close; not a closed subset")
-    constants = tuple(
-        tuple(tuple(Fraction(c, n_T) for c in row) for row in plane) for plane in sums
-    )
-    return blocks, degrees, constants
+    # B^+ C^+ (B^+ = sum_{i in B} b_i) must give every b_a, a in D, one
+    # common coefficient: n_T * constants[B][D][C]
+    constants = []
+    for B in blocks:
+        products = [
+            [sum(mats[i][a][j] for i in B for j in C) for a in range(r)] for C in blocks
+        ]
+        plane = []
+        for D in blocks:
+            row = []
+            for v in products:
+                vals = {v[a] for a in D}
+                if len(vals) != 1:
+                    raise SitawimError("coset block sums do not close; not a closed subset")
+                row.append(Fraction(vals.pop(), n_T))
+            plane.append(tuple(row))
+        constants.append(tuple(plane))
+    return blocks, degrees, tuple(constants)
 
 
 def closed_subsets_quotients(inst: Instance) -> ConditionResult:
@@ -679,202 +656,32 @@ def run_battery(
     precision: int = DEFAULT_PRECISION,
     eps=None,
     lmax: Optional[int] = None,
-    stop_on_fail: bool = True,
 ) -> FeasibilityReport:
     """All six conditions against one instance, cheap exact checks first.
 
-    With ``stop_on_fail`` (the default, mirroring how a screening pipeline
-    discards an instance at its first failure) the conditions after the
-    first failing one report ``skipped``.  ``eps`` is the numeric zero
-    tolerance handed to the Krein-side conditions.
+    As a screening pipeline discards an instance at its first failure, the
+    conditions after the first failing one report ``skipped``.  ``eps`` is
+    the numeric zero tolerance handed to krein-nonnegativity and
+    gegenbauer; absolute-bound classifies the Krein support with its own
+    default tolerance.
     """
     results = [handshake(inst), closed_subsets_quotients(inst), triangle_count(inst)]
-    failed = any(c.verdict == "fail" for c in results)
-    spectral = None
-    if not (failed and stop_on_fail):
+    if not any(c.verdict == "fail" for c in results):
         if sd is None:
             sd = krein(eigenmatrix_Q(eigenmatrix_P(inst, precision), inst), inst)
         elif sd.krein is None:
             sd = krein(sd if sd.Q is not None else eigenmatrix_Q(sd, inst), inst)
-        spectral = sd
-    for maker in (
-        lambda: absolute_bound(spectral),
-        lambda: krein_nonneg(spectral, eps=eps),
-        lambda: _gegenbauer_all(spectral, lmax, eps),
-    ):
-        if failed and stop_on_fail:
-            name = CONDITIONS[len(results)]
-            results.append(ConditionResult(name, "skipped"))
-            continue
-        res = maker()
-        results.append(res)
-        failed = failed or res.verdict == "fail"
+        for check in (
+            lambda: absolute_bound(sd),
+            lambda: krein_nonneg(sd, eps=eps),
+            lambda: _gegenbauer_all(sd, lmax, eps),
+        ):
+            results.append(check())
+            if results[-1].verdict == "fail":
+                break
+    results += [ConditionResult(name, "skipped") for name in CONDITIONS[len(results) :]]
     return FeasibilityReport(
         conditions=tuple(results),
         eps=eps,
         lmax=lmax,
-    )
-
-
-def condition_grid(reports: Mapping[str, FeasibilityReport]) -> str:
-    """Compact condition-by-instance table of verdicts."""
-    names = list(CONDITIONS)
-    width = max(len(n) for n in names)
-    cols = list(reports)
-    head = " " * width + "  " + "  ".join(f"{c:>8}" for c in cols)
-    lines = [head]
-    for n in names:
-        cells = []
-        for c in cols:
-            try:
-                cells.append(f"{reports[c].condition(n).verdict:>8}")
-            except KeyError:
-                cells.append(f"{'-':>8}")
-        lines.append(f"{n:<{width}}  " + "  ".join(cells))
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# fusion verification
-
-
-@dataclass(frozen=True)
-class FusionResult:
-    """Outcome of fusing a basis partition.
-
-    ``fuses`` reports exact multiplicative closure of the block sums;
-    ``verdict`` is ``not_a_fusion`` when closure fails, else ``pass`` or
-    ``fail`` for the partial-sum identities.  On success ``fused`` holds
-    the fused instance, ``P_tilde`` its character table (rows aligned with
-    ``dual_partition``, the induced grouping of the original rows).
-    """
-
-    partition: tuple[tuple[int, ...], ...]
-    fuses: bool
-    verdict: str
-    witness: Optional[object] = None
-    fused: Optional[Instance] = None
-    P_tilde: Optional[tuple] = None
-    dual_partition: Optional[tuple[tuple[int, ...], ...]] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict == "pass"
-
-
-def _normalize_partition(partition, r: int) -> tuple[tuple[int, ...], ...]:
-    blocks = [tuple(sorted(set(B))) for B in partition]
-    seen = [i for B in blocks for i in B]
-    if sorted(seen) != list(range(r)):
-        raise SitawimError("blocks must partition the basis indices exactly")
-    if (0,) not in blocks:
-        raise SitawimError("the identity must form its own block")
-    return tuple(sorted(blocks, key=lambda B: (B != (0,), B)))
-
-
-def fusion_check(inst: Instance, sd: SpectralData, partition) -> FusionResult:
-    """Exact closure check for a fused basis plus the partial row/column
-    sum identities tying the fused character table to the original."""
-    r = inst.rank
-    blocks = _normalize_partition(partition, r)
-    d = len(blocks)
-    fused_mats, uneven = _block_sums(inst.matrices, blocks)
-    if uneven is not None:
-        return FusionResult(
-            partition=blocks, fuses=False, verdict="not_a_fusion", witness=uneven
-        )
-    fused = Instance(
-        fused_mats, _induced_itype("fused", _structural_star(fused_mats))
-    )
-    with mp.workprec(sd.precision + 32):
-        tol = sd.eps * max(1, inst.order)
-        m = sd.multiplicities
-        if m is None:
-            raise SitawimError(NOT_STANDARD)
-        # group original rows by their block row sums — identity (ii)
-        sums = [
-            tuple(sum(sd.P[l][j] for j in B) for B in blocks) for l in range(r)
-        ]
-        groups: list[list[int]] = []
-        for l in range(r):
-            for g in groups:
-                if all(abs(a - b) <= tol for a, b in zip(sums[g[0]], sums[l])):
-                    g.append(l)
-                    break
-            else:
-                groups.append([l])
-        if len(groups) != d:
-            return FusionResult(
-                partition=blocks,
-                fuses=True,
-                verdict="fail",
-                witness={
-                    "kind": "row-sum-grouping",
-                    "groups": len(groups),
-                    "expected": d,
-                },
-                fused=fused,
-            )
-        dual = tuple(tuple(g) for g in groups)
-        P_tilde = tuple(sums[g[0]] for g in dual)
-        # identity (i): column sums against the fused table
-        k = inst.degrees
-        kt = [sum(k[j] for j in B) for B in blocks]
-        for gi, I in enumerate(dual):
-            mI = sum(m[i] for i in I)
-            mI_f = mp.mpf(mI.numerator) / mI.denominator
-            for bj, J in enumerate(blocks):
-                for j in J:
-                    lhs = sum(
-                        (mp.mpf(m[i].numerator) / m[i].denominator) * sd.P[i][j]
-                        for i in I
-                    )
-                    rhs = mp.mpf(k[j]) * mI_f / kt[bj] * P_tilde[gi][bj]
-                    if abs(lhs - rhs) > tol:
-                        return FusionResult(
-                            partition=blocks,
-                            fuses=True,
-                            verdict="fail",
-                            witness={
-                                "kind": "column-sum-identity",
-                                "I": I,
-                                "J": J,
-                                "j": j,
-                                "lhs": float(mp.re(lhs)),
-                                "rhs": float(mp.re(rhs)),
-                            },
-                            fused=fused,
-                            P_tilde=P_tilde,
-                            dual_partition=dual,
-                        )
-        # cross-check P_tilde against the fused instance's own eigenmatrix
-        sd_f = eigenmatrix_P(fused, precision=sd.precision)
-        unmatched = list(range(d))
-        for row in P_tilde:
-            hit = None
-            for c in unmatched:
-                if all(abs(row[b] - sd_f.P[c][b]) <= tol for b in range(d)):
-                    hit = c
-                    break
-            if hit is None:
-                return FusionResult(
-                    partition=blocks,
-                    fuses=True,
-                    verdict="fail",
-                    witness={
-                        "kind": "fused-eigenmatrix-mismatch",
-                        "row": tuple(float(mp.re(v)) for v in row),
-                    },
-                    fused=fused,
-                    P_tilde=P_tilde,
-                    dual_partition=dual,
-                )
-            unmatched.remove(hit)
-    return FusionResult(
-        partition=blocks,
-        fuses=True,
-        verdict="pass",
-        fused=fused,
-        P_tilde=P_tilde,
-        dual_partition=dual,
     )

@@ -7,13 +7,14 @@ eliminants, and Sturm isolation of real roots.
 
 Coefficient lists are ascending.  The degrees that show up are tiny
 (matrices are at most 5x5), so clarity beats asymptotics throughout, with
-one exception: the integer-root finder bounds its divisor test by the
-Cauchy bound, because the constant terms of eliminants can be huge.  One
-fraction-free long-division loop on integers (:func:`_pdivrem`) serves
-exact division, the squarefree test and the Sturm remainders; one divisor
-enumerator (:func:`_divisors`) serves the root finder and the
-quadratic-factor search; and rational roots are the integer roots of a
-monic transform.
+one exception: the constant terms of eliminants can be huge, so the
+integer-root finder solves degrees 1 and 2 in closed form (exact division,
+an exact square root of the discriminant) and bounds its divisor test
+above degree 2 by the Cauchy bound.  One fraction-free long-division loop
+on integers (:func:`_pdivrem`) serves exact division, the squarefree test
+and the Sturm remainders; one divisor enumerator (:func:`_divisors`)
+serves the root finder and the quadratic-factor search; and rational
+roots are the integer roots of a monic transform.
 """
 
 from __future__ import annotations
@@ -168,10 +169,6 @@ class IntPoly:
     def lead(self) -> int:
         return self.coeffs[-1]
 
-    @property
-    def is_monic(self) -> bool:
-        return self.lead == 1
-
     def __call__(self, value):
         """Horner evaluation at an integer, a rational or an mpmath number,
         exact wherever the arithmetic of ``value`` is."""
@@ -272,10 +269,13 @@ def _integer_roots(coeffs: Sequence) -> list[int]:
     """All distinct integer roots, ascending, of a univariate polynomial
     with integer or rational coefficients (ascending order).
 
-    A root ``r`` divides the constant term and has ``|r|`` at most the
-    Cauchy bound, so only the divisors within that bound are tried; each
-    candidate is screened by ``(r - 1) | f(1)`` and ``(r + 1) | f(-1)``
-    before the exact evaluation.
+    After clearing denominators and stripping the root 0, degrees 1 and 2
+    are solved in closed form: exact division, and for a quadratic the
+    exact square root of the discriminant, so the cost is polynomial in
+    the bit size.  Above degree 2 a root ``r`` divides the constant term
+    and has ``|r|`` at most the Cauchy bound, so only the divisors within
+    that bound are tried; each candidate is screened by ``(r - 1) | f(1)``
+    and ``(r + 1) | f(-1)`` before the exact evaluation.
     """
     den = 1
     for v in coeffs:
@@ -288,22 +288,32 @@ def _integer_roots(coeffs: Sequence) -> list[int]:
         roots.append(0)
         while c[0] == 0:
             c.pop(0)
-    if len(c) <= 1:
-        return roots
-    bound = 1 + max(abs(v) for v in c[:-1]) // abs(c[-1])
-    f1 = sum(c)
-    fm1 = sum(v if i % 2 == 0 else -v for i, v in enumerate(c))
-    for d in _divisors(c[0], bound):
-        for r in (d, -d):
-            if r != 1 and f1 % (r - 1):
-                continue
-            if r != -1 and fm1 % (r + 1):
-                continue
-            acc = 0
-            for v in reversed(c):
-                acc = acc * r + v
-            if acc == 0:
-                roots.append(r)
+    if len(c) == 2:
+        if c[0] % c[1] == 0:
+            roots.append(-c[0] // c[1])
+    elif len(c) == 3:
+        # x = (-c1 +- s) / (2 c2) with s^2 the discriminant; a double root once
+        disc = c[1] ** 2 - 4 * c[0] * c[2]
+        if _is_square(disc):
+            s = isqrt(disc)
+            for num in {s - c[1], -s - c[1]}:
+                if num % (2 * c[2]) == 0:
+                    roots.append(num // (2 * c[2]))
+    elif len(c) > 3:
+        bound = 1 + max(abs(v) for v in c[:-1]) // abs(c[-1])
+        f1 = sum(c)
+        fm1 = sum(v if i % 2 == 0 else -v for i, v in enumerate(c))
+        for d in _divisors(c[0], bound):
+            for r in (d, -d):
+                if r != 1 and f1 % (r - 1):
+                    continue
+                if r != -1 and fm1 % (r + 1):
+                    continue
+                acc = 0
+                for v in reversed(c):
+                    acc = acc * r + v
+                if acc == 0:
+                    roots.append(r)
     return sorted(roots)
 
 

@@ -11,15 +11,16 @@ each grid point, and turns every suitable solution into a verified
 Only integer points matter — realized tables have integer structure
 constants — so the solving step never touches floating point: a
 lexicographic Groebner basis triangularizes the specialized system, the
-integer roots of the univariate eliminant come from a divisor test on its
-constant term bounded by the Cauchy bound
-(:func:`sitawim.intpoly._integer_roots`), and back-substitution proceeds
-one variable at a time.  Once a point is put in, the system is moved into
-a ring of only its unknowns (a few of the template's dozens of variables),
-so every monomial the basis computation touches is short; lex there is the
-restriction of the template-ring lex order with the unknowns last, and the
-reduced basis, hence every solution, is the same.  Those small rings are
-cached by their variable names.
+integer roots of the univariate eliminant come from
+:func:`sitawim.intpoly._integer_roots` (closed form up to degree 2, above
+that a divisor test on the constant term bounded by the Cauchy bound), and
+back-substitution proceeds one variable at a time.  Once a point is put
+in, the system is moved into a ring of only its unknowns (a few of the
+template's dozens of variables), so every monomial the basis computation
+touches is short; lex there is the restriction of the template-ring lex
+order with the unknowns last, and the reduced basis, hence every
+solution, is the same.  Those small rings are cached by their variable
+names.
 
 Per-point diagnostics stream to the ``sitawim.solver`` logger with the
 stable line format ``point=<assignment> status=<sol|empty|posdim|cap>``;
@@ -82,30 +83,15 @@ Assumption = Union[str, RationalCharTable]
 
 @dataclass(frozen=True)
 class GridAxis:
-    """One enumerated variable: an inclusive integer range with an optional
-    stride and congruence filter (``congruence=(2, 0)`` keeps even values)."""
+    """One enumerated variable: every integer from ``start`` to ``stop``
+    inclusive (none when ``stop < start``)."""
 
     name: str
     start: int
     stop: int
-    step: int = 1
-    congruence: Optional[tuple[int, int]] = None
-
-    def __post_init__(self) -> None:
-        if self.step < 1:
-            raise SitawimError(f"axis {self.name}: step must be >= 1")
-        if self.congruence is not None:
-            modulus, residue = self.congruence
-            if modulus < 1:
-                raise SitawimError(f"axis {self.name}: modulus must be >= 1")
-            object.__setattr__(self, "congruence", (modulus, residue % modulus))
 
     def values(self) -> list[int]:
-        vals = range(self.start, self.stop + 1, self.step)
-        if self.congruence is None:
-            return list(vals)
-        modulus, residue = self.congruence
-        return [v for v in vals if v % modulus == residue]
+        return list(range(self.start, self.stop + 1))
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,6 @@ __all__ = [
     "eigenmatrix_P",
     "eigenmatrix_Q",
     "krein",
-    "as_rational",
-    "render_matrix",
 ]
 
 DEFAULT_PRECISION = 256
@@ -289,54 +287,3 @@ def krein(sd: SpectralData, inst: Instance) -> SpectralData:
                     )
             mats.append(rows)
     return replace(sd, krein=tuple(mats))
-
-
-# ---------------------------------------------------------------------------
-# rational recognition and rendering
-
-
-def as_rational(value, max_denominator: int = 10**4, tol=None) -> Optional[Fraction]:
-    """The unique rational with denominator <= max_denominator within tol of
-    ``value`` (continued-fraction reconstruction), or None.
-
-    Mirrors the paper's displays, which mix exact rationals like 5/3 and
-    20/9 into otherwise numeric matrices.
-    """
-    if mp.im(value) != 0:
-        return None
-    with mp.workprec(max(mp.prec, 512)):
-        x = mp.re(value)
-        if tol is None:
-            tol = mp.ldexp(1, -80)
-        h0, h1 = 1, 0
-        k0, k1 = 0, 1
-        rest = x
-        for _ in range(64):
-            a = mp.floor(rest)
-            h0, h1 = int(a) * h0 + h1, h0
-            k0, k1 = int(a) * k0 + k1, k0
-            if k0 > max_denominator:
-                return None
-            if abs(x - mp.mpf(h0) / k0) <= tol:
-                return Fraction(h0, k0)
-            frac = rest - a
-            if frac == 0:
-                return None
-            rest = 1 / frac
-    return None
-
-
-def render_matrix(M, sig: int = 6, max_denominator: int = 10**4) -> str:
-    """Rows of a numeric matrix with ``sig`` significant digits, rational
-    entries shown exactly — the paper's mixed display style."""
-    out = []
-    for row in M:
-        cells = []
-        for v in row:
-            q = as_rational(v, max_denominator=max_denominator)
-            if q is not None:
-                cells.append(str(q.numerator) if q.denominator == 1 else f"{q}")
-            else:
-                cells.append(mp.nstr(v, sig))
-        out.append("[" + ", ".join(cells) + "]")
-    return "\n".join(out)

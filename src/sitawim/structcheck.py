@@ -6,8 +6,8 @@ constants of a commutative based algebra.  This module checks the defining
 axioms exactly, solves for the standard-module multiplicities as exact
 rationals, and decides whether every eigenvalue is cyclotomic.  The
 univariate work underneath (characteristic polynomials, factorization over
-the integers, Galois classes of the factors) is :mod:`sitawim.intpoly`;
-its public names are re-exported here.
+the integers, Galois classes of the factors) lives in
+:mod:`sitawim.intpoly`; its names are imported from there, not from here.
 
 One orbit solve (:func:`_orbit_solve`) finds a squarefree generator, the
 factors of its characteristic polynomial and one exact multiplicity per
@@ -31,29 +31,15 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import SitawimError
-from .intpoly import (
-    GaloisClass,
-    IntPoly,
-    _poly_gcd_degree,
-    charpoly,
-    factor_int_poly,
-    format_factored,
-    galois_class,
-)
+from .intpoly import IntPoly, _poly_gcd_degree, charpoly, factor_int_poly, galois_class
 from .varietygen import INVOLUTION_TYPES, InvolutionType
 
 __all__ = [
     "AxiomCheck",
     "AxiomReport",
     "CyclotomicReport",
-    "GaloisClass",
     "Instance",
-    "IntPoly",
     "MultiplicityResult",
-    "charpoly",
-    "factor_int_poly",
-    "format_factored",
-    "galois_class",
     "is_cyclotomic",
     "multiplicities",
     "verify_sita",

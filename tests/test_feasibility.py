@@ -1,4 +1,4 @@
-"""Feasibility battery: exact conditions, Krein-side conditions, fusions."""
+"""Feasibility battery: exact conditions and Krein-side conditions."""
 
 import itertools
 import json
@@ -9,7 +9,6 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from sitawim import feasibility, spectra, structcheck
 from sitawim.errors import SitawimError
 from sitawim.feasibility import (
     CONDITIONS,
@@ -18,8 +17,6 @@ from sitawim.feasibility import (
     FeasibilityReport,
     absolute_bound,
     closed_subsets_quotients,
-    condition_grid,
-    fusion_check,
     gegenbauer,
     handshake,
     krein_nonneg,
@@ -36,7 +33,8 @@ from sitawim.feasibility import (
     _to_fixed,
 )
 from sitawim.spectra import SpectralData, eigenmatrix_P, eigenmatrix_Q, krein
-from sitawim.structcheck import Instance, IntPoly, verify_sita
+from sitawim.intpoly import IntPoly
+from sitawim.structcheck import Instance, verify_sita
 
 from _fixtures import A1_16_MATRICES, N35_MATRICES, N249_MATRICES
 
@@ -182,12 +180,6 @@ class TestReportShape:
     def test_json_serializable(self, rep35):
         text = json.dumps(rep35.as_dict())
         assert "handshake" in text
-
-    def test_grid(self, rep35, rep249):
-        grid = condition_grid({"n35": rep35, "n249": rep249})
-        for name in CONDITIONS:
-            assert name in grid
-        assert "n35" in grid and "n249" in grid and "vacuous" in grid
 
 
 class TestHandshake:
@@ -739,99 +731,3 @@ class TestStructuralStar:
             2,
             1,
         )
-
-
-class TestFusion:
-    def test_orbit_fusion_gives_complete_graph(self, n249, sd249):
-        res = fusion_check(n249, sd249, [(0,), (1, 2, 3, 4)])
-        assert res.fuses and res.verdict == "pass" and res.ok
-        assert res.fused.matrices == complete_graph(249).matrices
-        assert res.dual_partition == ((0,), (1, 2, 3, 4))
-        with mp.workprec(sd249.precision + 32):
-            assert abs(res.P_tilde[0][1] - 248) < mp.mpf(10) ** -20
-            assert abs(res.P_tilde[1][1] + 1) < mp.mpf(10) ** -20
-
-    def test_order35_full_fusion(self, n35, sd35):
-        res = fusion_check(n35, sd35, [(0,), (1, 2, 3, 4)])
-        assert res.verdict == "pass"
-        assert res.fused.matrices == complete_graph(35).matrices
-
-    def test_identity_partition_is_trivial_fusion(self, n35, sd35):
-        res = fusion_check(n35, sd35, [(i,) for i in range(5)])
-        assert res.verdict == "pass"
-        assert res.fused.matrices == n35.matrices
-        assert all(len(g) == 1 for g in res.dual_partition)
-
-    def test_non_fusing_partition(self, n35, sd35):
-        res = fusion_check(n35, sd35, [(0,), (1, 2), (3, 4)])
-        assert not res.fuses
-        assert res.verdict == "not_a_fusion"
-        assert not res.ok
-        assert "uneven" in res.witness
-        assert res.fused is None
-
-    def test_conjugate_pair_fusion_symmetrizes(self, a1_16):
-        sd = full(a1_16)
-        res = fusion_check(a1_16, sd, [(0,), (1,), (2, 3)])
-        assert res.verdict == "pass"
-        assert res.fused.matrices == (
-            ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-            ((0, 5, 0), (1, 0, 4), (0, 2, 3)),
-            ((0, 0, 10), (0, 4, 6), (1, 3, 6)),
-        )
-        # the conjugate character rows fuse into one real row
-        assert res.dual_partition == ((0,), (1,), (2, 3))
-        with mp.workprec(sd.precision + 32):
-            row = res.P_tilde[1]
-            assert max(abs(mp.im(v)) for v in row) < sd.eps
-
-    def test_mixed_pair_does_not_fuse(self, a1_16):
-        sd = full(a1_16)
-        res = fusion_check(a1_16, sd, [(0,), (1, 2), (3,)])
-        assert res.verdict == "not_a_fusion"
-
-    def test_group_inverse_pairing_fuses(self):
-        z3 = cyclic_group_table(3)
-        sd = full(z3)
-        res = fusion_check(z3, sd, [(0,), (1, 2)])
-        assert res.verdict == "pass"
-        assert res.fused.matrices == complete_graph(3).matrices
-
-    def test_reads_multiplicities_from_the_spectrum(self, n249, monkeypatch):
-        # only the fused instance gets a generator sweep of its own
-        sd = eigenmatrix_P(n249)
-        swept = []
-        real = structcheck._orbit_solve
-
-        def spy(inst):
-            swept.append(inst)
-            return real(inst)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("fusion_check recomputed the multiplicities")
-
-        monkeypatch.setattr(spectra, "_orbit_solve", spy)
-        monkeypatch.setattr(structcheck, "_orbit_solve", spy)
-        monkeypatch.setattr(structcheck, "multiplicities", refuse)
-        monkeypatch.setattr(feasibility, "multiplicities", refuse)
-        res = fusion_check(n249, sd, [(0,), (1, 2, 3, 4)])
-        assert res.verdict == "pass"
-        assert swept == [res.fused]
-
-    def test_partition_validation(self, n35, sd35):
-        with pytest.raises(SitawimError):
-            fusion_check(n35, sd35, [(0, 1), (2, 3, 4)])  # 0 not alone
-        with pytest.raises(SitawimError):
-            fusion_check(n35, sd35, [(0,), (1, 2)])  # not a cover
-        with pytest.raises(SitawimError):
-            fusion_check(n35, sd35, [(0,), (1, 2), (2, 3, 4)])  # overlap
-
-    def test_row_sums_constant_on_dual_blocks(self, n249, sd249):
-        # the row-sum identity behind the dual grouping, checked explicitly
-        res = fusion_check(n249, sd249, [(0,), (1, 2, 3, 4)])
-        with mp.workprec(sd249.precision + 32):
-            for I, want in zip(res.dual_partition, res.P_tilde):
-                for i in I:
-                    for bj, J in enumerate(res.partition):
-                        got = sum(sd249.P[i][j] for j in J)
-                        assert abs(got - want[bj]) <= sd249.eps * 249

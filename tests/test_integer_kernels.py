@@ -29,7 +29,6 @@ from sitawim.exactpoly import (
     normal_form,
     qq,
     rational_span_basis,
-    s_polynomial,
 )
 from sitawim.exactpoly import linear
 from sitawim.exactpoly.core import (
@@ -52,6 +51,8 @@ from sitawim.varietygen import (
     homogeneity_constraints,
     trace_constraints,
 )
+
+from _groebner_oracles import s_polynomial
 
 XYZ = Ring("x y z")
 
@@ -275,7 +276,10 @@ def reference_linear_reduce(polys, *, degree_symbols=(), keep=()):
         best = min(rank for rank, _, _ in ranked)
         idx, f = min(((i, f) for r, i, f in ranked if r == best), key=lambda c: str(c[1]))
         name = ring.names[idx]
-        a, b = f.split_linear(name)
+        # f = a*name + b, with name of degree 1 in f
+        a = MPoly(ring, {m[:idx] + (0,) + m[idx + 1 :]: c for m, c in f.terms.items() if m[idx]})
+        b = MPoly(ring, {m: c for m, c in f.terms.items() if not m[idx]})
+        assert a * ring.var(name) + b == f
         replacement = b * (-Q1 / a.constant_value())
         chain.append((name, replacement))
         work = dedup(tidy(reference_subs(p, name, replacement)) for p in work)

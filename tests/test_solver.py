@@ -11,7 +11,9 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import math
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -55,21 +57,9 @@ def _relabel(mats, perm):
 
 class TestGridGeometry:
     def test_axis_values(self):
-        assert GridAxis("m", 2, 10, step=2).values() == [2, 4, 6, 8, 10]
+        assert GridAxis("m", 2, 6).values() == [2, 3, 4, 5, 6]
+        assert GridAxis("m", 4, 4).values() == [4]
         assert GridAxis("m", 5, 4).values() == []
-
-    def test_axis_congruence(self):
-        axis = GridAxis("m", 1, 10, congruence=(3, 2))
-        assert axis.values() == [2, 5, 8]
-
-    def test_axis_congruence_normalized(self):
-        assert GridAxis("m", 0, 6, congruence=(3, -1)).values() == [2, 5]
-
-    def test_axis_rejects_bad_step_and_modulus(self):
-        with pytest.raises(SitawimError):
-            GridAxis("m", 0, 5, step=0)
-        with pytest.raises(SitawimError):
-            GridAxis("m", 0, 5, congruence=(0, 0))
 
     def test_window_values(self):
         # ten percent around 62/4 = 15.5 spans [13.95, 17.05]
@@ -250,14 +240,60 @@ def reference_integer_roots(c: list[int]) -> list[int]:
     return sorted(roots)
 
 
+def _times_linear(c: list, root) -> list:
+    """The ascending coefficients of c(x) * (x - root)."""
+    return [(c[i - 1] if i else 0) - root * (c[i] if i < len(c) else 0) for i in range(len(c) + 1)]
+
+
+def _horner(c: list, x: int) -> int:
+    acc = 0
+    for v in reversed(c):
+        acc = acc * x + v
+    return acc
+
+
+_small_rationals = st.builds(Fraction, st.integers(-120, 120), st.integers(1, 6))
+
+
 class TestIntegerRoots:
     def test_huge_constant_term_stops_at_the_cauchy_bound(self):
-        """(p*x - p)(x - 2) with p near 10^15 has Cauchy bound 4; trial
-        division to sqrt(2p) would take seconds."""
+        """p(x - 1)(x - 2)(x + 3) with p near 10^15 has Cauchy bound 8; trial
+        division to sqrt(6p) would take seconds."""
         p = 10**15 + 37
         start = time.perf_counter()
-        assert _integer_roots([qq(2 * p), qq(-3 * p), qq(p)]) == [1, 2]
+        assert _integer_roots([qq(6 * p), qq(-7 * p), qq(0), qq(p)]) == [-3, 1, 2]
         assert time.perf_counter() - start < 2.0
+
+    def test_square_of_a_large_prime_in_closed_form(self):
+        """x^2 - (10^12 + 39)^2: a divisor test would trial-divide to 10^12."""
+        p = 10**12 + 39
+        start = time.perf_counter()
+        assert _integer_roots([qq(-(p**2)), qq(0), qq(1)]) == [-p, p]
+        assert time.perf_counter() - start < 2.0
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        lead=_small_rationals.filter(bool),
+        roots=st.lists(_small_rationals, min_size=1, max_size=2),
+        double=st.booleans(),
+        free=st.none() | st.lists(_small_rationals, min_size=2, max_size=3).filter(lambda c: c[-1]),
+        zeros=st.integers(0, 2),
+    )
+    def test_low_degree_matches_brute_force(self, lead, roots, double, free, zeros):
+        """Degree <= 2 once the root 0 is stripped: planted rational roots
+        (a double one when ``double``) or free rational coefficients, times
+        x^zeros, against every integer within the Cauchy bound."""
+        c = free
+        if c is None:
+            c = [lead]
+            for r in [roots[0], roots[0]] if double else roots:
+                c = _times_linear(c, r)
+        c = [Fraction(0)] * zeros + [Fraction(v) for v in c]
+        den = math.lcm(*(v.denominator for v in c))
+        ints = [int(v * den) for v in c]
+        bound = 1 + max(abs(v) for v in ints[:-1]) // abs(ints[-1])
+        want = [x for x in range(-bound, bound + 1) if _horner(ints, x) == 0]
+        assert _integer_roots(c) == want
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -266,8 +302,8 @@ class TestIntegerRoots:
     )
     def test_matches_every_divisor_tried(self, roots, tail):
         c = tail
-        for r in roots:  # multiply by (x - r)
-            c = [(c[i - 1] if i else 0) - r * (c[i] if i < len(c) else 0) for i in range(len(c) + 1)]
+        for r in roots:
+            c = _times_linear(c, r)
         while c[-1] == 0:
             c = c[:-1]
         assert _integer_roots([qq(v) for v in c]) == reference_integer_roots(c)
@@ -337,18 +373,6 @@ class TestRunSearch:
         assert catalogs[1] == catalogs[0]
         assert len(logs[0]) == 21
         assert logs[1] == logs[0]
-
-    def test_congruence_filter_restricts_the_sweep(self, caplog):
-        cfg = SearchConfig(
-            itype="4A1",
-            assumption="pseudocyclic",
-            grid=(GridAxis("k1", 1, 10, congruence=(2, 1)),),
-        )
-        with caplog.at_level(logging.INFO, logger="sitawim.solver"):
-            out = run_search(cfg)
-        assert [inst.degrees[1] for inst in out] == [1, 5]
-        swept = [m.split()[0] for m in caplog.messages if m.startswith("point=")]
-        assert swept == [f"point=k1={v}" for v in (1, 3, 5, 7, 9)]
 
     def test_log_line_format(self, caplog):
         cfg = SearchConfig(

@@ -1,6 +1,7 @@
-"""Numeric spectra: eigenmatrices, dual intersection matrices, rational
-recognition, and the orthogonality/duality invariants, pinned against the
-published six-significant-digit displays for the orders 35 and 249."""
+"""Numeric spectra: eigenmatrices, dual intersection matrices and the
+orthogonality/duality invariants, pinned against the published
+six-significant-digit displays for the orders 35 and 249; the exact
+rationals in those displays are read back by continued fractions."""
 
 from fractions import Fraction
 
@@ -12,16 +13,9 @@ from mpmath import mp
 from sitawim.errors import SitawimError, SpectralError
 from sitawim import spectra, structcheck
 from sitawim.solver import GridAxis, SearchConfig, SimplexSpec, run_search
-from sitawim.spectra import (
-    SpectralData,
-    as_rational,
-    eigenmatrix_P,
-    eigenmatrix_Q,
-    krein,
-    render_matrix,
-)
-from sitawim.intpoly import _poly_gcd_degree, _real_roots, _sign_changes, _sturm_chain
-from sitawim.structcheck import Instance, IntPoly, multiplicities
+from sitawim.spectra import SpectralData, eigenmatrix_P, eigenmatrix_Q, krein
+from sitawim.intpoly import IntPoly, _poly_gcd_degree, _real_roots, _sign_changes, _sturm_chain
+from sitawim.structcheck import Instance, multiplicities
 
 from _fixtures import (
     A1_16_MATRICES,
@@ -53,6 +47,38 @@ def err(computed, reference) -> float:
         for c, r in zip(crow, rrow):
             worst = max(worst, abs(complex(mp.re(c), mp.im(c)) - complex(r)))
     return worst
+
+
+def as_rational(value, max_denominator: int = 10**4, tol=None):
+    """The unique rational with denominator <= max_denominator within tol of
+    ``value`` (continued-fraction reconstruction), or None.
+
+    The paper's displays mix exact rationals like 5/3 and 20/9 into
+    otherwise numeric matrices; this reads them back from the 256-bit
+    values.
+    """
+    if mp.im(value) != 0:
+        return None
+    with mp.workprec(max(mp.prec, 512)):
+        x = mp.re(value)
+        if tol is None:
+            tol = mp.ldexp(1, -80)
+        h0, h1 = 1, 0
+        k0, k1 = 0, 1
+        rest = x
+        for _ in range(64):
+            a = mp.floor(rest)
+            h0, h1 = int(a) * h0 + h1, h0
+            k0, k1 = int(a) * k0 + k1, k0
+            if k0 > max_denominator:
+                return None
+            if abs(x - mp.mpf(h0) / k0) <= tol:
+                return Fraction(h0, k0)
+            frac = rest - a
+            if frac == 0:
+                return None
+            rest = 1 / frac
+    return None
 
 
 # published six-digit displays -------------------------------------------------
@@ -375,23 +401,6 @@ class TestRationalDetection:
             near = mp.mpf(2) / 3 + mp.ldexp(1, -60)
             assert as_rational(near) is None
             assert as_rational(near, tol=mp.ldexp(1, -50)) == Fraction(2, 3)
-
-
-class TestRendering:
-    def test_mixed_exact_and_float_cells(self):
-        sd = TestOrder35.sd
-        text = render_matrix(sd.krein[1])
-        assert "2/3" in text and "5/3" in text
-        assert text.count("\n") == 4
-
-    def test_significant_digits(self):
-        with mp.workprec(256):
-            row = [[mp.pi]]
-            assert "3.14159" in render_matrix(row, sig=6)
-            assert "3.142" in render_matrix(row, sig=4)
-
-    def test_integers_render_bare(self):
-        assert render_matrix([[mp.mpf(4), mp.mpf(-1)]]) == "[4, -1]"
 
 
 class TestFailureModes:

@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 
 from sitawim.errors import SitawimError
 from sitawim.exactpoly import qq
-from sitawim.structcheck import (
-    _orbit_solve,
+from sitawim.intpoly import (
     GaloisClass,
-    Instance,
     IntPoly,
     charpoly,
     factor_int_poly,
     format_factored,
     galois_class,
+)
+from sitawim.structcheck import (
+    _orbit_solve,
+    Instance,
     is_cyclotomic,
     multiplicities,
     verify_sita,
@@ -55,7 +57,7 @@ class TestIntPoly:
         p = poly(8, -18, -20, 10, 3, -1, 0)
         assert p.coeffs == (-8, 18, 20, -10, -3, 1)
         assert p.degree == 5
-        assert p.is_monic
+        assert p.lead == 1
 
     def test_rejects_zero_polynomial(self):
         with pytest.raises(SitawimError):
