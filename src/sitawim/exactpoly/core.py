@@ -1,9 +1,11 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 Polynomials are sparse dictionaries mapping exponent tuples to nonzero
-rational coefficients.  All arithmetic is exact: coefficients are
-``gmpy2.mpq`` when gmpy2 is importable and ``fractions.Fraction``
-otherwise; the two are interchangeable for everything done here.
+rational coefficients.  A coefficient is a plain ``int`` when it is
+integral and a ``fractions.Fraction`` only when it is not (or when the
+caller passed one in).  Python compares and hashes the two as one numeric
+type, so equality, hashing and the text form do not depend on which of
+them a term holds, and the arithmetic stays on ints wherever it can.
 
 A :class:`Ring` fixes an ordered tuple of variable names.  Monomial
 orders (lex and graded reverse lex, the two kinds the pipeline uses) are
@@ -16,26 +18,21 @@ under the active order.  The plain-text format is ``c*x1^e1*...*xn^en``
 terms joined by ``+``/``-``; :meth:`Ring.parse` and ``str()`` round-trip
 bit-exactly.
 
-Integer kernels.  The rational API is unchanged: every polynomial a public
-function returns carries rational coefficients.  The hot loops underneath
-run on plain ``int`` term dictionaries instead, because a rational
-operation costs tens of integer ones:
+The hot loops stay on ints wherever they can:
 
 - monomial products, quotients and divisibility are C-level ``map`` calls,
   and every :class:`MonomialOrder` builds its sort keys and its
   leading-monomial function once, from ``operator.itemgetter`` over its
   priority permutation;
-- ``normalize`` and ``content_and_primitive`` clear denominators once
-  and work on the integer terms; ``subs`` and ``evaluate`` take an
-  all-integer path when the polynomial and the values put in are
-  integers;
-- :func:`int_terms`, :func:`cleared_terms`, :func:`mul_terms_into`,
-  :func:`primitive_terms` and :func:`from_int_terms` are the integer term
-  kernels behind ``emit_structure_polys``, ``linear_reduce``'s
-  fraction-free substitution, ``rational_span_basis``'s fraction-free
-  elimination and the fraction-free division of ``normal_form`` and
-  ``buchberger``.  Each scales by nonzero integers only where the result
-  is normalized or divided back, so results equal the rational ones.
+- :func:`cleared_terms` is the one place where ``Fraction`` coefficients
+  are cleared to ints; ``normalize``, ``content_and_primitive``,
+  ``emit_structure_polys``, ``linear_reduce``, ``rational_span_basis``,
+  ``normal_form`` and ``buchberger`` start from it, run fraction-free
+  (:func:`mul_terms_into`, :func:`primitive_terms`), and store the ints
+  they compute;
+- ``subs`` with constant values and ``evaluate`` share one loop,
+  :func:`_subs_values`, which works on int and ``Fraction`` coefficients
+  and values alike.
 
 Monomials stay exponent tuples everywhere a polynomial is stored or
 returned, and in ``buchberger``, ``normal_form``, ``subs`` and
@@ -49,50 +46,47 @@ from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 from functools import partial
 from operator import add, itemgetter, le, neg, sub
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 # --------------------------------------------------------------------------
 # coefficient field
 # --------------------------------------------------------------------------
 
-try:  # pragma: no cover - exercised implicitly by the whole suite
-    from gmpy2 import mpq as _ratio
+#: kept for callers that record the rational backend: coefficients are
+#: always ints and ``fractions.Fraction``
+HAVE_GMPY2 = False
 
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _ratio
+#: exact rational zero/one
+Q0 = Fraction(0)
+Q1 = Fraction(1)
 
-    HAVE_GMPY2 = False
-
-#: exact rational zero/one, reused everywhere
-Q0 = _ratio(0)
-Q1 = _ratio(1)
-
-_RAT_TYPES = (type(Q0), int)
-
-Rational = Union[type(Q0), int]
+_RAT_TYPES = (Fraction, int)
 
 
-def qq(value: object) -> "_ratio":
-    """Coerce ``value`` (int, rational, or ``p/q`` string) to an exact rational."""
-    if isinstance(value, type(Q0)):
+def qq(value: object) -> Fraction:
+    """Coerce ``value`` (int, Fraction, or ``p/q`` string) to a Fraction."""
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return _ratio(value)
+        return Fraction(value)
     if isinstance(value, str):
         num, _, den = value.partition("/")
-        return _ratio(int(num), int(den)) if den else _ratio(int(num))
-    # fractions.Fraction when running on gmpy2, and vice versa
-    num = getattr(value, "numerator", None)
-    den = getattr(value, "denominator", None)
-    if num is not None and den is not None:
-        return _ratio(num, den)
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
-def qq_str(value: "_ratio") -> str:
+def _coeff(value: object) -> int | Fraction:
+    """``value`` as a stored coefficient: an int when it is integral."""
+    if type(value) is int:
+        return value
+    c = qq(value)
+    return c.numerator if c.denominator == 1 else c
+
+
+def qq_str(value: int | Fraction) -> str:
     """``p`` or ``p/q`` — the exact text form of a rational."""
     value = qq(value)
     if value.denominator == 1:
@@ -237,16 +231,16 @@ class Ring:
         return MPoly(self, {})
 
     def one(self) -> "MPoly":
-        return MPoly(self, {self._zero_mono: Q1})
+        return MPoly(self, {self._zero_mono: 1})
 
     def const(self, value: object) -> "MPoly":
-        c = qq(value)
+        c = _coeff(value)
         return MPoly(self, {self._zero_mono: c} if c else {})
 
     def var(self, name: str) -> "MPoly":
         i = self.index[name]
         mono = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return MPoly(self, {mono: Q1})
+        return MPoly(self, {mono: 1})
 
     def gens(self) -> tuple["MPoly", ...]:
         return tuple(self.var(name) for name in self.names)
@@ -257,9 +251,9 @@ class Ring:
             mono = tuple(mono)
             if len(mono) != self.nvars or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent tuple {mono}")
-            c = qq(coeff)
+            c = _coeff(coeff)
             if c:
-                out[mono] = out.get(mono, Q0) + c
+                out[mono] = out.get(mono, 0) + c
                 if not out[mono]:
                     del out[mono]
         return MPoly(self, out)
@@ -298,10 +292,10 @@ class MPoly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and self.ring._zero_mono in self.terms)
 
-    def constant_value(self) -> "_ratio":
+    def constant_value(self) -> int | Fraction:
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
-        return self.terms.get(self.ring._zero_mono, Q0)
+        return self.terms.get(self.ring._zero_mono, 0)
 
     # -- structure -----------------------------------------------------------
 
@@ -324,7 +318,7 @@ class MPoly:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def leading(self, order: MonomialOrder | None = None) -> tuple[Monomial, "_ratio"]:
+    def leading(self, order: MonomialOrder | None = None) -> tuple[Monomial, int | Fraction]:
         """The (monomial, coefficient) pair largest under ``order``."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -332,7 +326,9 @@ class MPoly:
         mono = order.leading(self.terms)
         return mono, self.terms[mono]
 
-    def sorted_terms(self, order: MonomialOrder | None = None) -> list[tuple[Monomial, "_ratio"]]:
+    def sorted_terms(
+        self, order: MonomialOrder | None = None
+    ) -> list[tuple[Monomial, int | Fraction]]:
         order = order or self.ring.default_order
         return sorted(self.terms.items(), key=lambda kv: order.key(kv[0]), reverse=True)
 
@@ -356,7 +352,7 @@ class MPoly:
             big, small = small, big
         out = dict(big)
         for mono, c in small.items():
-            v = out.get(mono, Q0) + c
+            v = out.get(mono, 0) + c
             if v:
                 out[mono] = v
             elif mono in out:
@@ -374,7 +370,7 @@ class MPoly:
             return NotImplemented
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            v = out.get(mono, Q0) - c
+            v = out.get(mono, 0) - c
             if v:
                 out[mono] = v
             elif mono in out:
@@ -389,7 +385,7 @@ class MPoly:
 
     def __mul__(self, other: object) -> "MPoly":
         if isinstance(other, _RAT_TYPES):
-            c = qq(other)
+            c = _coeff(other)
             if not c:
                 return self.ring.zero()
             return MPoly(self.ring, {m: v * c for m, v in self.terms.items()})
@@ -403,7 +399,7 @@ class MPoly:
         for ma, ca in a.items():
             for mb, cb in b.items():
                 mono = mono_mul(ma, mb)
-                v = out.get(mono, Q0) + ca * cb
+                v = out.get(mono, 0) + ca * cb
                 if v:
                     out[mono] = v
                 elif mono in out:
@@ -435,7 +431,7 @@ class MPoly:
 
     def mul_term(self, mono: Monomial, coeff: object) -> "MPoly":
         """Multiply by a single term ``coeff * x^mono`` (exact, no checks on sign)."""
-        c = qq(coeff)
+        c = _coeff(coeff)
         if not c:
             return self.ring.zero()
         return MPoly(self.ring, {mono_mul(m, mono): v * c for m, v in self.terms.items()})
@@ -445,7 +441,8 @@ class MPoly:
     def subs(self, mapping: Mapping[str, object]) -> "MPoly":
         """Substitute polynomials or rationals for variables (by name).
 
-        Returns ``self`` when no substituted variable occurs.  Otherwise the
+        Returns ``self`` when no substituted variable occurs.  Constant
+        values are put in by the loop ``evaluate`` runs.  Otherwise the
         expansion of each term is merged into one accumulating dictionary, so
         the cost is linear in the number of terms produced; each power of a
         replacement is computed once.
@@ -462,12 +459,9 @@ class MPoly:
                 repl[i] = ring.const(value)
         if not any(mono[i] for mono in self.terms for i in repl):
             return self
-        ints = int_terms(self.terms)
-        if ints is not None and all(
-            r.is_constant and r.constant_value().denominator == 1 for r in repl.values()
-        ):
-            values = {i: int(r.constant_value()) for i, r in repl.items()}
-            return from_int_terms(ring, _subs_int_values(ints, values))
+        if all(r.is_constant for r in repl.values()):
+            values = {i: r.constant_value() for i, r in repl.items()}
+            return MPoly(ring, _subs_values(self.terms, values))
         indices = sorted(repl)
         out: dict = {}
         pow_cache: dict[tuple[int, int], MPoly] = {}
@@ -490,43 +484,28 @@ class MPoly:
             if len(out) < len(piece):
                 out, piece = piece, out
             for m, c in piece.items():
-                v = out.get(m, Q0) + c
+                v = out.get(m, 0) + c
                 if v:
                     out[m] = v
                 elif m in out:
                     del out[m]
         return MPoly(ring, out)
 
-    def evaluate(self, point: Mapping[str, object]) -> "_ratio":
+    def evaluate(self, point: Mapping[str, object]) -> int | Fraction:
         """Exact value at a full rational point (every used variable must be given)."""
         ring = self.ring
-        vals: list = [None] * ring.nvars
-        for name, value in point.items():
-            vals[ring.index[name]] = value if type(value) is int else qq(value)
-        if all(v is None or v.denominator == 1 for v in vals):
-            ints, den = cleared_terms(self.terms)
-            values = {i: int(v) for i, v in enumerate(vals) if v is not None}
-            for i, col in enumerate(zip(*ints)):
-                if i not in values and any(col):
-                    raise ValueError(f"no value supplied for {ring.names[i]}")
-            return _ratio(sum(_subs_int_values(ints, values).values()), den)
-        acc = Q0
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for i, e in enumerate(mono):
-                if e:
-                    if vals[i] is None:
-                        raise ValueError(f"no value supplied for {ring.names[i]}")
-                    term = term * vals[i] ** e
-            acc = acc + term
-        return acc
+        values = {ring.index[name]: _coeff(value) for name, value in point.items()}
+        for i, col in enumerate(zip(*self.terms)):
+            if i not in values and any(col):
+                raise ValueError(f"no value supplied for {ring.names[i]}")
+        return sum(_subs_values(self.terms, values).values())
 
     # -- linear structure ---------------------------------------------------------
 
     def as_univariate(self, name: str) -> list:
         """Ascending coefficient list in one variable; other variables must be absent."""
         i = self.ring.index[name]
-        coeffs = [Q0] * (max((m[i] for m in self.terms), default=0) + 1)
+        coeffs = [0] * (max((m[i] for m in self.terms), default=0) + 1)
         for mono, coeff in self.terms.items():
             if any(e and j != i for j, e in enumerate(mono)):
                 raise ValueError(f"{self} involves variables besides {name}")
@@ -535,13 +514,13 @@ class MPoly:
 
     # -- normalization ---------------------------------------------------------
 
-    def content_and_primitive(self) -> tuple["_ratio", "MPoly"]:
+    def content_and_primitive(self) -> tuple[Fraction, "MPoly"]:
         """Positive rational c and primitive integer-coefficient p with self = c*p."""
         if not self.terms:
             return Q1, self
         ints, den = cleared_terms(self.terms)
         g = math.gcd(*ints.values())
-        return _ratio(g, den), from_int_terms(self.ring, {m: c // g for m, c in ints.items()})
+        return Fraction(g, den), MPoly(self.ring, {m: c // g for m, c in ints.items()})
 
     def normalize(self, order: MonomialOrder | None = None) -> "MPoly":
         """Canonical representative: integer coefficients, content 1, positive
@@ -549,7 +528,7 @@ class MPoly:
         if not self.terms:
             return self
         order = order or self.ring.default_order
-        return from_int_terms(self.ring, primitive_terms(cleared_terms(self.terms)[0], order))
+        return MPoly(self.ring, primitive_terms(cleared_terms(self.terms)[0], order))
 
     # -- comparisons / hashing -----------------------------------------------------
 
@@ -557,7 +536,7 @@ class MPoly:
         if isinstance(other, MPoly):
             return self.ring is other.ring and self.terms == other.terms
         if isinstance(other, _RAT_TYPES):
-            return self.is_constant and self.constant_value() == qq(other)
+            return self.is_constant and self.constant_value() == other
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -582,28 +561,21 @@ class MPoly:
 # --------------------------------------------------------------------------
 
 
-def int_terms(terms: Mapping[Monomial, object]) -> dict | None:
-    """``{mono: int}`` when every coefficient is an integer, else None."""
-    out = {}
-    for mono, c in terms.items():
-        if type(c) is not int:
-            if c.denominator != 1:
-                return None
-            c = int(c.numerator)
-        out[mono] = c
-    return out
-
-
-def cleared_terms(terms: Mapping[Monomial, object]) -> tuple[dict, int]:
+def cleared_terms(terms: Mapping[Monomial, int | Fraction]) -> tuple[dict, int]:
     """``(ints, d)``: the terms times their positive common denominator
-    ``d``, as ``{mono: int}``."""
-    ints = int_terms(terms)
-    if ints is not None:
-        return ints, 1
+    ``d``, as ``{mono: int}``.  The one place where ``Fraction``
+    coefficients become ints."""
     den = 1
     for c in terms.values():
-        den = math.lcm(den, int(c.denominator))
-    return {m: int(c.numerator) * (den // int(c.denominator)) for m, c in terms.items()}, den
+        if type(c) is not int:
+            den = math.lcm(den, c.denominator)
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
+def exact_div(num: int, den: int) -> int | Fraction:
+    """``num / den`` as a stored coefficient: an int when ``den`` divides ``num``."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def mul_terms_into(out: dict, a: Mapping, b: Mapping, scale: int = 1) -> dict:
@@ -618,9 +590,10 @@ def mul_terms_into(out: dict, a: Mapping, b: Mapping, scale: int = 1) -> dict:
     return out
 
 
-def _subs_int_values(terms: Mapping[Monomial, int], values: Mapping[int, int]) -> dict:
-    """Integer terms with the integer ``values[i]`` put in for the variables
-    at the indices ``i``; zero terms are dropped."""
+def _subs_values(terms: Mapping[Monomial, object], values: Mapping[int, object]) -> dict:
+    """The terms with ``values[i]`` put in for the variables at the indices
+    ``i``; coefficients and values are ints or Fractions, and zero terms
+    are dropped."""
     out: dict = {}
     for mono, c in terms.items():
         rest = list(mono)
@@ -643,11 +616,6 @@ def primitive_terms(terms: Mapping[Monomial, int], order: MonomialOrder) -> dict
     if g == 1:
         return dict(terms)
     return {m: c // g for m, c in terms.items()}
-
-
-def from_int_terms(ring: "Ring", terms: Mapping[Monomial, int]) -> "MPoly":
-    """An :class:`MPoly` with rational coefficients from nonzero integer terms."""
-    return MPoly(ring, {m: _ratio(c) for m, c in terms.items()})
 
 
 # --------------------------------------------------------------------------
@@ -727,8 +695,8 @@ def _parse_poly(ring: Ring, text: str) -> MPoly:
         pos += 1
         return tok[1]
 
-    def parse_term() -> tuple[Monomial, "_ratio"]:
-        coeff = Q1
+    def parse_term() -> tuple[Monomial, int | Fraction]:
+        coeff = 1
         exps = [0] * ring.nvars
         while True:
             tok = peek()
@@ -741,7 +709,7 @@ def _parse_poly(ring: Ring, text: str) -> MPoly:
                 if nxt == ("op", "/"):
                     take("op", "/")
                     den = int(take("int"))
-                    coeff = coeff * _ratio(num, den)
+                    coeff = coeff * Fraction(num, den)
                 else:
                     coeff = coeff * num
             elif tok[0] == "name":
@@ -763,8 +731,8 @@ def _parse_poly(ring: Ring, text: str) -> MPoly:
 
     terms: dict = {}
 
-    def accumulate(mono: Monomial, coeff: "_ratio") -> None:
-        v = terms.get(mono, Q0) + coeff
+    def accumulate(mono: Monomial, coeff: int | Fraction) -> None:
+        v = terms.get(mono, 0) + coeff
         if v:
             terms[mono] = v
         elif mono in terms:

@@ -8,10 +8,10 @@ fixed monomial order the output is *the* reduced Groebner basis,
 independent of generator order — tests rely on that uniqueness.
 
 Reduction, S-polynomials and interreduction run fraction-free on integer
-polynomials (:func:`_reduce` is the one division loop); the public
-functions take and return rational polynomials, and every element a
-basis admits is normalized, so the results are those of the same steps
-over Q.
+term dictionaries (:func:`_reduce` is the one division loop).  Inputs
+are cleared of denominators once, every element a basis admits is
+normalized, and bases keep the integer coefficients computed, so the
+results are those of the same steps over Q.
 
 Degree and term-count caps guard every reduction; blowing a cap raises
 :class:`~sitawim.errors.ResourceCapExceeded` rather than thrashing.
@@ -31,9 +31,8 @@ from .core import (
     MPoly,
     Monomial,
     MonomialOrder,
-    _ratio,
     cleared_terms,
-    from_int_terms,
+    exact_div,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -137,15 +136,15 @@ def normal_form(
     Reducers are tried in the order given, so the remainder is deterministic
     (and basis-order independent exactly when the basis is a Groebner basis).
     The division runs fraction-free on the integer multiples of ``f`` and of
-    the basis elements (see :func:`_reduce`); the rational remainder is
-    divided back out at the end.
+    the basis elements (see :func:`_reduce`); the scale is divided back out
+    at the end, leaving an int wherever the division is exact.
     """
     order = order or f.ring.default_order
     reducers = [_reducer(cleared_terms(g.terms)[0], order) for g in basis if not g.is_zero]
     work, den = cleared_terms(f.terms)
     rem, scale = _reduce(work, reducers, order, max_degree, max_terms)
     scale *= den
-    return MPoly(f.ring, {m: _ratio(c, scale) for m, c in rem.items()})
+    return MPoly(f.ring, {m: exact_div(c, scale) for m, c in rem.items()})
 
 
 def _s_terms(f: tuple, g: tuple) -> dict:
@@ -268,7 +267,7 @@ def buchberger(
         if rem:
             admit(rem, max(sugar, max(map(sum, rem))))
 
-    return [from_int_terms(ring, terms) for terms in _interreduce(basis, order)]
+    return [MPoly(ring, terms) for terms in _interreduce(basis, order)]
 
 
 def _interreduce(basis: Sequence[tuple], order: MonomialOrder) -> list[dict]:

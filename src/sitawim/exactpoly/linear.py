@@ -34,6 +34,10 @@ at its largest packed monomial; the grevlex sign of the public
 :meth:`MPoly.normalize` is restored only where it shows, in the text that
 breaks ties and in the returned polynomials.  The chain and the returned
 system are those of the same elimination on exponent tuples.
+
+Both functions clear denominators once on entry and return the integer
+coefficients they compute.  A chain replacement ``-B/A`` holds a
+``Fraction`` only where ``A`` does not divide a coefficient of ``B``.
 """
 
 from __future__ import annotations
@@ -52,10 +56,9 @@ from .core import (
     MPoly,
     MonomialOrder,
     Ring,
-    _ratio,
     cleared_terms,
+    exact_div,
     format_poly,
-    from_int_terms,
     poly_sort_key,
     primitive_terms,
 )
@@ -115,7 +118,7 @@ def rational_span_basis(
         rank += 1
 
     return [
-        from_int_terms(ring, primitive_terms({monos[c]: v for c, v in row.items()}, order))
+        MPoly(ring, primitive_terms({monos[c]: v for c, v in row.items()}, order))
         for row in rows[:rank]
     ]
 
@@ -331,7 +334,7 @@ def linear_reduce(
         bit = base[idx]
         a = f[bit]
         neg_b = {m: -c for m, c in f.items() if m != bit}
-        chain.append((name, MPoly(ring, {unpack(m): _ratio(c, a) for m, c in neg_b.items()})))
+        chain.append((name, MPoly(ring, {unpack(m): exact_div(c, a) for m, c in neg_b.items()})))
         eliminated.append(name)
         powers = [{0: 1}, neg_b]
         shift = width * idx
@@ -342,6 +345,4 @@ def linear_reduce(
         )
 
     polys = sorted((grevlex(t) for t in gens.values()), key=poly_sort_key)
-    return LinearReduction(
-        ring, chain, [from_int_terms(ring, p.terms) for p in polys], tuple(eliminated)
-    )
+    return LinearReduction(ring, chain, polys, tuple(eliminated))

@@ -661,9 +661,9 @@ def run_battery(
 
     As a screening pipeline discards an instance at its first failure, the
     conditions after the first failing one report ``skipped``.  ``eps`` is
-    the numeric zero tolerance handed to krein-nonnegativity and
-    gegenbauer; absolute-bound classifies the Krein support with its own
-    default tolerance.
+    the numeric zero tolerance handed to absolute-bound,
+    krein-nonnegativity and gegenbauer; each keeps its own default when it
+    is None.
     """
     results = [handshake(inst), closed_subsets_quotients(inst), triangle_count(inst)]
     if not any(c.verdict == "fail" for c in results):
@@ -672,7 +672,7 @@ def run_battery(
         elif sd.krein is None:
             sd = krein(sd if sd.Q is not None else eigenmatrix_Q(sd, inst), inst)
         for check in (
-            lambda: absolute_bound(sd),
+            lambda: absolute_bound(sd, eps=eps),
             lambda: krein_nonneg(sd, eps=eps),
             lambda: _gegenbauer_all(sd, lmax, eps),
         ):

@@ -51,6 +51,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _as_int(v: object) -> int:
+    """A structure constant as an int; SitawimError unless it is integral."""
+    i = int(v)
+    if i != v:
+        raise SitawimError(f"structure constant {v!r} is not an integer")
+    return i
+
+
 @dataclass(frozen=True)
 class Instance:
     """A concrete realized table: integer regular matrices plus metadata.
@@ -69,9 +77,7 @@ class Instance:
     degrees: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        mats = tuple(
-            tuple(tuple(int(v) for v in row) for row in m) for m in self.matrices
-        )
+        mats = tuple(tuple(tuple(map(_as_int, row)) for row in m) for m in self.matrices)
         if not mats:
             raise SitawimError("an instance needs at least the identity matrix")
         r = len(mats)

@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import SitawimError
 from .exactpoly import MPoly, Ring
-from .exactpoly.core import cleared_terms, mul_terms_into, poly_sort_key
+from .exactpoly.core import mul_terms_into, poly_sort_key
 
 __all__ = [
     "INVOLUTION_TYPES",
@@ -505,28 +505,19 @@ def emit_structure_polys(template: Template) -> list[MPoly]:
     for a shared constant, and those residues vanish on the variety cut
     out by the rest.  Results are normalized (integer content 1,
     positive leading coefficient), deduplicated, and canonically sorted.
-    The products are formed on integer coefficients (each entry times the
-    common denominator of the template, which is 1 for every template
-    :func:`build_template` makes).
+    The products are formed on the entries' terms as stored, which are
+    ints for every template :func:`build_template` makes.
     """
     r = template.itype.rank
     ring = template.ring
-    den = 1
-    for mat in template.matrices:
-        for row in mat:
-            for entry in row:
-                den = lcm(den, cleared_terms(entry.terms)[1])
-    # Ms[j][a][b]: integer terms of den * matrices[j][a][b]
-    Ms = [
-        [[{m: c * den for m, c in cleared_terms(e.terms)[0].items()} for e in row] for row in mat]
-        for mat in template.matrices
-    ]
+    # Ms[j][a][b]: the terms of matrices[j][a][b]
+    Ms = [[[e.terms for e in row] for row in mat] for mat in template.matrices]
     raw: list[MPoly] = []
     for i, j in itertools.combinations_with_replacement(range(1, r), 2):
         prod = [[_add_product({}, Ms[i], Ms[j], a, b) for b in range(r)] for a in range(r)]
         for a in range(r):
             for b in range(r):
-                # den^2 * (M_i M_j - sum_l lam(i, j, l) M_l)[a][b]
+                # (M_i M_j - sum_l lam(i, j, l) M_l)[a][b]
                 acc = dict(prod[a][b])
                 for l in range(r):
                     if Ms[i][l][j] and Ms[l][a][b]:

@@ -7,11 +7,12 @@ kernels it runs on.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from sitawim.exactpoly import MPoly, MonomialOrder, normal_form
-from sitawim.exactpoly.core import _ratio, cleared_terms, mono_divides, mono_lcm, mono_mul, mono_total
+from sitawim.exactpoly.core import cleared_terms, mono_divides, mono_lcm, mono_mul, mono_total
 from sitawim.exactpoly.groebner import _reducer, _s_terms
 
 
@@ -21,7 +22,7 @@ def s_polynomial(f: MPoly, g: MPoly, order: MonomialOrder | None = None) -> MPol
     fr = _reducer(cleared_terms(f.terms)[0], order)
     gr = _reducer(cleared_terms(g.terms)[0], order)
     scale = lcm(fr[1], gr[1])
-    return MPoly(f.ring, {m: _ratio(c, scale) for m, c in _s_terms(fr, gr).items()})
+    return MPoly(f.ring, {m: Fraction(c, scale) for m, c in _s_terms(fr, gr).items()})
 
 
 def is_groebner(basis: Sequence[MPoly], order: MonomialOrder | None = None) -> bool:

@@ -383,6 +383,24 @@ class TestAbsoluteBound:
         )
         assert absolute_bound(sd, eps=mp.mpf("1e-16")).verdict == "pass"
 
+    def test_battery_eps_reaches_absolute_bound(self):
+        # kappa_{1,1,0} = 1e-18 sits between the default 1e-20 and the eps
+        # handed in: in the (1,1) support it overfills the bound 1, out of
+        # it the support fits
+        sd = fabricated_sd(
+            [
+                [[1, 0], [0, 1]],
+                [[0, 1e-18], [1, 1]],
+            ],
+            Q0=(1, 1),
+        )
+        inst = cyclic_group_table(2)
+        default = run_battery(inst, sd)["absolute-bound"]
+        assert default.verdict == "fail" and default.witness["support"] == (0, 1)
+        loose = run_battery(inst, sd, eps=mp.mpf("1e-16"))
+        assert loose["absolute-bound"].verdict == "pass"
+        assert loose.eps == mp.mpf("1e-16")
+
     def test_requires_krein(self, n35):
         sd = eigenmatrix_P(n35)
         with pytest.raises(SitawimError):

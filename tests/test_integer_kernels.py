@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -32,10 +33,8 @@ from sitawim.exactpoly import (
 )
 from sitawim.exactpoly import linear
 from sitawim.exactpoly.core import (
-    _ratio,
     cleared_terms,
     format_poly,
-    from_int_terms,
     mul_terms_into,
     poly_sort_key,
     primitive_terms,
@@ -116,7 +115,7 @@ def reference_normal_form(f, basis, order, max_degree=None, max_terms=None):
             quot = _mono_div(mono, lt_mono)
             if quot is None:
                 continue
-            scale = coeff / lt_coeff
+            scale = qq(coeff) / lt_coeff
             for gm, gc in terms.items():
                 if gm == lt_mono:
                     continue
@@ -390,7 +389,7 @@ def reference_tuple_linear_reduce(polys, *, degree_symbols=(), keep=()):
         unit = tuple(int(i == idx) for i in range(ring.nvars))
         a = f.terms[unit]
         neg_b = {m: -c for m, c in f.terms.items() if m != unit}
-        chain.append((name, MPoly(ring, {m: _ratio(c, a) for m, c in neg_b.items()})))
+        chain.append((name, MPoly(ring, {m: Fraction(c, a) for m, c in neg_b.items()})))
         eliminated.append(name)
         powers = [{ring._zero_mono: 1}, neg_b]
         work = dedup(
@@ -398,8 +397,7 @@ def reference_tuple_linear_reduce(polys, *, degree_symbols=(), keep=()):
             for p in work
         )
     work.sort(key=poly_sort_key)
-    polys = [from_int_terms(ring, p.terms) for p in work]
-    return LinearReduction(ring, chain, polys, tuple(eliminated))
+    return LinearReduction(ring, chain, work, tuple(eliminated))
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +504,7 @@ def reference_evaluate(p, point):
     st.booleans(),
 )
 def test_integer_points_match_rational_arithmetic(p, name, values, integral):
-    if integral:  # the integer paths need integer coefficients
+    if integral:  # integral coefficients, each a Fraction
         p = p * math.lcm(*[int(c.denominator) for c in p.terms.values()], 1)
     point = dict(zip(XYZ.names, values))
     assert p.evaluate(point) == reference_evaluate(p, point)
@@ -531,7 +529,7 @@ def test_buchberger_matches_the_rational_algorithm(gens, order):
 def test_interreduce_matches_the_rational_one(polys, order):
     # the final step of buchberger, here on inputs that are not yet bases
     reducers = [_reducer(cleared_terms(g.terms)[0], order) for g in polys if not g.is_zero]
-    got = [from_int_terms(XYZ, t) for t in _interreduce(reducers, order)]
+    got = [MPoly(XYZ, t) for t in _interreduce(reducers, order)]
     assert got == reference_interreduce(polys, order)
 
 
@@ -783,3 +781,78 @@ def test_buchberger_matches_sympy(gens, kind):
         key=lambda p: order.key(p.leading(order)[0]),
     )
     assert ours == theirs
+
+
+# ---------------------------------------------------------------------------
+# one coefficient representation: ints, Fractions only where not integral
+# ---------------------------------------------------------------------------
+
+
+def _as_fractions(p):
+    """``p`` with every coefficient a ``Fraction``, the integral ones too."""
+    return MPoly(p.ring, {m: Fraction(c) for m, c in p.terms.items()})
+
+
+def _all_int(polys):
+    return all(type(c) is int for p in polys for c in p.terms.values())
+
+
+def _int_polys(ring, max_exp=2, max_size=4):
+    monos = st.tuples(*[st.integers(0, max_exp)] * ring.nvars)
+    coeffs = st.integers(-9, 9).filter(bool)
+    return st.dictionaries(monos, coeffs, max_size=max_size).map(ring.poly)
+
+
+def test_int_and_fraction_coefficients_are_one_polynomial():
+    m = (1, 0, 2)
+    p, q = MPoly(XYZ, {m: 1}), MPoly(XYZ, {m: Fraction(1)})
+    assert p == q and hash(p) == hash(q) and str(p) == str(q)
+    x = XYZ.var("x")
+    assert _all_int([XYZ.one(), x, XYZ.const(3), XYZ.const(Fraction(6, 2)), XYZ.poly({m: 2})])
+    assert XYZ.const(Fraction(1, 2)).constant_value() == Fraction(1, 2)
+    assert (x / 2).terms == {(1, 0, 0): Fraction(1, 2)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_int_polys(XYZ), min_size=1, max_size=3), _orders(XYZ))
+def test_groebner_kernels_take_integral_fractions_and_return_ints(polys, order):
+    fracs = [_as_fractions(p) for p in polys]
+    caps = dict(max_degree=20, max_terms=5000)
+    try:
+        basis = buchberger(polys, order, **caps)
+    except ResourceCapExceeded:
+        assume(False)
+    assert buchberger(fracs, order, **caps) == basis and _all_int(basis)
+    span = rational_span_basis(polys, order)
+    assert rational_span_basis(fracs, order) == span and _all_int(span)
+    rem = normal_form(polys[0], polys[1:], order)
+    assert normal_form(fracs[0], fracs[1:], order) == rem
+    assert all(type(c) is int or c.denominator != 1 for c in rem.terms.values())
+    assert _all_int([normal_form(polys[0], basis, order)])
+
+
+@given(_int_polys(XYZ, max_exp=3, max_size=6), st.tuples(*[st.integers(-5, 5)] * 3))
+def test_subs_and_evaluate_take_integral_fractions_and_return_ints(p, values):
+    point = dict(zip(XYZ.names, values))
+    frac_point = {name: Fraction(v) for name, v in point.items()}
+    sub = p.subs({"x": point["x"], "z": point["z"]})
+    value = p.evaluate(point)
+    assert _all_int([sub]) and type(value) is int
+    for q, pt in ((_as_fractions(p), point), (p, frac_point), (_as_fractions(p), frac_point)):
+        assert q.subs({"x": pt["x"], "z": pt["z"]}) == sub
+        assert q.evaluate(pt) == value
+
+
+@pytest.mark.parametrize("label", ["4S-pseudocyclic", "5S-n35-table"])
+def test_linear_reduce_takes_integral_fractions_and_returns_ints(label):
+    cfg = TEMPLATE_SYSTEMS[label]
+    template = build_template(INVOLUTION_TYPES[cfg.itype].rank, cfg.itype, cfg.assumption)
+    gens = emit_structure_polys(template) + trace_constraints(template, cfg.assumption)
+    assert _all_int(gens)
+    kwargs = dict(degree_symbols=template.degree_symbols, keep=tuple(cfg.enumerated_names()))
+    red = linear_reduce(gens, **kwargs)
+    frac = linear_reduce([_as_fractions(g) for g in gens], **kwargs)
+    assert frac.chain == red.chain and frac.polys == red.polys
+    assert _all_int(red.polys)
+    for _, replacement in red.chain:
+        assert all(type(c) is int or c.denominator != 1 for c in replacement.terms.values())

@@ -2,6 +2,8 @@
 integer factorization, Galois classes, axiom checks, multiplicities, and
 cyclotomy verdicts, pinned against hand-checked values."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -358,6 +360,16 @@ class TestVerify:
     def test_unknown_type_name(self):
         with pytest.raises(SitawimError):
             Instance(N35_MATRICES, "sideways")
+
+    def test_fractional_entries_rejected(self):
+        # int() would truncate these to the order-2 group table
+        with pytest.raises(SitawimError):
+            Instance((((1, 0), (0, 1)), ((0, Fraction(3, 2)), (1, 0.4))))
+        with pytest.raises(SitawimError):
+            Instance((((1, 0), (0, 1)), ((0, 1), (1, 0.4))))
+        integral = Instance((((1, 0), (0, 1)), ((0, Fraction(2, 2)), (1.0, 0))))
+        assert integral.matrices == (((1, 0), (0, 1)), ((0, 1), (1, 0)))
+        assert all(type(v) is int for m in integral.matrices for row in m for v in row)
 
 
 # ---------------------------------------------------------------------------
