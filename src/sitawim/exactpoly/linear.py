@@ -136,7 +136,6 @@ class LinearReduction:
     ring: Ring
     chain: list[tuple[str, MPoly]]
     polys: list[MPoly]
-    eliminated: tuple[str, ...]
 
     def apply_chain(self, poly: MPoly) -> MPoly:
         """Substitute the chain, in order, into ``poly``."""
@@ -315,7 +314,6 @@ def linear_reduce(
         check(terms)
     gens = dedup(tidy(terms) for terms in packed)
     chain: list[tuple[str, MPoly]] = []
-    eliminated: list[str] = []
     cache: dict = {}
 
     while True:
@@ -335,7 +333,6 @@ def linear_reduce(
         a = f[bit]
         neg_b = {m: -c for m, c in f.items() if m != bit}
         chain.append((name, MPoly(ring, {unpack(m): exact_div(c, a) for m, c in neg_b.items()})))
-        eliminated.append(name)
         powers = [{0: 1}, neg_b]
         shift = width * idx
         mask = field << shift
@@ -345,4 +342,4 @@ def linear_reduce(
         )
 
     polys = sorted((grevlex(t) for t in gens.values()), key=poly_sort_key)
-    return LinearReduction(ring, chain, polys, tuple(eliminated))
+    return LinearReduction(ring, chain, polys)

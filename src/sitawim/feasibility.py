@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from mpmath import mp
 
 from .errors import SitawimError
+from .intpoly import _matmul
 from .spectra import (
     DEFAULT_PRECISION,
     SpectralData,
@@ -219,11 +220,7 @@ def triangle_count(inst: Instance) -> ConditionResult:
         if star[j] != j:
             continue
         M = inst.matrices[j]
-        sq = [
-            [sum(M[a][t] * M[t][b] for t in range(r)) for b in range(r)]
-            for a in range(r)
-        ]
-        c = sum(sq[0][t] * M[t][0] for t in range(r))
+        c = _matmul(_matmul(M, M), M)[0][0]
         t = Fraction(n * c, 6)
         counts[j] = int(t) if t.denominator == 1 else t
         if witness is None and (t.denominator != 1 or t < 0):
@@ -346,63 +343,33 @@ def closed_subsets_quotients(inst: Instance) -> ConditionResult:
     constants."""
     r = inst.rank
     lattice = _closed_subsets(inst)
+
+    def fail(kind: str, subset: tuple, **found) -> ConditionResult:
+        return ConditionResult(
+            "closed-subsets",
+            "fail",
+            witness={"kind": kind, "subset": subset, **found},
+            detail={"lattice": tuple(lattice)},
+        )
+
     quotients = []
     nontrivial = [S for S in lattice if 1 < len(S) < r]
     for T in nontrivial:
         sub = sub_instance(inst, T)
         report = verify_sita(sub)
         if not report.passed:
-            return ConditionResult(
-                "closed-subsets",
-                "fail",
-                witness={
-                    "kind": "subtable-axioms",
-                    "subset": T,
-                    "axiom": report.failing()[0].name,
-                },
-                detail={"lattice": tuple(lattice)},
-            )
+            return fail("subtable-axioms", T, axiom=report.failing()[0].name)
         mres = multiplicities(sub)
         if not mres.integral:
-            return ConditionResult(
-                "closed-subsets",
-                "fail",
-                witness={
-                    "kind": "subtable-multiplicity",
-                    "subset": T,
-                    "values": tuple(map(str, mres.values)),
-                },
-                detail={"lattice": tuple(lattice)},
-            )
+            return fail("subtable-multiplicity", T, values=tuple(map(str, mres.values)))
         blocks, degrees, constants = quotient_data(inst, T)
         for B, dgr in zip(blocks, degrees):
             if dgr.denominator != 1:
-                return ConditionResult(
-                    "closed-subsets",
-                    "fail",
-                    witness={
-                        "kind": "quotient-degree",
-                        "subset": T,
-                        "block": B,
-                        "degree": str(dgr),
-                    },
-                    detail={"lattice": tuple(lattice)},
-                )
-        flat = [
-            c for plane in constants for row in plane for c in row
-        ]
-        if any(c.denominator != 1 for c in flat):
-            bad = next(c for c in flat if c.denominator != 1)
-            return ConditionResult(
-                "closed-subsets",
-                "fail",
-                witness={
-                    "kind": "quotient-structure",
-                    "subset": T,
-                    "value": str(bad),
-                },
-                detail={"lattice": tuple(lattice)},
-            )
+                return fail("quotient-degree", T, block=B, degree=str(dgr))
+        flat = [c for plane in constants for row in plane for c in row]
+        bad = next((c for c in flat if c.denominator != 1), None)
+        if bad is not None:
+            return fail("quotient-structure", T, value=str(bad))
         quotients.append(
             {
                 "subset": T,

@@ -10,19 +10,25 @@ Coefficient lists are ascending.  The degrees that show up are tiny
 one exception: the constant terms of eliminants can be huge, so the
 integer-root finder solves degrees 1 and 2 in closed form (exact division,
 an exact square root of the discriminant) and bounds its divisor test
-above degree 2 by the Cauchy bound.  One fraction-free long-division loop
-on integers (:func:`_pdivrem`) serves exact division, the squarefree test
-and the Sturm remainders; one divisor enumerator (:func:`_divisors`)
-serves the root finder and the quadratic-factor search; and rational
-roots are the integer roots of a monic transform.
+above degree 2 by the Cauchy bound.
+
+Characteristic polynomials come from Faddeev-LeVerrier on one integer
+matrix product (:func:`_matmul`, which :mod:`sitawim.structcheck` and
+:mod:`sitawim.feasibility` share).  Factorization and Galois classes take
+monic input only: every polynomial a stage hands them is a characteristic
+polynomial or a monic factor of one, so rational roots are integer roots
+and a quadratic factor is monic.  One fraction-free long-division loop on
+integers (:func:`_pdivrem`) serves exact division, the squarefree test and
+the Sturm remainders; one divisor enumerator (:func:`_divisors`) serves
+the root finder and the quadratic-factor search.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import SitawimError
@@ -32,7 +38,6 @@ __all__ = [
     "IntPoly",
     "charpoly",
     "factor_int_poly",
-    "format_factored",
     "galois_class",
 ]
 
@@ -46,26 +51,6 @@ def _ptrim(c: list) -> list:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _padd(a: Sequence, b: Sequence) -> list:
-    out = [0] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += v
-    return _ptrim(out)
-
-
-def _pmul(a: Sequence, b: Sequence) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                out[i + j] += u * v
-    return _ptrim(out)
 
 
 def _pdivrem(a: Sequence[int], b: Sequence[int]) -> tuple[list, list, int]:
@@ -169,87 +154,48 @@ class IntPoly:
     def lead(self) -> int:
         return self.coeffs[-1]
 
-    def __call__(self, value):
-        """Horner evaluation at an integer, a rational or an mpmath number,
-        exact wherever the arithmetic of ``value`` is."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        return IntPoly(tuple(_pmul(self.coeffs, other.coeffs)))
-
     def derivative(self) -> "IntPoly":
         if self.degree == 0:
             raise SitawimError("derivative of a constant is zero")
         return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
-    def __str__(self) -> str:
-        # compact display style: x^4+x^3-93x^2-57x+12
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "x" if i == 1 else f"x^{i}"
-                body = var if mag == 1 else f"{mag}{var}"
-            parts.append(sign + body)
-        return "".join(parts) or "0"
-
-
-def format_factored(factors: Sequence[IntPoly]) -> str:
-    """Render a factor list the way factorizations are usually displayed,
-    e.g. ``(x-6)^2(x+1)^3``."""
-    out = []
-    for f, group in itertools.groupby(factors):
-        e = sum(1 for _ in group)
-        out.append(f"({f})" + (f"^{e}" if e > 1 else ""))
-    return "".join(out)
-
 
 # ---------------------------------------------------------------------------
-# characteristic polynomials (fraction-free)
+# characteristic polynomials (Faddeev-LeVerrier)
 # ---------------------------------------------------------------------------
+
+
+def _matmul(A, B):
+    """Product of two square integer matrices."""
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
 def charpoly(matrix: Sequence[Sequence[int]]) -> IntPoly:
     """Exact monic characteristic polynomial ``det(xI - M)``.
 
-    Bareiss elimination over Z[x]: every division is by the previous pivot
-    and is exact, so no rational arithmetic appears.  The pivots are the
-    leading principal minors of the characteristic matrix, which are monic
-    and in particular never zero, so no row swaps are needed.
+    Faddeev-LeVerrier: with ``N_1 = M``, the coefficient of ``x^(n-k)`` is
+    ``c_k = -tr(N_k) / k`` and ``N_(k+1) = M (N_k + c_k I)``.  The
+    coefficients are integers, so every division by ``k`` is exact and the
+    whole computation is n - 1 integer matrix products.
     """
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise SitawimError("characteristic polynomial needs a square matrix")
-    B: list[list[list[int]]] = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            m = int(matrix[i][j])
-            row.append(_ptrim([-m, 1] if i == j else [-m]))
-        B.append(row)
-    prev: list[int] = [1]
-    for k in range(n - 1):
-        pivot = B[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _padd(_pmul(B[i][j], pivot), [-c for c in _pmul(B[i][k], B[k][j])])
-                B[i][j] = _pdivexact(num, prev)
-            B[i][k] = []
-        prev = pivot
-    return IntPoly(tuple(B[n - 1][n - 1]))
+    M = [[int(v) for v in row] for row in matrix]
+    desc = [1]
+    N = M
+    for k in range(1, n + 1):
+        c = -sum(N[i][i] for i in range(n)) // k
+        desc.append(c)
+        if k < n:
+            shifted = [[v + c if i == j else v for j, v in enumerate(row)] for i, row in enumerate(N)]
+            N = _matmul(M, shifted)
+    return IntPoly(tuple(reversed(desc)))
 
 
 # ---------------------------------------------------------------------------
-# integer and rational roots
+# integer roots
 # ---------------------------------------------------------------------------
 
 
@@ -265,22 +211,19 @@ def _divisors(v: int, bound: Optional[int] = None) -> list[int]:
     return small + [v // d for d in reversed(small) if d * d != v and v // d <= bound]
 
 
-def _integer_roots(coeffs: Sequence) -> list[int]:
-    """All distinct integer roots, ascending, of a univariate polynomial
-    with integer or rational coefficients (ascending order).
+def _integer_roots(coeffs: Sequence[int]) -> list[int]:
+    """All distinct integer roots, ascending, of a nonzero integer
+    polynomial (ascending coefficients).
 
-    After clearing denominators and stripping the root 0, degrees 1 and 2
-    are solved in closed form: exact division, and for a quadratic the
-    exact square root of the discriminant, so the cost is polynomial in
-    the bit size.  Above degree 2 a root ``r`` divides the constant term
-    and has ``|r|`` at most the Cauchy bound, so only the divisors within
-    that bound are tried; each candidate is screened by ``(r - 1) | f(1)``
-    and ``(r + 1) | f(-1)`` before the exact evaluation.
+    After stripping the root 0, degrees 1 and 2 are solved in closed form:
+    exact division, and for a quadratic the exact square root of the
+    discriminant, so the cost is polynomial in the bit size.  Above degree
+    2 a root ``r`` divides the constant term and has ``|r|`` at most the
+    Cauchy bound, so only the divisors within that bound are tried; each
+    candidate is screened by ``(r - 1) | f(1)`` and ``(r + 1) | f(-1)``
+    before the exact evaluation.
     """
-    den = 1
-    for v in coeffs:
-        den = lcm(den, int(v.denominator))
-    c = _ptrim([int(v.numerator) * (den // int(v.denominator)) for v in coeffs])
+    c = _ptrim(list(coeffs))
     if not c:
         raise SitawimError("zero polynomial has no finite root set")
     roots = []
@@ -315,23 +258,6 @@ def _integer_roots(coeffs: Sequence) -> list[int]:
                 if acc == 0:
                     roots.append(r)
     return sorted(roots)
-
-
-def _rational_roots(c: list[int]) -> list[tuple[int, int]]:
-    """All rational roots num/den (lowest terms, den > 0) of an integer
-    polynomial with a positive leading coefficient ``a``.
-
-    They are y/a for the integer roots y of the monic polynomial
-    ``a^(d-1) c(y/a)``, whose coefficients are ``c_i a^(d-1-i)``.
-    """
-    a = c[-1]
-    d = len(c) - 1
-    monic = [v * a ** (d - 1 - i) for i, v in enumerate(c[:-1])] + [1]
-    out = []
-    for y in _integer_roots(monic):
-        g = gcd(y, a)
-        out.append((y // g, a // g))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +304,11 @@ def _modp_mulrem(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
 
 
 def _irreducible_mod_p(c: list[int], p: int) -> Optional[bool]:
-    """True if ``c`` is irreducible modulo ``p`` (hence over the integers);
-    None when the prime cannot certify (leading coefficient vanishes or the
-    reduction is not squarefree); False when reducible mod ``p``, which by
-    itself proves nothing about the integers."""
-    f = _modp_trim(c, p)
-    if len(f) != len(c):
-        return None
-    inv = pow(f[-1], -1, p)
-    f = [(v * inv) % p for v in f]
+    """True if the monic ``c`` is irreducible modulo ``p`` (hence over the
+    integers); None when the prime cannot certify (the reduction is not
+    squarefree); False when reducible mod ``p``, which by itself proves
+    nothing about the integers."""
+    f = [v % p for v in c]
     d = len(f) - 1
     deriv = [(i * f[i]) % p for i in range(1, d + 1)]
     if len(_modp_gcd(f, deriv, p)) != 1:
@@ -414,23 +336,21 @@ _SCREEN_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def _quadratic_factor(c: list[int]) -> Optional[list[int]]:
-    """Lexicographically-least quadratic integer factor of ``c`` (which has
-    no rational roots), or None.
+    """Lexicographically-least monic quadratic factor ``x^2 + a1 x + a0``
+    of the monic ``c`` (which has no integer roots), or None.
 
     Candidates are enumerated by interpolation: a factor g must satisfy
-    g(0) | c(0), g(1) | c(1) and g(-1) | c(-1), and those three values
-    determine g.  Survivors are pruned by a Mignotte-style height bound on
-    the middle coefficient, leading-coefficient divisibility, and g(2) | c(2)
-    before the exact trial division."""
+    g(1) | c(1) and g(-1) | c(-1), and those two values determine g.
+    Survivors are pruned by a Mignotte-style height bound on the middle
+    coefficient, g(0) | c(0) and g(2) | c(2) before the exact trial
+    division."""
     height = 4 * (1 + isqrt(sum(v * v for v in c)))
-    lead = abs(c[-1])
     f0 = c[0]
     f1 = sum(c)
     fm1 = sum(v if i % 2 == 0 else -v for i, v in enumerate(c))
     f2 = sum(v * 2**i for i, v in enumerate(c))
-    # no rational roots, so none of these sample values vanish
+    # no integer roots, so none of these sample values vanish
     hits = []
-    d0s = [s * d for d in _divisors(f0) for s in (1, -1)]
     for d1 in (s * d for d in _divisors(f1) for s in (1, -1)):
         for dm in (s * d for d in _divisors(fm1) for s in (1, -1)):
             if (d1 - dm) % 2:
@@ -438,48 +358,40 @@ def _quadratic_factor(c: list[int]) -> Optional[list[int]]:
             a1 = (d1 - dm) // 2
             if abs(a1) > height:
                 continue
-            a2_plus_a0 = (d1 + dm) // 2
-            for a0 in d0s:
-                a2 = a2_plus_a0 - a0
-                if a2 <= 0 or lead % a2:
-                    continue
-                g2 = 4 * a2 + 2 * a1 + a0
-                if g2 == 0 or f2 % g2:
-                    continue
-                g = [a0, a1, a2]
-                if _content(g) == 1 and _pdivides(g, c) is not None:
-                    hits.append((a2, a1, a0))
+            a0 = (d1 + dm) // 2 - 1
+            if a0 == 0 or f0 % a0:
+                continue
+            g2 = 4 + 2 * a1 + a0
+            if g2 == 0 or f2 % g2:
+                continue
+            if _pdivides([a0, a1, 1], c) is not None:
+                hits.append((a1, a0))
     if not hits:
         return None
-    a2, a1, a0 = min(hits)
-    return [a0, a1, a2]
+    a1, a0 = min(hits)
+    return [a0, a1, 1]
 
 
 def factor_int_poly(p: IntPoly) -> list[IntPoly]:
-    """Complete irreducible factorization over the integers.
+    """Complete irreducible factorization of a monic polynomial over the
+    integers.
 
-    Rational roots are stripped first; what remains of degree 4 or 5 can
+    Integer roots are stripped first; what remains of degree 4 or 5 can
     only split off a quadratic, which a bounded coefficient search finds.
     The result is sorted (by degree, then coefficients) and repeats factors
     according to multiplicity.
     """
-    if _content(p.coeffs) != 1:
-        raise SitawimError("factorization expects a primitive polynomial")
+    if p.lead != 1:
+        raise SitawimError("factorization expects a monic polynomial")
     c = list(p.coeffs)
     factors: list[IntPoly] = []
     while len(c) > 1 and c[0] == 0:
         factors.append(IntPoly((0, 1)))
         c = c[1:]
-    changed = True
-    while changed and len(c) > 2:
-        changed = False
-        for num, den in _rational_roots(c):
-            quo = _pdivides([-num, den], c)
-            if quo is not None:
-                factors.append(IntPoly((-num, den)))
-                c = quo
-                changed = True
-                break
+    for r in _integer_roots(c):
+        while len(c) > 2 and (quo := _pdivides([-r, 1], c)) is not None:
+            factors.append(IntPoly((-r, 1)))
+            c = quo
     while len(c) - 1 >= 4:
         # cheap certificate first: irreducible mod p implies irreducible here
         if any(_irreducible_mod_p(c, q) for q in _SCREEN_PRIMES):
@@ -491,8 +403,6 @@ def factor_int_poly(p: IntPoly) -> list[IntPoly]:
         c = _pdivexact(c, g)
     if len(c) > 1:
         factors.append(IntPoly(tuple(c)))
-    elif c != [1]:  # primitive + positive-lead factors leave a unit of +1
-        raise SitawimError(f"factorization left a non-unit residue {c}")
     return sorted(factors, key=lambda f: (f.degree, f.coeffs))
 
 
@@ -522,47 +432,38 @@ class GaloisClass:
         return self.tag
 
 
-def _cubic_disc(a, b, c, d):
-    return (
-        18 * a * b * c * d
-        - 4 * b**3 * d
-        + b**2 * c**2
-        - 4 * a * c**3
-        - 27 * a**2 * d**2
-    )
+def _cubic_disc(b, c, d):
+    """Discriminant of ``x^3 + bx^2 + cx + d``."""
+    return 18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
 
 
 def galois_class(p: IntPoly) -> GaloisClass:
-    """Galois group of an irreducible polynomial of degree at most 4.
+    """Galois group of an irreducible monic polynomial of degree at most 4.
 
     Degree 3 splits on whether the discriminant is a square.  Degree 4 uses
     the resolvent cubic ``y^3 - by^2 + (ac-4d)y - (a^2 d - 4bd + c^2)``,
-    whose discriminant equals the quartic's: no rational resolvent root
+    whose discriminant equals the quartic's: no integer resolvent root
     means S4 (A4 when the discriminant is a square), three mean V4, and
     exactly one leaves C4 vs D4, settled by the Kappe-Warren criterion
     (both associated quadratics ``z^2 - Bz + d`` and ``z^2 - az + (b - B)``
     must split over Q(sqrt(disc)) for C4 -- an integer-square test, since
     every value it sees is an integer).
     """
+    if p.lead != 1:
+        raise SitawimError("Galois classification expects a monic polynomial")
     deg = p.degree
     if deg == 1:
         return GaloisClass("C1")
     if deg == 2:
         return GaloisClass("C2")
     if deg == 3:
-        d0, c0, b0, a0 = p.coeffs[0], p.coeffs[1], p.coeffs[2], p.coeffs[3]
-        disc = _cubic_disc(a0, b0, c0, d0)
-        return GaloisClass("C3" if _is_square(disc) else "S3")
+        d0, c0, b0 = p.coeffs[:3]
+        return GaloisClass("C3" if _is_square(_cubic_disc(b0, c0, d0)) else "S3")
     if deg != 4:
         raise SitawimError(f"Galois classification supports degree <= 4, got {deg}")
-    # scale to a monic quartic with the same splitting field
-    lc = p.lead
-    a = p.coeffs[3]
-    b = p.coeffs[2] * lc
-    c = p.coeffs[1] * lc * lc
-    d = p.coeffs[0] * lc**3
+    d, c, b, a = p.coeffs[:4]
     resolvent = [-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b, 1]
-    disc = _cubic_disc(1, resolvent[2], resolvent[1], resolvent[0])
+    disc = _cubic_disc(resolvent[2], resolvent[1], resolvent[0])
     roots = _integer_roots(resolvent)
     if len(roots) == 0:
         return GaloisClass("A4" if _is_square(disc) else "S4")

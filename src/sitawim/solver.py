@@ -385,7 +385,7 @@ def _prepare(cfg: SearchConfig) -> _Prepared:
     template = build_template(it.rank, cfg.itype, cfg.assumption)
     gens = emit_structure_polys(template)
     if cfg.assumption != "none":
-        gens = gens + trace_constraints(template, cfg.assumption)
+        gens = gens + trace_constraints(template)
     if cfg.assumption == "pseudocyclic":
         gens = gens + homogeneity_constraints(template)
     enumerated = cfg.enumerated_names()

@@ -8,6 +8,8 @@ rationals, and decides whether every eigenvalue is cyclotomic.  The
 univariate work underneath (characteristic polynomials, factorization over
 the integers, Galois classes of the factors) lives in
 :mod:`sitawim.intpoly`; its names are imported from there, not from here.
+So is the one integer matrix product, :func:`sitawim.intpoly._matmul`,
+which the commutation check and the power sums use here.
 
 One orbit solve (:func:`_orbit_solve`) finds a squarefree generator, the
 factors of its characteristic polynomial and one exact multiplicity per
@@ -31,7 +33,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import SitawimError
-from .intpoly import IntPoly, _poly_gcd_degree, charpoly, factor_int_poly, galois_class
+from .intpoly import IntPoly, _matmul, _poly_gcd_degree, charpoly, factor_int_poly, galois_class
 from .varietygen import INVOLUTION_TYPES, InvolutionType
 
 __all__ = [
@@ -133,13 +135,6 @@ class AxiomReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _matmul_int(A, B):
-    r = len(A)
-    return [
-        [sum(A[i][l] * B[l][j] for l in range(r)) for j in range(r)] for i in range(r)
-    ]
-
-
 def verify_sita(inst: Instance) -> AxiomReport:
     """Check every defining axiom of a realized table, exactly.
 
@@ -196,8 +191,8 @@ def verify_sita(inst: Instance) -> AxiomReport:
     prods = {}
     for j in range(r):
         for k in range(j + 1, r):
-            jk = _matmul_int(mats[j], mats[k])
-            kj = _matmul_int(mats[k], mats[j])
+            jk = _matmul(mats[j], mats[k])
+            kj = _matmul(mats[k], mats[j])
             prods[(j, k)] = jk
             if jk != kj:
                 w = w or (j, k)
@@ -208,7 +203,7 @@ def verify_sita(inst: Instance) -> AxiomReport:
         for k in range(r):
             jk = prods.get((j, k)) or prods.get((k, j))
             if jk is None:
-                jk = _matmul_int(mats[j], mats[k])
+                jk = _matmul(mats[j], mats[k])
             want = deg[j] if k == star[j] else 0
             if jk[0][0] != want or (k == star[j] and deg[j] <= 0):
                 w = w or (j, k)
@@ -334,7 +329,7 @@ def _orbit_solve(
     for s in range(r):
         rows.append([ps[s] for ps in sums])
         rhs.append(inst.order * power[0][0])
-        power = _matmul_int(power, M)
+        power = _matmul(power, M)
     mu = _solve_exact(rows, rhs)
     at = factors.index(trivial)
     del factors[at]

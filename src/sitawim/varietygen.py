@@ -531,35 +531,31 @@ def emit_structure_polys(template: Template) -> list[MPoly]:
     return _tidy(raw)
 
 
-def trace_constraints(
-    template: Template, source: Union[str, RationalCharTable]
-) -> list[MPoly]:
+def trace_constraints(template: Template) -> list[MPoly]:
     """Linear conditions equating each symbolic trace with the trace the
-    degree regime dictates.
+    template's degree regime dictates.
 
     Under ``"pseudocyclic"`` the regular trace of every nontrivial
     element is ``d_j - 1``.  Under a :class:`RationalCharTable` the trace
     of ``b_j`` is ``delta_j + a_j + t_j``.  Identically satisfied
-    conditions drop out, so the trivial cases come back empty.  (The
-    homogeneity conditions equating distinct degree symbols are a
-    separate assumption: see :func:`homogeneity_constraints`.)
+    conditions drop out, so the trivial cases come back empty.  A template
+    built under ``"none"`` dictates no trace.  (The homogeneity conditions
+    equating distinct degree symbols are a separate assumption: see
+    :func:`homogeneity_constraints`.)
     """
     r = template.itype.rank
     ring = template.ring
+    table = template.table
     out: list[MPoly] = []
-    if isinstance(source, RationalCharTable):
-        if template.table != source:
-            raise SitawimError("template was not built from this table")
+    if table is not None:
         for j in range(1, r):
-            want = source.delta[j - 1] + source.a[j - 1] + source.t[j - 1]
+            want = table.delta[j - 1] + table.a[j - 1] + table.t[j - 1]
             out.append(template.trace(j) - ring.const(want))
-    elif source == "pseudocyclic":
-        if template.assumption != "pseudocyclic":
-            raise SitawimError("template was not built under the pseudocyclic assumption")
+    elif template.assumption == "pseudocyclic":
         for j in range(1, r):
             out.append(template.trace(j) - (template.degrees[j] - 1))
     else:
-        raise SitawimError(f"unknown trace source {source!r}")
+        raise SitawimError("a template built under no degree regime dictates no trace")
     return _tidy(out)
 
 

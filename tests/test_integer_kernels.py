@@ -377,7 +377,7 @@ def reference_tuple_linear_reduce(polys, *, degree_symbols=(), keep=()):
         return out
 
     work = dedup(tidy(cleared_terms(p.terms)[0]) for p in work)
-    chain, eliminated = [], []
+    chain = []
     while True:
         ranked = [(rank, idx, f) for f in work for rank, idx in candidates(f)]
         if not ranked:
@@ -390,14 +390,13 @@ def reference_tuple_linear_reduce(polys, *, degree_symbols=(), keep=()):
         a = f.terms[unit]
         neg_b = {m: -c for m, c in f.terms.items() if m != unit}
         chain.append((name, MPoly(ring, {m: Fraction(c, a) for m, c in neg_b.items()})))
-        eliminated.append(name)
         powers = [{ring._zero_mono: 1}, neg_b]
         work = dedup(
             tidy(_tuple_substitute(p.terms, idx, a, powers)) if any(m[idx] for m in p.terms) else p
             for p in work
         )
     work.sort(key=poly_sort_key)
-    return LinearReduction(ring, chain, work, tuple(eliminated))
+    return LinearReduction(ring, chain, work)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +571,6 @@ def test_linear_reduce_matches_rational_substitution(polys, keep):
     red = linear_reduce(polys, **kwargs)
     assert red.chain == chain
     assert red.polys == want
-    assert red.eliminated == tuple(name for name, _ in chain)
 
 
 def test_linear_reduce_substitutes_a_non_unit_solve():
@@ -625,7 +623,7 @@ def test_packed_linear_reduce_matches_the_tuple_one_on_template_systems(label):
     template = build_template(INVOLUTION_TYPES[cfg.itype].rank, cfg.itype, cfg.assumption)
     gens = emit_structure_polys(template)
     if cfg.assumption != "none":
-        gens = gens + trace_constraints(template, cfg.assumption)
+        gens = gens + trace_constraints(template)
     if cfg.assumption == "pseudocyclic":
         gens = gens + homogeneity_constraints(template)
     kwargs = dict(degree_symbols=template.degree_symbols, keep=tuple(cfg.enumerated_names()))
@@ -633,7 +631,6 @@ def test_packed_linear_reduce_matches_the_tuple_one_on_template_systems(label):
     want = reference_tuple_linear_reduce(gens, **kwargs)
     assert red.chain == want.chain
     assert red.polys == want.polys
-    assert red.eliminated == want.eliminated
 
 
 # generators with a bare linear term of a chosen variable and a fixed number
@@ -671,7 +668,7 @@ def test_packed_linear_reduce_matches_the_tuple_one(polys, degree_symbols, keep)
             linear_reduce(polys, **kwargs)
         return
     red = linear_reduce(polys, **kwargs)
-    assert (red.chain, red.polys, red.eliminated) == (want.chain, want.polys, want.eliminated)
+    assert (red.chain, red.polys) == (want.chain, want.polys)
 
 
 def test_tied_candidates_are_ranked_by_their_grevlex_text():
@@ -683,7 +680,7 @@ def test_tied_candidates_are_ranked_by_their_grevlex_text():
     polys = [x1 + x3**2 - k, x1 + x2**2 + x3]
     red = linear_reduce(polys)
     want = reference_tuple_linear_reduce(polys)
-    assert (red.chain, red.polys, red.eliminated) == (want.chain, want.polys, want.eliminated)
+    assert (red.chain, red.polys) == (want.chain, want.polys)
     assert red.chain[0] == ("x1", -(x2**2) - x3)
 
 
@@ -700,7 +697,7 @@ def test_packed_exponents_raise_before_they_carry(monkeypatch):
     monkeypatch.setattr(linear, "_FIELD_BYTES", 2)
     red = linear_reduce(polys)
     want = reference_tuple_linear_reduce(polys)
-    assert (red.chain, red.polys, red.eliminated) == (want.chain, want.polys, want.eliminated)
+    assert (red.chain, red.polys) == (want.chain, want.polys)
     assert red.chain == [("x1", x2**127), ("x3", x2**128)]
     with pytest.raises(ResourceCapExceeded):
         linear_reduce([x1 - x2 ** (2**14), x1 * x2 ** (2**14) - x3])
@@ -847,7 +844,7 @@ def test_subs_and_evaluate_take_integral_fractions_and_return_ints(p, values):
 def test_linear_reduce_takes_integral_fractions_and_returns_ints(label):
     cfg = TEMPLATE_SYSTEMS[label]
     template = build_template(INVOLUTION_TYPES[cfg.itype].rank, cfg.itype, cfg.assumption)
-    gens = emit_structure_polys(template) + trace_constraints(template, cfg.assumption)
+    gens = emit_structure_polys(template) + trace_constraints(template)
     assert _all_int(gens)
     kwargs = dict(degree_symbols=template.degree_symbols, keep=tuple(cfg.enumerated_names()))
     red = linear_reduce(gens, **kwargs)

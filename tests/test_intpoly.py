@@ -1,7 +1,6 @@
 """Tests of the shared helpers of ``sitawim.intpoly`` against brute force:
-the divisor enumerator, rational roots through the monic transform, the
-fraction-free division loop against long division over Q, the gcd degree
-and Horner evaluation."""
+the divisor enumerator, the fraction-free division loop against long
+division over Q, and the gcd degree."""
 
 from __future__ import annotations
 
@@ -12,16 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from sitawim.errors import SitawimError
 from sitawim.intpoly import (
-    IntPoly,
     _divisors,
-    _padd,
     _pdivexact,
     _pdivides,
     _pdivrem,
-    _pmul,
     _poly_gcd_degree,
     _ptrim,
-    _rational_roots,
 )
 
 _nonzero = st.integers(-5000, 5000).filter(bool)
@@ -33,29 +28,22 @@ def test_divisors_match_trial_division(v, bound):
     assert _divisors(v, bound) == [d for d in range(1, top + 1) if v % d == 0]
 
 
-def _eval(c, x):
-    return sum(v * x**i for i, v in enumerate(c))
+def _plus(a, b):
+    """The sum of two coefficient lists, trimmed."""
+    out = [0] * max(len(a), len(b))
+    for c in (a, b):
+        for i, v in enumerate(c):
+            out[i] += v
+    return _ptrim(out)
 
 
-@settings(max_examples=200)
-@given(
-    st.lists(st.integers(-30, 30), min_size=1, max_size=4),
-    st.integers(1, 12),
-)
-def test_rational_roots_match_brute_force(tail, lead):
-    c = tail + [lead]
-    low = next(v for v in c if v)  # the constant term once x^k is divided out
-    candidates = {Fraction(s * p, q) for p in _divisors(low) for q in _divisors(lead) for s in (1, -1)}
-    if c[0] == 0:
-        candidates.add(Fraction(0))
-    want = sorted(r for r in candidates if _eval(c, r) == 0)
-    assert [Fraction(n, d) for n, d in _rational_roots(c)] == want
-    assert all(d > 0 and Fraction(n, d).denominator == d for n, d in _rational_roots(c))
-
-
-def test_rational_roots_of_a_planted_product():
-    # (2x - 3)(3x + 1)(x - 4) = 6x^3 - 31x^2 + 25x + 12
-    assert _rational_roots([12, 25, -31, 6]) == [(-1, 3), (3, 2), (4, 1)]
+def _times(a, b):
+    """The product of two coefficient lists, trimmed."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return _ptrim(out)
 
 
 def fraction_divmod(a, b):
@@ -90,7 +78,7 @@ def test_fraction_free_division_is_scaled_long_division(a, b, lead):
     quo, rem, scale = _pdivrem(a, b)
     assert scale > 0
     assert len(rem) < len(b)
-    assert _padd(_pmul(quo, b), rem) == _ptrim([scale * v for v in a])
+    assert _plus(_times(quo, b), rem) == _ptrim([scale * v for v in a])
     fquo, frem = fraction_divmod(a, b)
     assert [Fraction(q, scale) for q in quo] == fquo
     assert [Fraction(v, scale) for v in rem] == frem
@@ -106,7 +94,7 @@ def test_fraction_free_division_is_scaled_long_division(a, b, lead):
 @given(_coeff_lists, _coeff_lists, _leads)
 def test_exact_division_recovers_a_planted_cofactor(h, b, lead):
     b = b + [lead]
-    assert _pdivexact(_pmul(h, b), b) == _ptrim(list(h))
+    assert _pdivexact(_times(h, b), b) == _ptrim(list(h))
 
 
 def test_exact_division_rejects_a_remainder_or_a_fraction():
@@ -129,15 +117,6 @@ def test_gcd_degree_matches_sympy(a, b, common):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     if any(common):  # a planted common factor makes a nontrivial gcd likely
-        a, b = _pmul(a, common), _pmul(b, common)
+        a, b = _times(a, common), _times(b, common)
     want = sympy.gcd(sympy.Poly(list(reversed(a)), x), sympy.Poly(list(reversed(b)), x))
     assert _poly_gcd_degree(a, b) == want.degree()
-
-
-@given(
-    st.lists(st.integers(-50, 50), min_size=1, max_size=6).filter(any),
-    st.one_of(st.integers(-10, 10), st.fractions(max_denominator=12)),
-)
-def test_call_is_exact_horner_evaluation(coeffs, x):
-    p = IntPoly(tuple(coeffs))
-    assert p(x) == _eval(p.coeffs, x)

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from _fixtures import A1_16_MATRICES, N35_MATRICES, N249_MATRICES
 from sitawim import solver
 from sitawim.errors import PositiveDimensionalError, SitawimError
-from sitawim.exactpoly import Ring, buchberger, format_poly, qq
+from sitawim.exactpoly import Ring, buchberger, format_poly
 from sitawim.intpoly import _integer_roots
 from sitawim.solver import (
     GridAxis,
@@ -261,14 +261,14 @@ class TestIntegerRoots:
         division to sqrt(6p) would take seconds."""
         p = 10**15 + 37
         start = time.perf_counter()
-        assert _integer_roots([qq(6 * p), qq(-7 * p), qq(0), qq(p)]) == [-3, 1, 2]
+        assert _integer_roots([6 * p, -7 * p, 0, p]) == [-3, 1, 2]
         assert time.perf_counter() - start < 2.0
 
     def test_square_of_a_large_prime_in_closed_form(self):
         """x^2 - (10^12 + 39)^2: a divisor test would trial-divide to 10^12."""
         p = 10**12 + 39
         start = time.perf_counter()
-        assert _integer_roots([qq(-(p**2)), qq(0), qq(1)]) == [-p, p]
+        assert _integer_roots([-(p**2), 0, 1]) == [-p, p]
         assert time.perf_counter() - start < 2.0
 
     @settings(deadline=None, max_examples=200)
@@ -282,7 +282,8 @@ class TestIntegerRoots:
     def test_low_degree_matches_brute_force(self, lead, roots, double, free, zeros):
         """Degree <= 2 once the root 0 is stripped: planted rational roots
         (a double one when ``double``) or free rational coefficients, times
-        x^zeros, against every integer within the Cauchy bound."""
+        x^zeros and cleared to integers, against every integer within the
+        Cauchy bound."""
         c = free
         if c is None:
             c = [lead]
@@ -293,7 +294,7 @@ class TestIntegerRoots:
         ints = [int(v * den) for v in c]
         bound = 1 + max(abs(v) for v in ints[:-1]) // abs(ints[-1])
         want = [x for x in range(-bound, bound + 1) if _horner(ints, x) == 0]
-        assert _integer_roots(c) == want
+        assert _integer_roots(ints) == want
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -306,7 +307,7 @@ class TestIntegerRoots:
             c = _times_linear(c, r)
         while c[-1] == 0:
             c = c[:-1]
-        assert _integer_roots([qq(v) for v in c]) == reference_integer_roots(c)
+        assert _integer_roots(c) == reference_integer_roots(c)
 
 
 class TestCanonicalForm:

@@ -2,20 +2,20 @@
 integer factorization, Galois classes, axiom checks, multiplicities, and
 cyclotomy verdicts, pinned against hand-checked values."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sitawim.errors import SitawimError
-from sitawim.exactpoly import qq
 from sitawim.intpoly import (
     GaloisClass,
     IntPoly,
     charpoly,
     factor_int_poly,
-    format_factored,
     galois_class,
 )
 from sitawim.structcheck import (
@@ -69,24 +69,8 @@ class TestIntPoly:
         with pytest.raises(SitawimError):
             poly(1, 0, 0, 0, 0, 0, 1)
 
-    def test_display_style(self):
-        assert str(poly(-8, 18, 20, -10, -3, 1)) == "x^5-3x^4-10x^3+20x^2+18x-8"
-        assert str(poly(-1, 2)) == "2x-1"
-        assert str(poly(0, 1)) == "x"
-        assert str(poly(1, 0, 1)) == "x^2+1"
-
-    def test_evaluation_is_exact(self):
-        p = poly(-744, 3546, 5709, -155, -61, 1)
-        assert p(62) == 0
-        assert p(qq("1/2")) == qq(-744) + qq(3546) / 2 + qq(5709) / 4 - qq(155) / 8 - qq(61) / 16 + qq(1) / 32
-
-    def test_derivative_and_product(self):
+    def test_derivative(self):
         assert IntPoly((1, 2, 3)).derivative().coeffs == (2, 6)
-        assert (poly(-1, 1) * poly(1, 1)).coeffs == (-1, 0, 1)
-
-    def test_format_factored_groups_repeats(self):
-        factored = [poly(-6, 1), poly(-6, 1), poly(1, 1), poly(1, 1), poly(1, 1)]
-        assert format_factored(factored) == "(x-6)^2(x+1)^3"
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +87,13 @@ class TestCharpoly:
 
     def test_order_35_basis(self):
         expected = [
-            "(x-4)(x+1)(x^3-6x+2)",
-            "(x-6)^2(x+1)^3",
-            "(x-12)(x+3)(x^3-12x-2)",
-            "(x-12)(x+3)(x^3-12x+12)",
+            [(-4, 1), (1, 1), (2, -6, 0, 1)],
+            [(-6, 1), (-6, 1), (1, 1), (1, 1), (1, 1)],
+            [(-12, 1), (3, 1), (-2, -12, 0, 1)],
+            [(-12, 1), (3, 1), (12, -12, 0, 1)],
         ]
-        for m, text in zip(N35_MATRICES[1:], expected):
-            assert format_factored(factor_int_poly(charpoly(m))) == text
+        for m, want in zip(N35_MATRICES[1:], expected):
+            assert [f.coeffs for f in factor_int_poly(charpoly(m))] == want
 
     def test_order_35_b1_coefficients(self):
         assert charpoly(N35_MATRICES[1]).coeffs == (-8, 18, 20, -10, -3, 1)
@@ -117,7 +101,7 @@ class TestCharpoly:
     def test_order_249_b1(self):
         cp = charpoly(N249_MATRICES[1])
         assert cp.coeffs == (-744, 3546, 5709, -155, -61, 1)
-        assert format_factored(factor_int_poly(cp)) == "(x-62)(x^4+x^3-93x^2-57x+12)"
+        assert [f.coeffs for f in factor_int_poly(cp)] == [(-62, 1), (12, -57, -93, 1, 1)]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -144,6 +128,45 @@ class TestCharpoly:
         assert all(v == 0 for row in acc for v in row)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-(10**6), 10**6), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    def test_matches_sympy_charpoly(self, mat):
+        sympy = pytest.importorskip("sympy")
+        want = sympy.Matrix(mat).charpoly(sympy.Symbol("x"))
+        assert charpoly(mat).coeffs == tuple(int(c) for c in reversed(want.all_coeffs()))
+
+    def test_bench_matrices_match_sympy_charpoly(self):
+        """Every b_j of the benchmark reference entries, and every generator
+        sum_j t^(j-1) b_j for t = 1..5."""
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        reference = json.loads((Path(__file__).parents[1] / "bench" / "reference.json").read_text())
+        mats = set()
+        for workload in ("rank4-pseudocyclic", "rank5-pseudocyclic", "table35"):
+            for search in reference[workload]["searches"].values():
+                for entry in search["entries"]:
+                    bs = entry["matrices"]
+                    r = len(bs)
+                    mats.update(tuple(map(tuple, b)) for b in bs)
+                    for t in range(1, 6):
+                        mats.add(tuple(
+                            tuple(sum(t ** (j - 1) * bs[j][a][b] for j in range(1, r)) for b in range(r))
+                            for a in range(r)
+                        ))
+        assert len(mats) > 300
+        for m in mats:
+            want = sympy.Matrix(m).charpoly(x).all_coeffs()
+            assert charpoly(m).coeffs == tuple(int(c) for c in reversed(want))
+
+
 # ---------------------------------------------------------------------------
 # factor_int_poly
 # ---------------------------------------------------------------------------
@@ -157,7 +180,9 @@ class TestFactorIntPoly:
         assert factor_int_poly(poly(0, -1, 0, 1)) == [poly(-1, 1), poly(0, 1), poly(1, 1)]
 
     def test_non_monic_rational_root(self):
-        assert factor_int_poly(poly(-1, 1, 2)) == [poly(-1, 2), poly(1, 1)]
+        # (2x - 1)(x + 1): only monic input is factored
+        with pytest.raises(SitawimError):
+            factor_int_poly(poly(-1, 1, 2))
 
     def test_repeated_quadratic(self):
         assert factor_int_poly(poly(1, 0, 2, 0, 1)) == [poly(1, 0, 1), poly(1, 0, 1)]
@@ -181,7 +206,7 @@ class TestFactorIntPoly:
 
     def test_quadratic_by_quadratic_split(self):
         # (x^2+x+1)(x^2-x+2) has no rational roots
-        p = poly(1, 1, 1) * poly(2, -1, 1)
+        p = poly(2, 1, 2, 0, 1)
         assert factor_int_poly(p) == [poly(1, 1, 1), poly(2, -1, 1)]
 
     def test_rejects_imprimitive_input(self):
@@ -189,19 +214,13 @@ class TestFactorIntPoly:
             factor_int_poly(poly(2, 4))
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        st.lists(st.integers(-20, 20), min_size=1, max_size=5),
-        st.integers(1, 20),
-    )
-    def test_product_of_factors_reexpands(self, body, lead):
-        from math import gcd
-        from functools import reduce
-
-        coeffs = body + [lead]
-        g = reduce(gcd, (abs(v) for v in coeffs))
-        p = IntPoly(tuple(v // g for v in coeffs))
-        product = reduce(lambda a, b: a * b, factor_int_poly(p))
-        assert product == p
+    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=5))
+    def test_product_of_factors_reexpands(self, body):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        p = IntPoly(tuple(body) + (1,))
+        product = sympy.prod(sympy.Poly(list(reversed(f.coeffs)), x) for f in factor_int_poly(p))
+        assert product == sympy.Poly(list(reversed(p.coeffs)), x)
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +236,24 @@ class TestGaloisClass:
             ((1, 0, 1), "C2"),
             ((1, -3, 0, 1), "C3"),  # disc 81 = 9^2
             ((-2, -6, 0, 1), "S3"),  # disc 756, not a square
-            ((1, 2, 0, 2), "S3"),  # non-monic, disc -116
+            ((1, 2, 0, 1), "S3"),  # disc -59
             ((1, 1, 1, 1, 1), "C4"),
             ((1, 0, 0, 0, 1), "V4"),
             ((-2, 0, 0, 0, 1), "D4"),  # disc -2048: negative, so not square
             ((12, 8, 0, 0, 1), "A4"),  # disc 331776 = 576^2
             ((12, -57, -93, 1, 1), "S4"),
             ((-1, -1, 0, 0, 1), "S4"),
-            ((1, 1, 0, 0, 3), "S4"),  # non-monic quartic
+            ((2, 2, 0, 0, 1), "S4"),  # Eisenstein at 2, disc 1616
         ],
     )
     def test_classification(self, coeffs, tag):
         cls = galois_class(poly(*coeffs))
         assert str(cls) == tag
         assert cls.abelian == (tag in {"C1", "C2", "C3", "C4", "V4"})
+
+    def test_rejects_non_monic_input(self):
+        with pytest.raises(SitawimError):
+            galois_class(poly(1, 2, 0, 2))
 
     def test_degree_five_unsupported(self):
         with pytest.raises(SitawimError):
@@ -245,11 +268,9 @@ class TestGaloisClass:
 # factorization and Galois classes against sympy
 # ---------------------------------------------------------------------------
 
-# a factor of degree 1..3 with small coefficients and a positive leading one
+# a monic factor of degree 1..3 with small coefficients
 _small_factors = st.integers(1, 3).flatmap(
-    lambda d: st.tuples(
-        st.lists(st.integers(-6, 6), min_size=d, max_size=d), st.integers(1, 4)
-    ).map(lambda t: t[0] + [t[1]])
+    lambda d: st.lists(st.integers(-6, 6), min_size=d, max_size=d).map(lambda c: c + [1])
 )
 
 
@@ -266,14 +287,10 @@ class TestAgainstSympy:
     )
     def test_factorization_matches_factor_list(self, pieces):
         sympy = pytest.importorskip("sympy")
-        from functools import reduce
-        from math import gcd
-
-        coeffs = reduce(lambda a, b: (poly(*a) * poly(*b)).coeffs, pieces)
-        g = reduce(gcd, coeffs)
-        p = IntPoly(tuple(c // g for c in coeffs))
         x = sympy.Symbol("x")
-        _, theirs = sympy.factor_list(sympy.Poly(list(reversed(p.coeffs)), x))
+        product = sympy.prod(sympy.Poly(list(reversed(f)), x) for f in pieces)
+        p = IntPoly(_ascending(product))
+        _, theirs = sympy.factor_list(product)
         want = sorted(
             (IntPoly(_ascending(f)) for f, e in theirs for _ in range(e)),
             key=lambda f: (f.degree, f.coeffs),
@@ -281,18 +298,12 @@ class TestAgainstSympy:
         assert factor_int_poly(p) == want
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(3, 4).flatmap(
-            lambda d: st.tuples(
-                st.lists(st.integers(-9, 9), min_size=d, max_size=d), st.integers(1, 3)
-            )
-        )
-    )
+    @given(st.integers(3, 4).flatmap(lambda d: st.lists(st.integers(-9, 9), min_size=d, max_size=d)))
     def test_galois_class_matches_galois_group(self, drawn):
         sympy = pytest.importorskip("sympy")
         from sympy.polys.numberfields.galoisgroups import galois_group
 
-        p = IntPoly(tuple(drawn[0]) + (drawn[1],))
+        p = IntPoly(tuple(drawn) + (1,))
         x = sympy.Symbol("x")
         sp = sympy.Poly(list(reversed(p.coeffs)), x)
         assume(sp.is_irreducible)
@@ -386,9 +397,9 @@ class TestMultiplicities:
     def test_order_35_orbits(self):
         _, factors, perron, mu = _orbit_solve(N35)
         assert perron == 160
-        assert [(str(f), m) for f, m in zip(factors, mu)] == [
-            ("x+25", 4),
-            ("x^3+6x^2-306x-1354", 10),
+        assert [(f.coeffs, m) for f, m in zip(factors, mu)] == [
+            ((25, 1), 4),
+            ((-1354, -306, 6, 1), 10),
         ]
 
     def test_order_249_is_homogeneous(self):
@@ -447,11 +458,11 @@ class TestCyclotomic:
         report = is_cyclotomic(N35)
         assert not report.cyclotomic
         assert not bool(report)
-        cubics = [(j, str(f)) for j, f, g in report.factors if str(g) == "S3"]
+        cubics = [(j, f.coeffs) for j, f, g in report.factors if str(g) == "S3"]
         assert cubics == [
-            (1, "x^3-6x+2"),
-            (3, "x^3-12x-2"),
-            (4, "x^3-12x+12"),
+            (1, (2, -6, 0, 1)),
+            (3, (-2, -12, 0, 1)),
+            (4, (12, -12, 0, 1)),
         ]
 
     def test_order_249_fails_on_four_quartics(self):

@@ -352,13 +352,13 @@ def test_4a1_full_emission_has_16_distinct_conditions():
 
 def test_5s_full_system_has_124_generators():
     t = build_template(5, "5S", "pseudocyclic")
-    gens = emit_structure_polys(t) + trace_constraints(t, "pseudocyclic")
+    gens = emit_structure_polys(t) + trace_constraints(t)
     assert len(normalized_set(gens)) == 124
 
 
 def test_5a2_full_system_has_156_generators():
     t = build_template(5, "5A2", "pseudocyclic")
-    gens = emit_structure_polys(t) + trace_constraints(t, "pseudocyclic")
+    gens = emit_structure_polys(t) + trace_constraints(t)
     assert len(normalized_set(gens)) == 156
 
 
@@ -369,14 +369,14 @@ def test_5a2_full_system_has_156_generators():
 
 def test_4a1_traces_reduce_to_x1_equals_x2():
     t = build_template(4, "4A1", "pseudocyclic")
-    got = trace_constraints(t, "pseudocyclic")
+    got = trace_constraints(t)
     assert normalized_set(got) == normalized_set([t.ring.parse("x1-x2")])
     assert homogeneity_constraints(t) == [t.ring.parse("k1-k2")]
 
 
 def test_4s_traces_match_reference_identities():
     t = build_template(4, "4S", "pseudocyclic")
-    got = normalized_set(trace_constraints(t, "pseudocyclic"))
+    got = normalized_set(trace_constraints(t))
     want = normalized_set(
         t.ring.parse(s)
         for s in ["x2+x6-x1-x4", "x1+x9-x2-x8", "x4+x8-x6-x9"]
@@ -387,7 +387,7 @@ def test_4s_traces_match_reference_identities():
 
 def test_5a1_traces_match_reference_identities():
     t = build_template(5, "5A1", "pseudocyclic")
-    got = normalized_set(trace_constraints(t, "pseudocyclic"))
+    got = normalized_set(trace_constraints(t))
     want = normalized_set(
         t.ring.parse(s)
         for s in [
@@ -401,7 +401,7 @@ def test_5a1_traces_match_reference_identities():
 
 def test_5a2_traces_match_reference_identities():
     t = build_template(5, "5A2", "pseudocyclic")
-    got = normalized_set(trace_constraints(t, "pseudocyclic"))
+    got = normalized_set(trace_constraints(t))
     want = normalized_set(
         t.ring.parse(s)
         for s in ["x1+x7+x12+1-x2-x6-x10", "x5+x9+x15+1-x8-x11-x16"]
@@ -411,19 +411,13 @@ def test_5a2_traces_match_reference_identities():
 
 def test_rank2_pseudocyclic_traces_are_vacuous():
     t = build_template(2, "R2", "pseudocyclic")
-    assert trace_constraints(t, "pseudocyclic") == []
+    assert trace_constraints(t) == []
 
 
-def test_trace_source_must_match_template():
+def test_trace_constraints_need_a_degree_regime():
     t = build_template(4, "4A1", "none")
     with pytest.raises(SitawimError):
-        trace_constraints(t, "pseudocyclic")
-    tbl = enumerate_rational_tables(35)[0]
-    t2 = build_template(5, "5S", "pseudocyclic")
-    with pytest.raises(SitawimError):
-        trace_constraints(t2, tbl)
-    with pytest.raises(SitawimError):
-        trace_constraints(t, "nonsense")
+        trace_constraints(t)
 
 
 def test_table_trace_constraints_use_table_rows():
@@ -436,7 +430,7 @@ def test_table_trace_constraints_use_table_rows():
         t.trace(j) - (tbl.delta[j - 1] + tbl.a[j - 1] + tbl.t[j - 1])
         for j in range(1, 5)
     )
-    assert normalized_set(trace_constraints(t, tbl)) == want
+    assert normalized_set(trace_constraints(t)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +442,7 @@ def test_4a1_pseudocyclic_linear_reduction_endpoint():
     t = build_template(4, "4A1", "pseudocyclic")
     gens = (
         emit_structure_polys(t)
-        + trace_constraints(t, "pseudocyclic")
+        + trace_constraints(t)
         + homogeneity_constraints(t)
     )
     red = linear_reduce(gens, degree_symbols=("k1", "k2"))
@@ -492,7 +486,7 @@ def assignment_from_matrices(template, matrices, degree_values):
 def test_n35_instance_zeroes_the_5s_table_system():
     t = build_template(5, "5S", N35_TABLE)
     assignment = assignment_from_matrices(t, N35_MATRICES, {})
-    gens = emit_structure_polys(t) + trace_constraints(t, N35_TABLE)
+    gens = emit_structure_polys(t) + trace_constraints(t)
     assert gens, "system should not be empty"
     assert all(g.evaluate(assignment) == 0 for g in gens)
     mats = t.instantiate(assignment)
@@ -506,7 +500,7 @@ def test_4a1_known_point_zeroes_the_system():
     point = {"x1": 2, "x2": 2, "x3": 1, "x4": 2, "x5": 1, "k1": 5, "k2": 5}
     gens = (
         emit_structure_polys(t)
-        + trace_constraints(t, "pseudocyclic")
+        + trace_constraints(t)
         + homogeneity_constraints(t)
     )
     assert all(g.evaluate(point) == 0 for g in gens)
