@@ -189,7 +189,7 @@ def linear_reduce(
     """
     work = [p for p in polys if not p.is_zero]
     if not work:
-        return LinearReduction(Ring(()), [], [], ())
+        return LinearReduction(Ring(()), [], [])
     ring = work[0].ring
     order = ring.default_order
     index = ring.index

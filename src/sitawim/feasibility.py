@@ -7,6 +7,12 @@ parameters, and the matrix Gegenbauer criterion.  The first three are
 exact integer computations; the last three read the high-precision Krein
 tensor.  ``run_battery`` produces a :class:`FeasibilityReport` with one
 verdict per condition and a witness for every failure.
+
+A verdict depends on the table alone: no condition takes a precision, a
+tolerance or a bound.  The Krein-side conditions read the spectral record
+at its recorded precision and ``eps``, classify Krein zeros at
+:data:`KREIN_ZERO_EPS` (with the :data:`NEAR_ZERO_BAND` warning), and run
+the Gegenbauer recurrence up to 2 * max multiplicity.
 """
 
 from __future__ import annotations
@@ -21,13 +27,7 @@ from mpmath import mp
 
 from .errors import SitawimError
 from .intpoly import _matmul
-from .spectra import (
-    DEFAULT_PRECISION,
-    SpectralData,
-    eigenmatrix_P,
-    eigenmatrix_Q,
-    krein,
-)
+from .spectra import _GUARD_BITS, SpectralData, eigenmatrix_P, eigenmatrix_Q, krein
 from .structcheck import Instance, multiplicities, verify_sita
 from .varietygen import InvolutionType
 
@@ -53,7 +53,7 @@ CONDITIONS = (
     "gegenbauer",
 )
 
-#: default zero-detection tolerance for Krein-support classification
+#: zero-detection tolerance for Krein-support classification
 KREIN_ZERO_EPS = "1e-20"
 #: multiplier defining the ambiguous near-zero band that downgrades a
 #: verdict to "warning"
@@ -80,12 +80,9 @@ class ConditionResult:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Battery outcome: every condition exactly once, plus the
-    configuration it ran under."""
+    """Battery outcome: every condition exactly once."""
 
     conditions: tuple[ConditionResult, ...]
-    eps: object
-    lmax: Optional[int]
 
     def __post_init__(self):
         names = [c.name for c in self.conditions]
@@ -99,22 +96,17 @@ class FeasibilityReport:
     def passed(self) -> bool:
         return all(c.ok for c in self.conditions)
 
-    def condition(self, name: str) -> ConditionResult:
+    def __getitem__(self, name: str) -> ConditionResult:
         for c in self.conditions:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def __getitem__(self, name: str) -> ConditionResult:
-        return self.condition(name)
 
     def failing(self) -> tuple[ConditionResult, ...]:
         return tuple(c for c in self.conditions if c.verdict == "fail")
 
     def as_dict(self) -> dict:
         return {
-            "eps": None if self.eps is None else float(self.eps),
-            "lmax": self.lmax,
             "conditions": [
                 {
                     "name": c.name,
@@ -391,7 +383,7 @@ def closed_subsets_quotients(inst: Instance) -> ConditionResult:
 
 
 def _need_krein(sd: SpectralData):
-    if sd.krein is None or sd.Q is None:
+    if sd.krein is None:
         raise SitawimError("condition requires the Krein tensor; run krein() first")
 
 
@@ -400,19 +392,20 @@ def _kappa(sd: SpectralData, i: int, j: int, k: int):
     return sd.krein[i][k][j]
 
 
-def absolute_bound(sd: SpectralData, *, eps=None) -> ConditionResult:
+def absolute_bound(sd: SpectralData) -> ConditionResult:
     """For every i <= j, the multiplicities of the Krein support of
     (i, j) must fit under m_i*m_j (distinct) or m_i(m_i+1)/2 (equal).
 
-    Entries with magnitude in the ambiguous band (eps, 10^6*eps] downgrade
-    the verdict to ``warning`` because the support classification — and
-    with it the verdict — could flip under a different tolerance.
+    The support is the entries of magnitude above eps =
+    :data:`KREIN_ZERO_EPS`.  Entries in the ambiguous band (eps, 10^6*eps]
+    downgrade the verdict to ``warning`` because the support
+    classification — and with it the verdict — could flip under a
+    different tolerance.
     """
     _need_krein(sd)
     r = sd.rank
-    with mp.workprec(sd.precision + 32):
-        if eps is None:
-            eps = mp.mpf(KREIN_ZERO_EPS)
+    with mp.workprec(sd.precision + _GUARD_BITS):
+        eps = mp.mpf(KREIN_ZERO_EPS)
         m = sd.Q[0]
         band = []
         for i in range(r):
@@ -447,18 +440,16 @@ def absolute_bound(sd: SpectralData, *, eps=None) -> ConditionResult:
     return ConditionResult("absolute-bound", "pass")
 
 
-def krein_nonneg(sd: SpectralData, *, eps=None) -> ConditionResult:
-    """Every dual intersection number must be >= -eps."""
+def krein_nonneg(sd: SpectralData) -> ConditionResult:
+    """Every dual intersection number must be >= -``sd.eps``."""
     _need_krein(sd)
     r = sd.rank
-    if eps is None:
-        eps = sd.eps
     worst = None
     for i in range(r):
         for k in range(r):
             for j in range(r):
                 v = sd.krein[i][k][j]
-                if v < -eps and (worst is None or v < worst[3]):
+                if v < -sd.eps and (worst is None or v < worst[3]):
                     worst = (i, j, k, v)
     if worst is not None:
         i, j, k, v = worst
@@ -515,22 +506,16 @@ def _gegenbauer_levels(x: list, mfix: int, bits: int, cols: Sequence[int]):
         prev2, prev1 = prev1, G
 
 
-def gegenbauer(
-    sd: SpectralData,
-    i: int,
-    lmax: Optional[int] = None,
-    *,
-    first_column_only: Optional[bool] = None,
-    eps=None,
-) -> ConditionResult:
+def gegenbauer(sd: SpectralData, i: int) -> ConditionResult:
     """Matrix Gegenbauer criterion for one dual index.
 
     Evaluates G_l((1/m_i) L*_i) through the three-term recurrence
     G_0 = 1, G_1(x) = m*x, l*G_l(x) = (2l+m-4)*x*G_{l-1}(x) -
-    (l+m-4)*G_{l-2}(x) and requires every entry (or, under the rank-2
-    dual-subset shortcut, every first-column entry) to be >= -eps for
-    l = 1..bound.  The bound is ``lmax`` when supplied (for example an
-    externally computed threshold), else 2*max multiplicity.
+    (l+m-4)*G_{l-2}(x) and requires every entry to be >= -eps, with
+    eps = ``sd.eps``, for l = 1..bound, where the bound is 2*max
+    multiplicity.  When {0, i} is closed in the dual (every kappa_{i,i,k}
+    outside it is zero at :data:`KREIN_ZERO_EPS`), only the first column
+    is checked: the rank-2 dual-subset shortcut, detected here.
 
     The recurrence runs in fixed point on plain ints: every value is an
     integer multiple of 2^-F with F = ``sd.precision + 32``.  x = L*_i / m
@@ -556,25 +541,22 @@ def gegenbauer(
     r = sd.rank
     if not 1 <= i < r:
         raise SitawimError(f"dual index {i} out of range for rank {r}")
-    bits = sd.precision + 32
+    bits = sd.precision + _GUARD_BITS
     with mp.workprec(bits):
-        if eps is None:
-            eps = sd.eps
-        if max(abs(mp.im(v)) for v in sd.P[i]) > eps:
+        if max(abs(mp.im(v)) for v in sd.P[i]) > sd.eps:
             return ConditionResult(
                 "gegenbauer",
                 "vacuous",
                 detail={"i": i, "reason": "nonreal character row"},
             )
-        zero_eps = mp.mpf(KREIN_ZERO_EPS)
-        if first_column_only is None:
-            first_column_only = _has_dual_rank2_subset(sd, i, zero_eps)
+        first_column_only = _has_dual_rank2_subset(sd, i, mp.mpf(KREIN_ZERO_EPS))
         m = sd.Q[0][i]
         if m < 1:
             raise SitawimError("gegenbauer requires multiplicity >= 1")
-        bound = lmax if lmax is not None else int(2 * max(sd.Q[0][k] for k in range(1, r)))
+        bound = int(2 * max(sd.Q[0][k] for k in range(1, r)))
+        detail = {"i": i, "bound": bound, "first_column_only": first_column_only}
         x = [[_to_fixed(sd.krein[i][a][b] / m, bits) for b in range(r)] for a in range(r)]
-        floor = -_to_fixed(eps, bits)
+        floor = -_to_fixed(sd.eps, bits)
         cols = (0,) if first_column_only else tuple(range(r))
         levels = _gegenbauer_levels(x, _to_fixed(m, bits), bits, cols)
         for l, G in zip(range(1, bound + 1), levels):
@@ -584,24 +566,16 @@ def gegenbauer(
                     "gegenbauer",
                     "fail",
                     witness={"i": i, "l": l, "entry": float(mp.ldexp(low, -bits))},
-                    detail={
-                        "i": i,
-                        "bound": bound,
-                        "first_column_only": first_column_only,
-                    },
+                    detail=detail,
                 )
-    return ConditionResult(
-        "gegenbauer",
-        "pass",
-        detail={"i": i, "bound": bound, "first_column_only": first_column_only},
-    )
+    return ConditionResult("gegenbauer", "pass", detail=detail)
 
 
-def _gegenbauer_all(sd: SpectralData, lmax, eps) -> ConditionResult:
+def _gegenbauer_all(sd: SpectralData) -> ConditionResult:
     details = []
     ran = False
     for i in range(1, sd.rank):
-        res = gegenbauer(sd, i, lmax, eps=eps)
+        res = gegenbauer(sd, i)
         details.append(res.detail)
         ran = ran or res.verdict == "pass"
         if res.verdict == "fail":
@@ -616,39 +590,23 @@ def _gegenbauer_all(sd: SpectralData, lmax, eps) -> ConditionResult:
 # the battery
 
 
-def run_battery(
-    inst: Instance,
-    sd: Optional[SpectralData] = None,
-    *,
-    precision: int = DEFAULT_PRECISION,
-    eps=None,
-    lmax: Optional[int] = None,
-) -> FeasibilityReport:
+def run_battery(inst: Instance, sd: Optional[SpectralData] = None) -> FeasibilityReport:
     """All six conditions against one instance, cheap exact checks first.
 
-    As a screening pipeline discards an instance at its first failure, the
-    conditions after the first failing one report ``skipped``.  ``eps`` is
-    the numeric zero tolerance handed to absolute-bound,
-    krein-nonnegativity and gegenbauer; each keeps its own default when it
-    is None.
+    ``sd`` is None, when the battery computes the spectra itself, or the
+    record :func:`sitawim.spectra.krein` returned for ``inst``.  The
+    verdicts depend on the table alone; see the module docstring for the
+    one configuration the Krein-side conditions run under.  As a screening
+    pipeline discards an instance at its first failure, the conditions
+    after the first failing one report ``skipped``.
     """
     results = [handshake(inst), closed_subsets_quotients(inst), triangle_count(inst)]
     if not any(c.verdict == "fail" for c in results):
         if sd is None:
-            sd = krein(eigenmatrix_Q(eigenmatrix_P(inst, precision), inst), inst)
-        elif sd.krein is None:
-            sd = krein(sd if sd.Q is not None else eigenmatrix_Q(sd, inst), inst)
-        for check in (
-            lambda: absolute_bound(sd, eps=eps),
-            lambda: krein_nonneg(sd, eps=eps),
-            lambda: _gegenbauer_all(sd, lmax, eps),
-        ):
-            results.append(check())
+            sd = krein(eigenmatrix_Q(eigenmatrix_P(inst), inst), inst)
+        for check in (absolute_bound, krein_nonneg, _gegenbauer_all):
+            results.append(check(sd))
             if results[-1].verdict == "fail":
                 break
     results += [ConditionResult(name, "skipped") for name in CONDITIONS[len(results) :]]
-    return FeasibilityReport(
-        conditions=tuple(results),
-        eps=eps,
-        lmax=lmax,
-    )
+    return FeasibilityReport(tuple(results))

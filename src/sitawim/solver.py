@@ -381,8 +381,7 @@ class _Prepared:
 
 
 def _prepare(cfg: SearchConfig) -> _Prepared:
-    it = INVOLUTION_TYPES[cfg.itype]
-    template = build_template(it.rank, cfg.itype, cfg.assumption)
+    template = build_template(cfg.itype, cfg.assumption)
     gens = emit_structure_polys(template)
     if cfg.assumption != "none":
         gens = gens + trace_constraints(template)

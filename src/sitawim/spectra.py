@@ -3,7 +3,10 @@
 Everything downstream of the exact layer that genuinely needs numbers — the
 first eigenmatrix P, the second eigenmatrix Q, and the Krein/dual
 intersection matrices — lives here, computed with arbitrary-precision
-binary floats (mpmath), 256 bits by default.
+binary floats (mpmath) in one configuration: 256 bits, plus 32 guard bits
+of working precision, and the zero tolerance eps = 2^-100 * max(1, n),
+which :class:`SpectralData` records.  No function takes a precision or a
+tolerance.
 
 The exact layer anchors the numerics: :func:`eigenmatrix_P` runs the one
 orbit solve of :mod:`sitawim.structcheck`, so each Galois orbit of
@@ -20,8 +23,12 @@ validated against every basis matrix by an explicit residual bound.
 
 Row order is canonical: the degree row first, then Galois orbits by
 (size, leading row), rows inside an orbit ascending by their value tuple,
-compared on a grid of 2^-(precision/2) so that rounding noise in entries
-that are exactly equal cannot decide the order.
+compared on a grid of 2^-128 so that rounding noise in entries that are
+exactly equal cannot decide the order.
+
+Each stage takes its input in one state: :func:`eigenmatrix_Q` the record
+:func:`eigenmatrix_P` returns, and :func:`krein` the record
+:func:`eigenmatrix_Q` returns.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ __all__ = [
     "krein",
 ]
 
-DEFAULT_PRECISION = 256
+PRECISION = 256
 _GUARD_BITS = 32
 
 
@@ -59,8 +66,8 @@ class SpectralData:
     when the power-sum system has no standard solution.  ``Q`` and
     ``krein`` start as ``None`` and are filled by :func:`eigenmatrix_Q` /
     :func:`krein`.
-    ``eps`` is the working zero tolerance every residual was checked
-    against.
+    ``precision`` is the number of bits (:data:`PRECISION`) and ``eps`` the
+    zero tolerance every residual was checked against.
     """
 
     precision: int
@@ -148,9 +155,7 @@ def _row_key(row, bits: int) -> list:
 # public operations
 
 
-def eigenmatrix_P(
-    inst: Instance, precision: int = DEFAULT_PRECISION, eps=None
-) -> SpectralData:
+def eigenmatrix_P(inst: Instance) -> SpectralData:
     """The first eigenmatrix: one row per irreducible character.
 
     Row 0 is the exact degree row.  Remaining rows are grouped into Galois
@@ -164,9 +169,8 @@ def eigenmatrix_P(
     """
     r = inst.rank
     mats = inst.matrices
-    with mp.workprec(precision + _GUARD_BITS):
-        if eps is None:
-            eps = mp.ldexp(1, -100) * max(1, inst.order)
+    with mp.workprec(PRECISION + _GUARD_BITS):
+        eps = mp.ldexp(1, -100) * max(1, inst.order)
         solved = _orbit_solve(inst)
         if solved is None:
             raise SitawimError("generator has no rational degree eigenvalue")
@@ -177,11 +181,11 @@ def eigenmatrix_P(
         # so the declared involution type cannot misroute the dispatch
         symmetric = all(mats[j][0][j] for j in range(r))
         M = [[mp.mpf(v) for v in row] for row in combo]
-        bits = precision // 2
+        bits = PRECISION // 2
         blocks: list[tuple[list, IntPoly, Optional[Fraction]]] = []
         for f, m in zip(factors, mu):
             if symmetric:
-                roots = [_mpf_of(q) for q in _real_roots(f, precision)]
+                roots = [_mpf_of(q) for q in _real_roots(f, PRECISION)]
             else:
                 roots = _factor_roots(f, eps)
             if len(roots) != f.degree:
@@ -202,7 +206,7 @@ def eigenmatrix_P(
             P.extend(rows)
             row_mu.extend([m] * len(rows))
         return SpectralData(
-            precision=precision,
+            precision=PRECISION,
             eps=eps,
             P=tuple(P),
             orbits=tuple(orbits),
@@ -241,11 +245,12 @@ def krein(sd: SpectralData, inst: Instance) -> SpectralData:
 
     Verifies L*_0 = identity, the i<->j symmetry, row sums equal to the
     multiplicities, and vanishing imaginary parts, all within tolerance.
+    ``sd`` must carry the Q that :func:`eigenmatrix_Q` set.
     """
     r = sd.rank
     n = inst.order
     if sd.Q is None:
-        sd = eigenmatrix_Q(sd, inst)
+        raise SitawimError("krein requires Q; run eigenmatrix_Q() first")
     with mp.workprec(sd.precision + _GUARD_BITS):
         # Q[0][i] = m_i * conj(P[i][0]) / k_0 with P[i][0] = k_0 = 1
         m = sd.Q[0]

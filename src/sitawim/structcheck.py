@@ -28,7 +28,7 @@ indicator of row ``j``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -67,8 +67,8 @@ class Instance:
 
     ``itype`` names the involution type (a key of
     :data:`sitawim.varietygen.INVOLUTION_TYPES`), or None for a symmetric
-    table of any rank (identity star).  ``degrees`` defaults to the row-0
-    sums of the matrices.  The exact multiplicities are not stored here:
+    table of any rank (identity star).  ``degrees`` are the row-0 sums of
+    the matrices.  The exact multiplicities are not stored here:
     :func:`multiplicities` computes them, and
     :attr:`sitawim.spectra.SpectralData.multiplicities` carries them by
     character row.
@@ -76,7 +76,7 @@ class Instance:
 
     matrices: tuple[tuple[tuple[int, ...], ...], ...]
     itype: Optional[InvolutionType] = None
-    degrees: tuple[int, ...] = ()
+    degrees: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         mats = tuple(tuple(tuple(map(_as_int, row)) for row in m) for m in self.matrices)
@@ -94,12 +94,9 @@ class Instance:
             raise SitawimError(
                 f"type {self.itype.name} has rank {self.itype.rank}, got {r} matrices"
             )
-        if not self.degrees:
-            object.__setattr__(
-                self, "degrees", tuple(sum(m[0]) if j else 1 for j, m in enumerate(mats))
-            )
-        elif len(self.degrees) != r:
-            raise SitawimError("one degree per basis element")
+        object.__setattr__(
+            self, "degrees", tuple(sum(m[0]) if j else 1 for j, m in enumerate(mats))
+        )
 
     @property
     def rank(self) -> int:

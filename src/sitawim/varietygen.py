@@ -78,13 +78,6 @@ class InvolutionType:
     star: tuple[int, ...]
     elim: tuple[int, ...]
 
-    @property
-    def symmetric(self) -> bool:
-        return all(self.star[i] == i for i in range(self.rank))
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name
-
 
 _TYPE_LIST = [
     InvolutionType("R2", 2, (0, 1), (1,)),
@@ -290,21 +283,11 @@ class Template:
     degree_symbols: tuple[str, ...]
     var_positions: Mapping[str, tuple[tuple[int, int, int], ...]]
 
-    def matrix(self, j: int) -> tuple[tuple[MPoly, ...], ...]:
-        return self.matrices[j]
-
     def trace(self, j: int) -> MPoly:
         rows = self.matrices[j]
         acc = self.ring.zero()
         for i in range(self.itype.rank):
             acc = acc + rows[i][i]
-        return acc
-
-    def order(self) -> MPoly:
-        """Sum of all degrees, i.e. the order of the algebra."""
-        acc = self.ring.zero()
-        for d in self.degrees:
-            acc = acc + d
         return acc
 
     def instantiate(self, assignment: Mapping[str, object]) -> list[list[list[int]]]:
@@ -349,11 +332,10 @@ def _orbit(
 
 
 def build_template(
-    rank: int,
     itype: Union[str, InvolutionType],
     assumption: Union[str, RationalCharTable] = "none",
 ) -> Template:
-    """Construct the template for ``(rank, itype)`` under a degree regime.
+    """Construct the template for ``itype`` under a degree regime.
 
     ``assumption`` is ``"none"`` (independent degree symbols, one per
     conjugate pair), ``"pseudocyclic"`` (all nontrivial degrees equal the
@@ -361,8 +343,6 @@ def build_template(
     from the table; 5S only).
     """
     it = _resolve_itype(itype)
-    if rank != it.rank:
-        raise SitawimError(f"type {it.name} has rank {it.rank}, not {rank}")
 
     table: RationalCharTable | None = None
     if isinstance(assumption, RationalCharTable):

@@ -274,6 +274,13 @@ def test_linear_reduce_chain_applies():
     assert len(red.polys) == 1
 
 
+def test_linear_reduce_without_nonzero_generators_is_empty():
+    x1, x2, x3, k1, k2 = R5.gens()
+    for polys in ([], [x1 - x1]):
+        red = linear_reduce(polys)
+        assert (red.ring.names, red.chain, red.polys) == ((), [], [])
+
+
 def test_linear_reduce_nonconstant_coefficient_not_solved():
     x1, x2, x3, k1, k2 = R5.gens()
     # x1*x2 - 1 is linear in x2 but with nonconstant coefficient: untouchable

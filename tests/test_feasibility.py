@@ -1,7 +1,9 @@
 """Feasibility battery: exact conditions and Krein-side conditions."""
 
+import importlib
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
@@ -53,8 +55,8 @@ def cyclic_group_table(n):
     )
 
 
-def full(inst, **kw):
-    return krein(eigenmatrix_Q(eigenmatrix_P(inst, **kw), inst), inst)
+def full(inst):
+    return krein(eigenmatrix_Q(eigenmatrix_P(inst), inst), inst)
 
 
 # A realizable-shaped rank-3 table with an odd handshake product:
@@ -161,18 +163,18 @@ class TestReportShape:
     def test_duplicate_condition_rejected(self):
         c = ConditionResult("handshake", "pass")
         with pytest.raises(SitawimError):
-            FeasibilityReport(conditions=(c, c), eps=None, lmax=None)
+            FeasibilityReport(conditions=(c, c))
 
     def test_fail_without_witness_rejected(self):
         c = ConditionResult("handshake", "fail")
         with pytest.raises(SitawimError):
-            FeasibilityReport(conditions=(c,), eps=None, lmax=None)
+            FeasibilityReport(conditions=(c,))
 
     def test_lookup(self, rep35):
-        assert rep35.condition("handshake").verdict == "pass"
+        assert rep35["handshake"].verdict == "pass"
         assert rep35["triangle-count"].verdict == "pass"
         with pytest.raises(KeyError):
-            rep35.condition("no-such-condition")
+            rep35["no-such-condition"]
 
     def test_every_condition_present_once(self, rep35):
         assert tuple(c.name for c in rep35.conditions) == CONDITIONS
@@ -373,34 +375,6 @@ class TestAbsoluteBound:
         assert res.verdict == "warning"
         assert (1, 1, 0) in res.witness["near-zero"]
 
-    def test_eps_reclassifies_band_as_zero(self):
-        sd = fabricated_sd(
-            [
-                [[1, 0], [0, 1]],
-                [[0, 1e-18], [1, 1]],
-            ],
-            Q0=(1, 2),
-        )
-        assert absolute_bound(sd, eps=mp.mpf("1e-16")).verdict == "pass"
-
-    def test_battery_eps_reaches_absolute_bound(self):
-        # kappa_{1,1,0} = 1e-18 sits between the default 1e-20 and the eps
-        # handed in: in the (1,1) support it overfills the bound 1, out of
-        # it the support fits
-        sd = fabricated_sd(
-            [
-                [[1, 0], [0, 1]],
-                [[0, 1e-18], [1, 1]],
-            ],
-            Q0=(1, 1),
-        )
-        inst = cyclic_group_table(2)
-        default = run_battery(inst, sd)["absolute-bound"]
-        assert default.verdict == "fail" and default.witness["support"] == (0, 1)
-        loose = run_battery(inst, sd, eps=mp.mpf("1e-16"))
-        assert loose["absolute-bound"].verdict == "pass"
-        assert loose.eps == mp.mpf("1e-16")
-
     def test_requires_krein(self, n35):
         sd = eigenmatrix_P(n35)
         with pytest.raises(SitawimError):
@@ -436,7 +410,16 @@ class TestKreinNonneg:
             Q0=(1, 2),
         )
         assert krein_nonneg(sd).verdict == "pass"
-        assert krein_nonneg(sd, eps=mp.mpf("1e-45")).verdict == "fail"
+        # the same dust fails against a record whose eps is below it
+        tight = fabricated_sd(
+            [
+                [[1, 0], [0, 1]],
+                [[-1e-40, 1], [0, 1]],
+            ],
+            Q0=(1, 2),
+            eps=mp.mpf("1e-45"),
+        )
+        assert krein_nonneg(tight).verdict == "fail"
 
 
 class TestGegenbauer:
@@ -452,13 +435,15 @@ class TestGegenbauer:
             assert res.detail["first_column_only"] is False
 
     def test_order35_shortcut_not_load_bearing(self, sd35):
-        res = gegenbauer(sd35, 1, first_column_only=False)
-        assert res.verdict == "pass"
-
-    def test_order35_documented_threshold(self, sd35):
-        res = gegenbauer(sd35, 2, lmax=7)
-        assert res.verdict == "pass"
-        assert res.detail["bound"] == 7
+        # at i = 1 only column 0 is carried; the full columns of the same
+        # 20 levels hold that column unchanged and pass as well
+        x, mfix, bits, cols = fixed_point_inputs(sd35, 1, False)
+        floor = -_to_fixed(sd35.eps, bits)
+        short = _gegenbauer_levels(x, mfix, bits, (0,))
+        whole = _gegenbauer_levels(x, mfix, bits, cols)
+        for G0, G in itertools.islice(zip(short, whole), 20):
+            assert G0 == G[:1]
+            assert min(min(col) for col in G) >= floor
 
     def test_order249_passes(self, sd249):
         for i in range(1, 5):
@@ -477,8 +462,10 @@ class TestGegenbauer:
         for sd in (sd35, sd249):
             assert krein_nonneg(sd).verdict == "pass"
             for i in range(1, sd.rank):
-                res = gegenbauer(sd, i, lmax=1, first_column_only=False)
-                assert res.verdict == "pass"
+                # G_1 = m x = L*_i, every column
+                x, mfix, bits, cols = fixed_point_inputs(sd, i, False)
+                G1 = next(_gegenbauer_levels(x, mfix, bits, cols))
+                assert min(min(col) for col in G1) >= -_to_fixed(sd.eps, bits)
 
     def test_level_one_fails_with_krein_nonnegativity(self):
         sd = fabricated_sd(
@@ -489,7 +476,7 @@ class TestGegenbauer:
             Q0=(1, 2),
         )
         assert krein_nonneg(sd).verdict == "fail"
-        res = gegenbauer(sd, 1, lmax=1, first_column_only=False)
+        res = gegenbauer(sd, 1)
         assert res.verdict == "fail"
         assert res.witness["l"] == 1
 
@@ -507,12 +494,13 @@ class TestGegenbauer:
 # reference Gegenbauer recurrence: r x r matrix steps on mpf values ---------
 
 
-def reference_gegenbauer(sd, i, lmax=None, *, first_column_only=None, eps=None):
-    """The criterion evaluated on full mpf matrices at sd.precision + 32 bits."""
+def reference_gegenbauer(sd, i, first_column_only=None):
+    """The criterion evaluated on full mpf matrices at sd.precision + 32
+    bits, on column 0 or on every column (the shortcut detected when
+    ``first_column_only`` is None)."""
     r = sd.rank
+    eps = sd.eps
     with mp.workprec(sd.precision + 32):
-        if eps is None:
-            eps = sd.eps
         if max(abs(mp.im(v)) for v in sd.P[i]) > eps:
             return ConditionResult(
                 "gegenbauer", "vacuous", detail={"i": i, "reason": "nonreal character row"}
@@ -520,9 +508,7 @@ def reference_gegenbauer(sd, i, lmax=None, *, first_column_only=None, eps=None):
         if first_column_only is None:
             first_column_only = _has_dual_rank2_subset(sd, i, mp.mpf(KREIN_ZERO_EPS))
         m = sd.Q[0][i]
-        bound = lmax
-        if bound is None:
-            bound = int(2 * max(sd.Q[0][k] for k in range(1, r)))
+        bound = int(2 * max(sd.Q[0][k] for k in range(1, r)))
         detail = {"i": i, "bound": bound, "first_column_only": first_column_only}
         x = [[sd.krein[i][a][b] / m for b in range(r)] for a in range(r)]
         prev2 = [[mp.mpf(1 if a == b else 0) for b in range(r)] for a in range(r)]
@@ -564,14 +550,20 @@ GEGENBAUER_FAILS = {
 
 
 class TestGegenbauerReference:
-    def check(self, sd, i, **kw):
-        got = gegenbauer(sd, i, **kw)
-        want = reference_gegenbauer(sd, i, **kw)
-        assert (got.verdict, got.detail) == (want.verdict, want.detail)
+    def check(self, sd, i, first_column_only):
+        """``gegenbauer`` against the reference on the columns it carries
+        (None), or on every column (False): the shortcut then decides the
+        same verdict at the same level."""
+        got = gegenbauer(sd, i)
+        want = reference_gegenbauer(sd, i, first_column_only)
+        assert got.verdict == want.verdict
         if want.witness is not None:
             assert got.witness["l"] == want.witness["l"]
-            entry = pytest.approx(want.witness["entry"], rel=1e-12, abs=1e-12)
-            assert got.witness["entry"] == entry
+        if first_column_only is None:
+            assert got.detail == want.detail
+            if want.witness is not None:
+                entry = pytest.approx(want.witness["entry"], rel=1e-12, abs=1e-12)
+                assert got.witness["entry"] == entry
         return got
 
     @pytest.mark.parametrize("name", ["sd35", "sd249", "a1_16"])
@@ -581,18 +573,14 @@ class TestGegenbauerReference:
         if name == "a1_16":
             sd = full(sd)
         for i in range(1, sd.rank):
-            for kw in ({}, {"lmax": 1}):
-                self.check(sd, i, first_column_only=first_column_only, **kw)
+            self.check(sd, i, first_column_only)
 
     @pytest.mark.parametrize("name", sorted(GEGENBAUER_FAILS))
     @pytest.mark.parametrize("first_column_only", [None, False])
     def test_matches_mpf_recurrence_on_failures(self, name, first_column_only):
         tensor, Q0 = GEGENBAUER_FAILS[name]
         sd = fabricated_sd(tensor, Q0)
-        res, *_ = [
-            self.check(sd, 1, first_column_only=first_column_only, **kw)
-            for kw in ({}, {"lmax": 1})
-        ]
+        res = self.check(sd, 1, first_column_only)
         assert res.verdict == "fail"
         assert res.witness["l"] == (1 if name == "level-one" else 2)
 
@@ -661,8 +649,8 @@ class TestGegenbauerFixedPoint:
         tensor, Q0 = GEGENBAUER_FAILS[name]
         sd = fabricated_sd(tensor, Q0)
         self.check(sd, first_column_only)
-        res = gegenbauer(sd, 1, first_column_only=first_column_only)
-        inputs = fixed_point_inputs(sd, 1, first_column_only)
+        res = gegenbauer(sd, 1)
+        inputs = fixed_point_inputs(sd, 1, None)
         levels = reference_fixed_gegenbauer(*inputs, res.witness["l"])
         low = min(min(col) for col in levels[-1])
         assert res.witness["entry"] == float(mp.ldexp(low, -inputs[2]))
@@ -725,12 +713,32 @@ class TestBattery:
             c.verdict for c in rep35.conditions
         ]
 
-    def test_partial_spectral_data_upgraded(self, n35, rep35):
-        rep = run_battery(n35, eigenmatrix_P(n35))
-        assert rep.passed
-        assert [c.verdict for c in rep.conditions] == [
-            c.verdict for c in rep35.conditions
-        ]
+    def test_partial_spectral_data_refused(self, n35):
+        # run_battery takes no spectra or the record krein() returns
+        sd = eigenmatrix_P(n35)
+        for partial in (sd, eigenmatrix_Q(sd, n35)):
+            with pytest.raises(SitawimError, match="krein"):
+                run_battery(n35, partial)
+
+    def test_traced_battery_reaches_every_krein_layer(self, n35, monkeypatch):
+        # bench/tracing.py wraps these layers by module global name and
+        # counts gegenbauer's detail["bound"] on a pass and witness["l"] on
+        # a fail; a rename there fails here, not only in the traced
+        # benchmark run
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        tracing = importlib.import_module("tracing")
+        tracer = tracing.Tracer()
+        tensor, Q0 = GEGENBAUER_FAILS["level-two"]
+        with tracing.instrumented(tracer) as calls:
+            assert calls.run_battery(n35).passed
+            failing = calls.run_battery(cyclic_group_table(2), fabricated_sd(tensor, Q0))
+        assert failing["gegenbauer"].witness["l"] == 2
+        names = {span[0] for span in tracer.spans}
+        for layer in ("absolute_bound", "krein_nonneg", "gegenbauer"):
+            assert f"feasibility.{layer}" in names
+        # N35: four passing indices of bound 20; then the failure at level 2
+        steps = tracing.layer_metrics(tracer, {})["feasibility.gegenbauer_steps"]
+        assert steps == 4 * 20 + 2
 
 
 class TestStructuralStar:

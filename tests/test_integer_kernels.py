@@ -43,7 +43,6 @@ from sitawim.exactpoly.linear import LinearReduction
 from sitawim.exactpoly.groebner import _PairQueue, _check_caps, _interreduce, _reducer
 from sitawim.solver import GridAxis, SearchConfig, SimplexSpec, WindowSpec, _prepare, run_search
 from sitawim.varietygen import (
-    INVOLUTION_TYPES,
     RationalCharTable,
     build_template,
     emit_structure_polys,
@@ -620,7 +619,7 @@ TEMPLATE_SYSTEMS = {
 @pytest.mark.parametrize("label", sorted(TEMPLATE_SYSTEMS))
 def test_packed_linear_reduce_matches_the_tuple_one_on_template_systems(label):
     cfg = TEMPLATE_SYSTEMS[label]
-    template = build_template(INVOLUTION_TYPES[cfg.itype].rank, cfg.itype, cfg.assumption)
+    template = build_template(cfg.itype, cfg.assumption)
     gens = emit_structure_polys(template)
     if cfg.assumption != "none":
         gens = gens + trace_constraints(template)
@@ -843,7 +842,7 @@ def test_subs_and_evaluate_take_integral_fractions_and_return_ints(p, values):
 @pytest.mark.parametrize("label", ["4S-pseudocyclic", "5S-n35-table"])
 def test_linear_reduce_takes_integral_fractions_and_returns_ints(label):
     cfg = TEMPLATE_SYSTEMS[label]
-    template = build_template(INVOLUTION_TYPES[cfg.itype].rank, cfg.itype, cfg.assumption)
+    template = build_template(cfg.itype, cfg.assumption)
     gens = emit_structure_polys(template) + trace_constraints(template)
     assert _all_int(gens)
     kwargs = dict(degree_symbols=template.degree_symbols, keep=tuple(cfg.enumerated_names()))

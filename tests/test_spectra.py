@@ -37,8 +37,8 @@ def complete_graph(n: int) -> Instance:
     return Instance([[[1, 0], [0, 1]], [[0, k], [1, k - 1]]])
 
 
-def full(inst: Instance, **kw) -> SpectralData:
-    return krein(eigenmatrix_Q(eigenmatrix_P(inst, **kw), inst), inst)
+def full(inst: Instance) -> SpectralData:
+    return krein(eigenmatrix_Q(eigenmatrix_P(inst), inst), inst)
 
 
 def err(computed, reference) -> float:
@@ -419,17 +419,26 @@ class TestFailureModes:
         with pytest.raises(SpectralError):
             eigenmatrix_Q(bad, N35)
 
-    def test_tight_eps_rejects_honest_rows(self):
-        with pytest.raises(SpectralError):
-            eigenmatrix_P(N35, eps=mp.ldexp(1, -600))
+    def test_residual_check_is_as_tight_as_eps(self, monkeypatch):
+        # eps = 2^-100 * 35 is about 2^-94.9: roots moved by 2^-110 still
+        # give rows within it, roots moved by 2^-90 do not
+        for bits, refused in ((110, False), (90, True)):
+            shift = Fraction(1, 2**bits)
+            monkeypatch.setattr(
+                spectra, "_real_roots", lambda f, precision: [q + shift for q in _real_roots(f, precision)]
+            )
+            if refused:
+                with pytest.raises(SpectralError, match="residual"):
+                    eigenmatrix_P(N35)
+            else:
+                assert eigenmatrix_P(N35).rank == 5
+
+    def test_krein_requires_Q(self):
+        with pytest.raises(SitawimError, match="eigenmatrix_Q"):
+            krein(eigenmatrix_P(N35), N35)
 
 
 class TestPrecisionPlumbing:
-    def test_lower_precision_still_tracks_display(self):
-        sd = full(N35, precision=160)
-        assert sd.precision == 160
-        assert err(sd.P, P_35) < 1e-4
-
     def test_eps_recorded(self):
         sd = eigenmatrix_P(N249)
         assert sd.eps == mp.ldexp(1, -100) * 249
