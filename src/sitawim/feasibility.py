@@ -13,6 +13,14 @@ tolerance or a bound.  The Krein-side conditions read the spectral record
 at its recorded precision and ``eps``, classify Krein zeros at
 :data:`KREIN_ZERO_EPS` (with the :data:`NEAR_ZERO_BAND` warning), and run
 the Gegenbauer recurrence up to 2 * max multiplicity.
+
+The Gegenbauer criterion carries column 0 of G_l(X), X = L*_i / m_i, only,
+by G_l(X) = sum_k G_l(X)[k][0] * L*_k (Bannai & Ito, *Algebraic
+Combinatorics I*, 1984).  Proof: L*_k is the matrix of Y -> n E_k o Y (o
+the Hadamard product), so G_l(X) is Y -> F o Y, F = sum_j G_l(Q_ji/m_i) A_j,
+and column 0 holds the E-coordinates c_k of F o E_0 = F / n.  The battery
+stops at a Krein-nonnegativity failure, so every L*_k >= 0 there, and
+column 0 decides the verdict and the failing level.
 """
 
 from __future__ import annotations
@@ -387,11 +395,6 @@ def _need_krein(sd: SpectralData):
         raise SitawimError("condition requires the Krein tensor; run krein() first")
 
 
-def _kappa(sd: SpectralData, i: int, j: int, k: int):
-    # (L*_i)[k][j] = kappa_{i,j,k}
-    return sd.krein[i][k][j]
-
-
 def absolute_bound(sd: SpectralData) -> ConditionResult:
     """For every i <= j, the multiplicities of the Krein support of
     (i, j) must fit under m_i*m_j (distinct) or m_i(m_i+1)/2 (equal).
@@ -412,7 +415,7 @@ def absolute_bound(sd: SpectralData) -> ConditionResult:
             for j in range(i, r):
                 support = []
                 for k in range(r):
-                    mag = abs(_kappa(sd, i, j, k))
+                    mag = abs(sd.krein[i][k][j])  # (L*_i)[k][j] = kappa_ijk
                     if mag > eps:
                         support.append(k)
                     if eps < mag <= NEAR_ZERO_BAND * eps:
@@ -461,16 +464,6 @@ def krein_nonneg(sd: SpectralData) -> ConditionResult:
     return ConditionResult("krein-nonnegativity", "pass")
 
 
-def _has_dual_rank2_subset(sd: SpectralData, i: int, zero_eps) -> bool:
-    """True when {0, i} is closed in the dual: kappa_{i,i,k} vanishes for
-    every k outside {0, i}, making L*_i block-triangular with a complete
-    rank-2 dual block of order m_i + 1."""
-    r = sd.rank
-    return all(
-        abs(_kappa(sd, i, i, k)) <= zero_eps for k in range(r) if k not in (0, i)
-    )
-
-
 def _to_fixed(value, bits: int) -> int:
     """round(value * 2**bits) as an int, exact from the mpf mantissa and
     exponent (ties away from zero)."""
@@ -483,25 +476,22 @@ def _to_fixed(value, bits: int) -> int:
     return -n if sign else n
 
 
-def _gegenbauer_levels(x: list, mfix: int, bits: int, cols: Sequence[int]):
-    """The columns ``cols`` of G_1, G_2, ... in fixed point with ``bits``
-    fractional bits, for x and m given on that grid (see :func:`gegenbauer`),
-    each level a list of integer columns."""
+def _gegenbauer_levels(x: list, mfix: int, bits: int):
+    """Column 0 of G_1, G_2, ... in fixed point with ``bits`` fractional
+    bits, for x and m given on that grid (see :func:`gegenbauer`), each
+    level a list of ints."""
     r = len(x)
     half = 1 << (bits - 1)
-    prev2 = [[int(a == b) << bits for a in range(r)] for b in cols]
-    prev1 = [[(mfix * x[a][b] + half) >> bits for a in range(r)] for b in cols]
+    prev2 = [int(a == 0) << bits for a in range(r)]
+    prev1 = [(mfix * xa[0] + half) >> bits for xa in x]
     yield prev1
     for l in itertools.count(2):
         a1, a2 = 2 * l - 4, l - 4
         lhalf = l << (bits - 1)
         G = []
-        for g1, g2 in zip(prev1, prev2):
-            col = []
-            for xa, v in zip(x, g2):
-                xg = (sum(map(mul, xa, g1)) + half) >> bits
-                col.append((a1 * xg - a2 * v + ((mfix * (xg - v) + lhalf) >> bits)) // l)
-            G.append(col)
+        for xa, v in zip(x, prev2):
+            xg = (sum(map(mul, xa, prev1)) + half) >> bits
+            G.append((a1 * xg - a2 * v + ((mfix * (xg - v) + lhalf) >> bits)) // l)
         yield G
         prev2, prev1 = prev1, G
 
@@ -509,13 +499,18 @@ def _gegenbauer_levels(x: list, mfix: int, bits: int, cols: Sequence[int]):
 def gegenbauer(sd: SpectralData, i: int) -> ConditionResult:
     """Matrix Gegenbauer criterion for one dual index.
 
-    Evaluates G_l((1/m_i) L*_i) through the three-term recurrence
+    Evaluates G_l(X), X = (1/m_i) L*_i, through the three-term recurrence
     G_0 = 1, G_1(x) = m*x, l*G_l(x) = (2l+m-4)*x*G_{l-1}(x) -
     (l+m-4)*G_{l-2}(x) and requires every entry to be >= -eps, with
     eps = ``sd.eps``, for l = 1..bound, where the bound is 2*max
-    multiplicity.  When {0, i} is closed in the dual (every kappa_{i,i,k}
-    outside it is zero at :data:`KREIN_ZERO_EPS`), only the first column
-    is checked: the rank-2 dual-subset shortcut, detected here.
+    multiplicity.  Only column 0 is computed, by the identity
+    G_l(X) = sum_k G_l(X)[k][0] * L*_k (Bannai & Ito, 1984).  Proof: in the
+    basis E_0..E_{r-1}, L*_k is the matrix of Y -> n E_k o Y, so G_l(X) is
+    Y -> F o Y with F = sum_j G_l(Q_ji / m_i) A_j; column 0 holds the
+    coordinates c_k of F o E_0 = F / n, so F o Y = sum_k c_k n E_k o Y.
+    With every L*_k >= 0, which :func:`krein_nonneg` checks before this in
+    the battery, column 0 is >= 0 exactly when the whole matrix is, so it
+    decides the verdict and the failing level.
 
     The recurrence runs in fixed point on plain ints: every value is an
     integer multiple of 2^-F with F = ``sd.precision + 32``.  x = L*_i / m
@@ -528,9 +523,8 @@ def gegenbauer(sd: SpectralData, i: int) -> ConditionResult:
     floor((c_{2l-4}*xg - c_{l-4}*g + l*2^(F-1)) / (l*2^F)) is computed as
     ((2l-4)*xg - (l-4)*g + ((M*(xg - g) + l*2^(F-1)) >> F)) // l, by the
     identity floor(floor(y/2^F)/l) = floor(y/(l*2^F)) for l >= 1: one
-    big product and a division by the small int l.  Column b of G_l
-    depends only on column b of G_{l-1} and G_{l-2}, so under the shortcut
-    only column 0 is carried.
+    big product and a division by the small int l.  Column 0 of G_l
+    needs only column 0 of G_{l-1} and G_{l-2}.
 
     The criterion comes from an embedding into a real unit sphere, which
     exists only when the character row is real; a nonreal row reports
@@ -549,18 +543,16 @@ def gegenbauer(sd: SpectralData, i: int) -> ConditionResult:
                 "vacuous",
                 detail={"i": i, "reason": "nonreal character row"},
             )
-        first_column_only = _has_dual_rank2_subset(sd, i, mp.mpf(KREIN_ZERO_EPS))
         m = sd.Q[0][i]
         if m < 1:
             raise SitawimError("gegenbauer requires multiplicity >= 1")
         bound = int(2 * max(sd.Q[0][k] for k in range(1, r)))
-        detail = {"i": i, "bound": bound, "first_column_only": first_column_only}
+        detail = {"i": i, "bound": bound}
         x = [[_to_fixed(sd.krein[i][a][b] / m, bits) for b in range(r)] for a in range(r)]
         floor = -_to_fixed(sd.eps, bits)
-        cols = (0,) if first_column_only else tuple(range(r))
-        levels = _gegenbauer_levels(x, _to_fixed(m, bits), bits, cols)
+        levels = _gegenbauer_levels(x, _to_fixed(m, bits), bits)
         for l, G in zip(range(1, bound + 1), levels):
-            low = min(min(col) for col in G)
+            low = min(G)
             if low < floor:
                 return ConditionResult(
                     "gegenbauer",

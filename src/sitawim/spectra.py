@@ -243,9 +243,10 @@ def krein(sd: SpectralData, inst: Instance) -> SpectralData:
     """Dual intersection matrices: (L*_i)[k][j] = kappa_ijk with
     kappa_ijk = (m_i m_j / n) sum_l P[i][l] P[j][l] conj(P[k][l]) / k_l**2.
 
-    Verifies L*_0 = identity, the i<->j symmetry, row sums equal to the
-    multiplicities, and vanishing imaginary parts, all within tolerance.
-    ``sd`` must carry the Q that :func:`eigenmatrix_Q` set.
+    Each unordered pair {i, j} is computed once, as kappa_ijk = kappa_jik.
+    Verifies L*_0 = identity, row sums equal to the multiplicities, and
+    vanishing imaginary parts, all within tolerance.  ``sd`` must carry the
+    Q that :func:`eigenmatrix_Q` set.
     """
     r = sd.rank
     n = inst.order
@@ -258,7 +259,7 @@ def krein(sd: SpectralData, inst: Instance) -> SpectralData:
         conj = [[mp.conj(v) for v in row] for row in sd.P]
         kappa = [[[None] * r for _ in range(r)] for _ in range(r)]
         for i in range(r):
-            for j in range(r):
+            for j in range(i, r):
                 pij = [sd.P[i][l] * sd.P[j][l] for l in range(r)]
                 scale = m[i] * m[j] / n
                 for k in range(r):
@@ -269,12 +270,7 @@ def krein(sd: SpectralData, inst: Instance) -> SpectralData:
                             f"kappa[{i}][{j}][{k}] has imaginary part "
                             f"{mp.nstr(mp.im(value), 5)}"
                         )
-                    kappa[i][j][k] = mp.re(value)
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    if abs(kappa[i][j][k] - kappa[j][i][k]) > sd.eps:
-                        raise SpectralError("kappa is not symmetric in its row pair")
+                    kappa[i][j][k] = kappa[j][i][k] = mp.re(value)
         for j in range(r):
             for k in range(r):
                 target = 1 if j == k else 0

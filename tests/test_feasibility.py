@@ -30,7 +30,6 @@ from sitawim.feasibility import (
 from sitawim.feasibility import (
     _closed_subsets,
     _gegenbauer_levels,
-    _has_dual_rank2_subset,
     _structural_star,
     _to_fixed,
 )
@@ -38,7 +37,7 @@ from sitawim.spectra import SpectralData, eigenmatrix_P, eigenmatrix_Q, krein
 from sitawim.intpoly import IntPoly
 from sitawim.structcheck import Instance, verify_sita
 
-from _fixtures import A1_16_MATRICES, N35_MATRICES, N249_MATRICES
+from _fixtures import A1_16_MATRICES, N35_MATRICES, N249_MATRICES, S49_MATRICES
 
 
 def complete_graph(n):
@@ -114,6 +113,11 @@ def n249():
 @pytest.fixture(scope="module")
 def a1_16():
     return Instance(A1_16_MATRICES)
+
+
+@pytest.fixture(scope="module")
+def s49():
+    return Instance(S49_MATRICES, "4S")
 
 
 @pytest.fixture(scope="module")
@@ -423,27 +427,39 @@ class TestKreinNonneg:
 
 
 class TestGegenbauer:
-    def test_order35_shortcut_autodetected(self, sd35):
+    def test_order35_dual_rank2_subset_needs_no_detection(self, sd35):
+        # {0, 1} is closed in the dual (kappa_{1,1,k} = 0 for k = 2, 3, 4),
+        # the rank-2 dual-subset case; column 0 decides it like any other
+        # index, with nothing detected
+        eps = mp.mpf(KREIN_ZERO_EPS)
+        assert all(abs(sd35.krein[1][k][1]) <= eps for k in (2, 3, 4))
         res = gegenbauer(sd35, 1)
         assert res.verdict == "pass"
-        assert res.detail == {"i": 1, "bound": 20, "first_column_only": True}
+        assert res.detail == {"i": 1, "bound": 20}
 
     def test_order35_full_matrix_for_other_indices(self, sd35):
+        # at i = 2, 3, 4 {0, i} is not closed in the dual, so the rank-2
+        # dual-subset argument does not apply; column 0 still decides as
+        # the full matrix does
+        eps = mp.mpf(KREIN_ZERO_EPS)
         for i in (2, 3, 4):
+            assert any(abs(sd35.krein[i][k][i]) > eps for k in range(1, 5) if k != i)
             res = gegenbauer(sd35, i)
             assert res.verdict == "pass"
-            assert res.detail["first_column_only"] is False
+            assert res.detail == {"i": i, "bound": 20}
+            assert reference_gegenbauer(sd35, i, False).verdict == "pass"
 
     def test_order35_shortcut_not_load_bearing(self, sd35):
-        # at i = 1 only column 0 is carried; the full columns of the same
-        # 20 levels hold that column unchanged and pass as well
-        x, mfix, bits, cols = fixed_point_inputs(sd35, 1, False)
-        floor = -_to_fixed(sd35.eps, bits)
-        short = _gegenbauer_levels(x, mfix, bits, (0,))
-        whole = _gegenbauer_levels(x, mfix, bits, cols)
-        for G0, G in itertools.islice(zip(short, whole), 20):
-            assert G0 == G[:1]
-            assert min(min(col) for col in G) >= floor
+        # only column 0 is carried; the full columns of the same 20 levels
+        # hold that column unchanged and pass as well
+        for i in range(1, 5):
+            x, mfix, bits, cols = fixed_point_inputs(sd35, i, False)
+            floor = -_to_fixed(sd35.eps, bits)
+            short = _gegenbauer_levels(x, mfix, bits)
+            whole = reference_fixed_gegenbauer(x, mfix, bits, cols, 20)
+            for G0, G in zip(short, whole):
+                assert G0 == G[0]
+                assert min(min(col) for col in G) >= floor
 
     def test_order249_passes(self, sd249):
         for i in range(1, 5):
@@ -464,7 +480,7 @@ class TestGegenbauer:
             for i in range(1, sd.rank):
                 # G_1 = m x = L*_i, every column
                 x, mfix, bits, cols = fixed_point_inputs(sd, i, False)
-                G1 = next(_gegenbauer_levels(x, mfix, bits, cols))
+                (G1,) = reference_fixed_gegenbauer(x, mfix, bits, cols, 1)
                 assert min(min(col) for col in G1) >= -_to_fixed(sd.eps, bits)
 
     def test_level_one_fails_with_krein_nonnegativity(self):
@@ -494,10 +510,35 @@ class TestGegenbauer:
 # reference Gegenbauer recurrence: r x r matrix steps on mpf values ---------
 
 
+def reference_levels(sd, i):
+    """G_1, G_2, ... of x = L*_i / m_i as full mpf matrices, at the
+    working precision of the caller."""
+    r = sd.rank
+    m = sd.Q[0][i]
+    x = [[sd.krein[i][a][b] / m for b in range(r)] for a in range(r)]
+    prev2 = [[mp.mpf(1 if a == b else 0) for b in range(r)] for a in range(r)]
+    prev1 = [[m * x[a][b] for b in range(r)] for a in range(r)]
+    yield prev1
+    for l in itertools.count(2):
+        xg = [
+            [sum(x[a][t] * prev1[t][b] for t in range(r)) for b in range(r)]
+            for a in range(r)
+        ]
+        G = [
+            [
+                ((2 * l + m - 4) * xg[a][b] - (l + m - 4) * prev2[a][b]) / l
+                for b in range(r)
+            ]
+            for a in range(r)
+        ]
+        yield G
+        prev2, prev1 = prev1, G
+
+
 def reference_gegenbauer(sd, i, first_column_only=None):
     """The criterion evaluated on full mpf matrices at sd.precision + 32
-    bits, on column 0 or on every column (the shortcut detected when
-    ``first_column_only`` is None)."""
+    bits, read on column 0 as ``gegenbauer`` reads it (None) or on every
+    column (False)."""
     r = sd.rank
     eps = sd.eps
     with mp.workprec(sd.precision + 32):
@@ -505,31 +546,10 @@ def reference_gegenbauer(sd, i, first_column_only=None):
             return ConditionResult(
                 "gegenbauer", "vacuous", detail={"i": i, "reason": "nonreal character row"}
             )
-        if first_column_only is None:
-            first_column_only = _has_dual_rank2_subset(sd, i, mp.mpf(KREIN_ZERO_EPS))
-        m = sd.Q[0][i]
         bound = int(2 * max(sd.Q[0][k] for k in range(1, r)))
-        detail = {"i": i, "bound": bound, "first_column_only": first_column_only}
-        x = [[sd.krein[i][a][b] / m for b in range(r)] for a in range(r)]
-        prev2 = [[mp.mpf(1 if a == b else 0) for b in range(r)] for a in range(r)]
-        prev1 = [[m * x[a][b] for b in range(r)] for a in range(r)]
-        for l in range(1, bound + 1):
-            if l == 1:
-                G = prev1
-            else:
-                xg = [
-                    [sum(x[a][t] * prev1[t][b] for t in range(r)) for b in range(r)]
-                    for a in range(r)
-                ]
-                G = [
-                    [
-                        ((2 * l + m - 4) * xg[a][b] - (l + m - 4) * prev2[a][b]) / l
-                        for b in range(r)
-                    ]
-                    for a in range(r)
-                ]
-                prev2, prev1 = prev1, G
-            cols = (0,) if first_column_only else tuple(range(r))
+        detail = {"i": i, "bound": bound}
+        cols = tuple(range(r)) if first_column_only is False else (0,)
+        for l, G in zip(range(1, bound + 1), reference_levels(sd, i)):
             low = min(G[a][b] for a in range(r) for b in cols)
             if low < -eps:
                 return ConditionResult(
@@ -551,15 +571,16 @@ GEGENBAUER_FAILS = {
 
 class TestGegenbauerReference:
     def check(self, sd, i, first_column_only):
-        """``gegenbauer`` against the reference on the columns it carries
-        (None), or on every column (False): the shortcut then decides the
-        same verdict at the same level."""
+        """``gegenbauer`` against the reference: the verdict and the failing
+        level of the full matrix always, and with None the detail and the
+        witness entry of column 0 as well."""
         got = gegenbauer(sd, i)
-        want = reference_gegenbauer(sd, i, first_column_only)
-        assert got.verdict == want.verdict
-        if want.witness is not None:
-            assert got.witness["l"] == want.witness["l"]
+        whole = reference_gegenbauer(sd, i, False)
+        assert got.verdict == whole.verdict
+        if whole.witness is not None:
+            assert got.witness["l"] == whole.witness["l"]
         if first_column_only is None:
+            want = reference_gegenbauer(sd, i)
             assert got.detail == want.detail
             if want.witness is not None:
                 entry = pytest.approx(want.witness["entry"], rel=1e-12, abs=1e-12)
@@ -584,26 +605,62 @@ class TestGegenbauerReference:
         assert res.verdict == "fail"
         assert res.witness["l"] == (1 if name == "level-one" else 2)
 
+    @pytest.mark.parametrize(
+        "inst",
+        [complete_graph(n) for n in (4, 7, 12)]
+        + [cyclic_group_table(n) for n in (3, 4, 5)]
+        + [Instance(S49_MATRICES, "4S")],
+        ids=["K4", "K7", "K12", "Z3", "Z4", "Z5", "s49"],
+    )
+    def test_column_zero_decides_like_full_matrix(self, inst):
+        sd = full(inst)
+        for i in range(1, sd.rank):
+            self.check(sd, i, None)
+
+
+class TestGegenbauerIdentity:
+    """G_l(X) = sum_k G_l(X)[k][0] * L*_k for X = L*_i / m_i: every column
+    of every level is the combination of Krein columns that column 0
+    weights."""
+
+    @pytest.mark.parametrize("name", ["sd35", "sd249", "a1_16", "s49"])
+    def test_columns_are_krein_combinations(self, request, name):
+        sd = request.getfixturevalue(name)
+        if isinstance(sd, Instance):
+            sd = full(sd)
+        r = sd.rank
+        real = [i for i in range(1, r) if all(mp.im(v) == 0 for v in sd.P[i])]
+        assert real == ([1] if name == "a1_16" else list(range(1, r)))
+        bound = int(2 * max(sd.Q[0][1:]))
+        tol = mp.mpf(2) ** -200
+        with mp.workprec(sd.precision + 32):
+            for i in real:
+                for G in itertools.islice(reference_levels(sd, i), bound):
+                    scale = max(abs(v) for row in G for v in row)
+                    for a in range(r):
+                        for b in range(r):
+                            combo = sum(G[k][0] * sd.krein[k][a][b] for k in range(r))
+                            assert abs(G[a][b] - combo) <= tol * scale
+
 
 # reference fixed-point recurrence: the step with two F-bit coefficients -----
 
 
 def fixed_point_inputs(sd, i, first_column_only):
-    """x = L*_i / m and m on the 2^-F grid, F and the carried columns, as
-    ``gegenbauer`` forms them."""
+    """x = L*_i / m and m on the 2^-F grid as ``gegenbauer`` forms them,
+    F, and the columns to carry: column 0 as ``gegenbauer`` does (None) or
+    every column (False)."""
     r = sd.rank
     bits = sd.precision + 32
     with mp.workprec(bits):
-        if first_column_only is None:
-            first_column_only = _has_dual_rank2_subset(sd, i, mp.mpf(KREIN_ZERO_EPS))
         m = sd.Q[0][i]
         x = [[_to_fixed(sd.krein[i][a][b] / m, bits) for b in range(r)] for a in range(r)]
         mfix = _to_fixed(m, bits)
-    return x, mfix, bits, (0,) if first_column_only else tuple(range(r))
+    return x, mfix, bits, tuple(range(r)) if first_column_only is False else (0,)
 
 
 def reference_fixed_gegenbauer(x, mfix, bits, cols, bound):
-    """The integer columns of G_1 .. G_bound, each step rounding
+    """The integer columns ``cols`` of G_1 .. G_bound, each step rounding
     (c1*xg - c2*g) / (l*2^F) to nearest with c1 = ((2l-4) << F) + m and
     c2 = ((l-4) << F) + m."""
     r = len(x)
@@ -629,13 +686,21 @@ def reference_fixed_gegenbauer(x, mfix, bits, cols, bound):
 
 class TestGegenbauerFixedPoint:
     def check(self, sd, first_column_only):
+        """Column 0 of every level equals the reference's integers; with
+        False the reference carries every column, and column 0 is below the
+        floor at the same levels as the whole matrix."""
         for i in range(1, sd.rank):
             if max(abs(mp.im(v)) for v in sd.P[i]) > sd.eps:
                 continue  # nonreal rows never reach the recurrence
-            inputs = fixed_point_inputs(sd, i, first_column_only)
+            x, mfix, bits, cols = fixed_point_inputs(sd, i, first_column_only)
             bound = max(int(2 * max(sd.Q[0][1:])), 12)
-            got = list(itertools.islice(_gegenbauer_levels(*inputs), bound))
-            assert got == reference_fixed_gegenbauer(*inputs, bound)
+            got = list(itertools.islice(_gegenbauer_levels(x, mfix, bits), bound))
+            want = reference_fixed_gegenbauer(x, mfix, bits, cols, bound)
+            assert got == [G[0] for G in want]
+            floor = -_to_fixed(sd.eps, bits)
+            assert [min(G0) < floor for G0 in got] == [
+                min(min(col) for col in G) < floor for G in want
+            ]
 
     @pytest.mark.parametrize("name", ["sd35", "sd249", "a1_16"])
     @pytest.mark.parametrize("first_column_only", [None, False])
@@ -650,11 +715,11 @@ class TestGegenbauerFixedPoint:
         sd = fabricated_sd(tensor, Q0)
         self.check(sd, first_column_only)
         res = gegenbauer(sd, 1)
-        inputs = fixed_point_inputs(sd, 1, None)
-        levels = reference_fixed_gegenbauer(*inputs, res.witness["l"])
-        low = min(min(col) for col in levels[-1])
-        assert res.witness["entry"] == float(mp.ldexp(low, -inputs[2]))
-        assert all(min(min(col) for col in G) >= -_to_fixed(sd.eps, inputs[2]) for G in levels[:-1])
+        x, mfix, bits, _ = fixed_point_inputs(sd, 1, None)
+        levels = reference_fixed_gegenbauer(x, mfix, bits, (0,), res.witness["l"])
+        low = min(levels[-1][0])
+        assert res.witness["entry"] == float(mp.ldexp(low, -bits))
+        assert all(min(G[0]) >= -_to_fixed(sd.eps, bits) for G in levels[:-1])
 
 
 class TestBattery:
@@ -719,6 +784,21 @@ class TestBattery:
         for partial in (sd, eigenmatrix_Q(sd, n35)):
             with pytest.raises(SitawimError, match="krein"):
                 run_battery(n35, partial)
+
+    def test_krein_failure_outside_column_zero_skips_gegenbauer(self):
+        # kappa_{1,1,0} = (L*_1)[0][1] = -0.1 lies outside column 0, which
+        # alone Gegenbauer reads: the battery must stop at Krein
+        # nonnegativity, the precondition of the column-0 argument
+        tensor = [[[1, 0], [0, 1]], [[0, -0.1], [1, 1]]]
+        sd = fabricated_sd(tensor, (1, 2))
+        rep = run_battery(cyclic_group_table(2), sd)
+        assert rep["absolute-bound"].verdict == "pass"
+        assert rep["krein-nonnegativity"].verdict == "fail"
+        assert rep["krein-nonnegativity"].witness["j"] == 1
+        assert rep["gegenbauer"].verdict == "skipped"
+        # without the precondition column 0 fails later than the matrix
+        assert reference_gegenbauer(sd, 1, False).witness["l"] == 1
+        assert gegenbauer(sd, 1).witness["l"] == 2
 
     def test_traced_battery_reaches_every_krein_layer(self, n35, monkeypatch):
         # bench/tracing.py wraps these layers by module global name and
