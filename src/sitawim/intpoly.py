@@ -18,8 +18,10 @@ matrix product (:func:`_matmul`, which :mod:`sitawim.structcheck` and
 monic input only: every polynomial a stage hands them is a characteristic
 polynomial or a monic factor of one, so rational roots are integer roots
 and a quadratic factor is monic.  One fraction-free long-division loop on
-integers (:func:`_pdivrem`) serves exact division, the squarefree test and
-the Sturm remainders; one divisor enumerator (:func:`_divisors`) serves
+integers (:func:`_pdivrem`) serves exact division, the squarefree test,
+the Sturm remainders and the product modulo a monic factor
+(:func:`_mulmod`) that checks the exact character rows of
+:mod:`sitawim.structcheck`; one divisor enumerator (:func:`_divisors`) serves
 the root finder and the quadratic-factor search.
 """
 
@@ -84,6 +86,16 @@ def _pdivrem(a: Sequence[int], b: Sequence[int]) -> tuple[list, list, int]:
         for j in range(db + 1):
             rem[i - db + j] -= c * b[j]
     return quo, _ptrim(rem[:db]), scale
+
+
+def _mulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int]) -> list:
+    """The remainder of ``a*b`` modulo a monic ``f``, on integer lists: the
+    product of Z[x]/(f)."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            prod[i + j] += u * v
+    return _pdivrem(prod, f)[1]
 
 
 def _pdivexact(a: Sequence[int], b: Sequence[int]) -> list:

@@ -9,17 +9,19 @@ which :class:`SpectralData` records.  No function takes a precision or a
 tolerance.
 
 The exact layer anchors the numerics: :func:`eigenmatrix_P` runs the one
-orbit solve of :mod:`sitawim.structcheck`, so each Galois orbit of
-characters is an irreducible factor of the characteristic polynomial of the
-squarefree generator ``M`` that the exact multiplicities use too, and the
-exact multiplicity of each character row is stored next to that row in
-:attr:`SpectralData.multiplicities`.  By the column-0
-convention ``M_l e_0 = e_l`` each character row is the left kernel vector
-of ``M - theta*I`` with entry 1 on ``b_0``, for ``theta`` a root of its
-factor: an exact Sturm root (:func:`sitawim.intpoly._real_roots`) when the
-star is the identity, an ``mp.polyroots`` root when there is an asymmetric
-pair.  One small linear solve per root gives the row, and every row is
-validated against every basis matrix by an explicit residual bound.
+orbit solve of :mod:`sitawim.structcheck`, which gives each Galois orbit of
+characters (one irreducible factor f of the characteristic polynomial of the
+squarefree generator) its exact row over Q[x]/(f), checked against every
+basis matrix modulo f, and its exact multiplicity, stored next to each row
+in :attr:`SpectralData.multiplicities`.  Numbers enter only at the roots:
+every row of an orbit is the exact row evaluated at one root theta of f,
+an exact Sturm root (:func:`sitawim.intpoly._real_roots`) when the star is
+the identity, an ``mp.polyroots`` root when there is an asymmetric pair,
+and a root is refused unless one Newton step |f(theta)/f'(theta)| is
+within eps.  Both root paths stay: Sturm isolation proves the count and
+the separation of the real roots and gives the intervals that exact
+enclosures of real entries need, and ``mp.polyroots`` finds the non-real
+roots of an asymmetric pair.
 
 Row order is canonical: the degree row first, then Galois orbits by
 (size, leading row), rows inside an orbit ascending by their value tuple,
@@ -63,11 +65,11 @@ class SpectralData:
     ``orbits`` partitions the row indices by Galois orbit (the degree row
     is the singleton ``(0,)``).  ``multiplicities`` holds the exact
     multiplicity of every row, as a ``Fraction`` and in row order, or None
-    when the power-sum system has no standard solution.  ``Q`` and
+    when some orbit's multiplicity is not a positive rational.  ``Q`` and
     ``krein`` start as ``None`` and are filled by :func:`eigenmatrix_Q` /
     :func:`krein`.
     ``precision`` is the number of bits (:data:`PRECISION`) and ``eps`` the
-    zero tolerance every residual was checked against.
+    zero tolerance every root and residual was checked against.
     """
 
     precision: int
@@ -104,45 +106,6 @@ def _factor_roots(f: IntPoly, eps) -> list:
     return roots
 
 
-def _character_row(M, theta, mats, eps) -> tuple:
-    """The character row w with w (M - theta I) = 0 and w_0 = 1.
-
-    Column c of the system reads sum_{i>=1} w_i (M - theta I)[i][c] =
-    -(M - theta I)[0][c]: r equations in r - 1 unknowns of full column
-    rank (a dependency among rows 1.. of M - theta I would be a kernel
-    vector with w_0 = 0), solved by elimination with partial pivoting.
-    The row is kept only if ||w b_i - w_i w|| <= eps ||w|| for every i.
-    """
-    r = len(M)
-    eqs = [
-        [M[i][c] - theta if i == c else M[i][c] for i in range(1, r)]
-        + [theta - M[0][c] if c == 0 else -M[0][c]]
-        for c in range(r)
-    ]
-    for col in range(r - 1):
-        pivot = max(range(col, r), key=lambda e: abs(eqs[e][col]))
-        eqs[col], eqs[pivot] = eqs[pivot], eqs[col]
-        head = eqs[col]
-        for e in range(col + 1, r):
-            f = eqs[e][col] / head[col]
-            eqs[e] = [a - f * b for a, b in zip(eqs[e], head)]
-    w = [mp.mpf(0)] * (r - 1)
-    for col in reversed(range(r - 1)):
-        acc = eqs[col][r - 1] - sum(eqs[col][k] * w[k] for k in range(col + 1, r - 1))
-        w[col] = acc / eqs[col][col]
-    w = [mp.mpf(1)] + w
-    scale = max(abs(v) for v in w)
-    for i, b in enumerate(mats):
-        for c in range(r):
-            image = sum(w[a] * b[a][c] for a in range(r) if b[a][c])
-            residual = abs(image - w[i] * w[c])
-            if residual > eps * scale:
-                raise SpectralError(
-                    f"character row residual {mp.nstr(residual, 5)} exceeds tolerance"
-                )
-    return tuple(w)
-
-
 def _row_key(row, bits: int) -> list:
     """The value tuple of a row past its b_0 entry, rounded to 2^-bits."""
     return [
@@ -159,13 +122,13 @@ def eigenmatrix_P(inst: Instance) -> SpectralData:
     """The first eigenmatrix: one row per irreducible character.
 
     Row 0 is the exact degree row.  Remaining rows are grouped into Galois
-    orbits, one per nontrivial irreducible factor of the squarefree
-    generator's characteristic polynomial.  Each row is the solution of
-    one kernel system per root of its factor (exact Sturm roots when every
-    element is self-paired, ``mp.polyroots`` otherwise) and is validated
-    entrywise against every basis matrix by a residual bound.  The exact
-    multiplicity of every orbit comes from the same orbit solve and is
-    stored once per row.
+    orbits, one per nontrivial irreducible factor f of the squarefree
+    generator's characteristic polynomial.  The orbit solve gives each
+    orbit one exact row over Q[x]/(f) and its exact multiplicity, which is
+    stored once per row; each row of the orbit is that exact row evaluated
+    at one root of f (exact Sturm roots when every element is self-paired,
+    ``mp.polyroots`` otherwise), and a root is refused unless one Newton
+    step moves it by at most eps.
     """
     r = inst.rank
     mats = inst.matrices
@@ -174,16 +137,15 @@ def eigenmatrix_P(inst: Instance) -> SpectralData:
         solved = _orbit_solve(inst)
         if solved is None:
             raise SitawimError("generator has no rational degree eigenvalue")
-        combo, factors, perron, mu = solved
+        _, factors, perron, D, exact_rows, mu = solved
         if mu is None:
             mu = [None] * len(factors)
         # structural symmetry: b_j*b_j meets the identity iff b_j* = b_j,
         # so the declared involution type cannot misroute the dispatch
         symmetric = all(mats[j][0][j] for j in range(r))
-        M = [[mp.mpf(v) for v in row] for row in combo]
         bits = PRECISION // 2
         blocks: list[tuple[list, IntPoly, Optional[Fraction]]] = []
-        for f, m in zip(factors, mu):
+        for f, W, m in zip(factors, exact_rows, mu):
             if symmetric:
                 roots = [_mpf_of(q) for q in _real_roots(f, PRECISION)]
             else:
@@ -192,7 +154,14 @@ def eigenmatrix_P(inst: Instance) -> SpectralData:
                 raise SpectralError(
                     f"found {len(roots)} roots for a degree-{f.degree} factor"
                 )
-            rows = [_character_row(M, theta, mats, eps) for theta in roots]
+            for theta in roots:
+                value, slope = mp.polyval(f.coeffs[::-1], theta, derivative=True)
+                step = abs(value / slope)
+                if step > eps:
+                    raise SpectralError(
+                        f"root residual {mp.nstr(step, 5)} of {f.coeffs} exceeds tolerance"
+                    )
+            rows = [tuple(mp.polyval(w[::-1], theta) / D for w in W) for theta in roots]
             rows.sort(key=lambda row: _row_key(row, bits))
             blocks.append((rows, f, m))
         blocks.sort(key=lambda block: (len(block[0]), _row_key(block[0][0], bits)))

@@ -9,12 +9,14 @@ univariate work underneath (characteristic polynomials, factorization over
 the integers, Galois classes of the factors) lives in
 :mod:`sitawim.intpoly`; its names are imported from there, not from here.
 So is the one integer matrix product, :func:`sitawim.intpoly._matmul`,
-which the commutation check and the power sums use here.
+which the commutation check uses here.
 
-One orbit solve (:func:`_orbit_solve`) finds a squarefree generator, the
-factors of its characteristic polynomial and one exact multiplicity per
-factor; :func:`multiplicities` lists them by character, and
-:func:`sitawim.spectra.eigenmatrix_P` stores them by character row.
+One orbit solve (:func:`_orbit_solve`) finds a squarefree generator ``g``,
+writes each ``b_i`` as a polynomial in ``g`` and reduces it modulo each
+irreducible factor f of the characteristic polynomial: the exact character
+row of f's Galois orbit over Q[x]/(f), which gives the orbit's exact
+multiplicity.  :func:`multiplicities` lists those by character, and
+:func:`sitawim.spectra.eigenmatrix_P` evaluates the rows at the roots.
 
 Everything here is integer or rational arithmetic end to end: the whole
 point of the multiplicity and cyclotomy verdicts is that no rounding step
@@ -30,10 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from .errors import SitawimError
-from .intpoly import IntPoly, _matmul, _poly_gcd_degree, charpoly, factor_int_poly, galois_class
+from .intpoly import IntPoly, _matmul, _mulmod, _pdivrem, _poly_gcd_degree, _ptrim, charpoly
+from .intpoly import factor_int_poly, galois_class
 from .varietygen import INVOLUTION_TYPES, InvolutionType
 
 __all__ = [
@@ -247,63 +252,55 @@ class MultiplicityResult:
     integral: bool
 
 
-NOT_STANDARD = "power-sum system is inconsistent: not a standard table"
+NOT_STANDARD = "some orbit's multiplicity is not a positive rational: not a standard table"
 
 
-def _power_sums(f: IntPoly, smax: int) -> list[int]:
-    """Newton power sums p_0..p_smax of the roots of a monic factor:
-    p_s = -s*a_s - sum_{i<s} a_i p_{s-i} with a_i the descending
-    coefficients (a_i = 0 past the degree)."""
-    d = f.degree
-    a = list(reversed(f.coeffs))  # descending, a[0] = 1
-    ps = [d]
-    for s in range(1, smax + 1):
-        acc = -s * a[s] if s <= d else 0
-        for i in range(1, min(s - 1, d) + 1):
-            acc -= a[i] * ps[s - i]
-        ps.append(acc)
-    return ps
-
-
-def _solve_exact(rows: list[list[int]], rhs: list[int]) -> Optional[list[Fraction]]:
-    """Solve an overdetermined full-column-rank rational system exactly,
-    checking every equation; None when the system is inconsistent."""
-    m, n = len(rows), len(rows[0]) if rows else 0
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+def _inverse(A: list[list[int]]) -> list[list[Fraction]]:
+    """The exact inverse of the square integer Krylov matrix, by
+    Gauss-Jordan elimination over Q; SitawimError when it is singular."""
+    n = len(A)
+    aug = [
+        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(A)
+    ]
     for col in range(n):
-        pr = next((i for i in range(col, m) if aug[i][col] != 0), None)
+        pr = next((i for i in range(col, n) if aug[i][col]), None)
         if pr is None:
-            raise SitawimError("power-sum system is rank deficient")
+            raise SitawimError("the Krylov matrix of e_0 is singular: e_0 is not cyclic")
         aug[col], aug[pr] = aug[pr], aug[col]
-        prow = aug[col]
-        for i in range(m):
-            if i == col or aug[i][col] == 0:
-                continue
-            f = aug[i][col] / prow[col]
-            for j in range(col, n + 1):
-                aug[i][j] -= f * prow[j]
-    if any(aug[i][n] != 0 for i in range(n, m)):
-        return None
-    return [aug[i][n] / aug[i][i] for i in range(n)]
+        prow = aug[col] = [v / aug[col][col] for v in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], prow)]
+    return [row[n:] for row in aug]
 
 
-def _orbit_solve(
-    inst: Instance,
-) -> Optional[tuple[list[list[int]], list[IntPoly], int, Optional[list[Fraction]]]]:
+def _orbit_solve(inst: Instance) -> Optional[tuple]:
     """The orbit solve behind :func:`multiplicities` and
-    :func:`sitawim.spectra.eigenmatrix_P`: ``(M, factors, perron, mu)``.
+    :func:`sitawim.spectra.eigenmatrix_P`: ``(M, factors, perron, D, rows,
+    mu)``, or None when the trivial factor ``x - perron`` is missing.
 
     ``M = sum_j t^(j-1) b_j`` for the first t = 1, 2, ... whose
     characteristic polynomial is squarefree; ``factors`` its nontrivial
     irreducible factors, one per Galois orbit of characters; ``perron =
-    sum_j t^(j-1) k_j`` the degree eigenvalue; ``mu`` the exact multiplicity
-    of each factor's orbit, or None when the power-sum system of
-    :func:`multiplicities` has no standard solution (inconsistent, some
-    value <= 0, or a trivial value other than 1).  None when the trivial
-    factor ``x - perron`` is missing.
+    sum_j t^(j-1) k_j`` the degree eigenvalue.  Every character row has
+    ``w_0 = 1``, so ``e_0`` is cyclic for ``M`` (SitawimError otherwise), and
+    the inverse of its Krylov matrix ``[e_0, M e_0, ..., M^(r-1) e_0]``
+    writes ``b_i = p_i(M)``, with ``D`` the least integer that makes every
+    ``D p_i`` integral.  ``rows[o][i] = W_i = D p_i mod f`` for ``f =
+    factors[o]``, so a root theta of f has the character row ``W(theta) /
+    D``; each row is checked as ``D (W b_i) = W_i W`` modulo f.
+
+    ``mu`` holds each orbit's multiplicity m = n / sum_i chi(b_i)
+    chi(b_i*) / k_i (Bannai & Ito, *Algebraic Combinatorics I*, 1984), that
+    is ``n D^2 L / N`` with ``L = lcm(k)`` and ``N = sum_i (L / k_i) W_i
+    W_i* mod f``, rational exactly when N is a constant; None unless every
+    value is a positive rational and the trivial one is 1.
     """
     r = inst.rank
     mats = inst.matrices
+    deg = inst.degrees
     for t in range(1, 5 * r * r):
         M = [
             [sum(t ** (j - 1) * mats[j][a][b] for j in range(1, r)) for b in range(r)]
@@ -314,51 +311,65 @@ def _orbit_solve(
             break
     else:
         raise SitawimError("no squarefree generator found")
-    perron = sum(t ** (j - 1) * inst.degrees[j] for j in range(1, r))
+    krylov = [[1] + [0] * (r - 1)]
+    for _ in range(1, r):
+        krylov.append([sum(map(mul, row, krylov[-1])) for row in M])
+    inv = _inverse([list(col) for col in zip(*krylov)])
+    D = lcm(*(v.denominator for row in inv for v in row))
+    polys = [[(D * inv[s][i]).numerator for s in range(r)] for i in range(r)]
+    perron = sum(t ** (j - 1) * deg[j] for j in range(1, r))
     factors = factor_int_poly(cp)
     trivial = IntPoly((-perron, 1))
     if trivial not in factors:
         return None
-    # sum over orbits of mu * p_s(orbit) = n * (M^s)[0][0], s = 0..r-1
-    sums = [_power_sums(f, r - 1) for f in factors]
-    rows, rhs = [], []
-    power = [[1 if i == k else 0 for k in range(r)] for i in range(r)]
-    for s in range(r):
-        rows.append([ps[s] for ps in sums])
-        rhs.append(inst.order * power[0][0])
-        power = _matmul(power, M)
-    mu = _solve_exact(rows, rhs)
+    if min(deg) <= 0:
+        raise SitawimError(f"degrees {deg} are not all positive")
+    # i* from row 0 of b_i, which carries k_i in column i*, so that the
+    # declared involution type cannot misroute the pairing
+    star = [m[0].index(max(m[0])) for m in mats]
+    L = lcm(*deg)
+    rows, mu = [], []
+    for f in factors:
+        W = [_pdivrem(p, f.coeffs)[1] for p in polys]
+        for i, b in enumerate(mats):
+            for c in range(r):
+                image = [0] * f.degree
+                for w, row in zip(W, b):
+                    for s, v in enumerate(w):
+                        image[s] += D * v * row[c]
+                if _ptrim(image) != _mulmod(W[i], W[c], f.coeffs):
+                    raise SitawimError(f"exact row of {f.coeffs} fails w b_{i} = w_{i} w")
+        N = [0] * f.degree
+        for i in range(r):
+            for s, v in enumerate(_mulmod(W[i], W[star[i]], f.coeffs)):
+                N[s] += L // deg[i] * v
+        N = _ptrim(N)
+        rows.append(W)
+        mu.append(Fraction(inst.order * D * D * L, N[0]) if len(N) == 1 and N[0] > 0 else None)
     at = factors.index(trivial)
-    del factors[at]
-    if mu is None or min(mu) <= 0 or mu[at] != 1:
-        return M, factors, perron, None
-    del mu[at]
-    return M, factors, perron, mu
+    del factors[at], rows[at]
+    if None in mu or mu.pop(at) != 1:
+        mu = None
+    return M, factors, perron, D, rows, mu
 
 
 def multiplicities(inst: Instance) -> MultiplicityResult:
-    """Exact standard-module multiplicities via power sums.
+    """Exact standard-module multiplicities, one per character.
 
-    The standard trace of any element is ``n`` times its ``b_0``
-    coefficient, which for a power ``M^s`` of an integer combination of the
-    regular matrices is the integer ``(M^s)[0][0]``.  Writing that trace as
-    a multiplicity-weighted sum of character values and grouping characters
-    into Galois orbits (one orbit per irreducible factor of the generator's
-    characteristic polynomial) gives a small linear system
-
-        sum_t mu_t * p_s(g_t) = n * (M^s)[0][0],   s = 0..r-1,
-
-    whose coefficients are Newton power sums -- all exact integers.  The
-    s = 0 equation is precisely ``sum_i m_i = n``.  A generator whose
-    characteristic polynomial is squarefree separates the orbits; sweeping
-    ``M = sum_j t^(j-1) b_j`` over t = 1, 2, ... finds one.
+    The orbit solve (:func:`_orbit_solve`) gives every Galois orbit of
+    characters its exact row over Q[x]/(f), one irreducible factor f of the
+    squarefree generator's characteristic polynomial per orbit, and from
+    that row the orbit's multiplicity m = n / sum_i chi(b_i) chi(b_i*) /
+    k_i, an exact rational or no rational at all.  SitawimError
+    (:data:`NOT_STANDARD`) unless every value is a positive rational and
+    the trivial one is 1.
     """
     if inst.rank == 1:
         return MultiplicityResult((1,), True)
     solved = _orbit_solve(inst)
-    if solved is None or solved[3] is None:
+    if solved is None or solved[5] is None:
         raise SitawimError(NOT_STANDARD)
-    _, factors, _, mu = solved
+    _, factors, _, _, _, mu = solved
     # one value per character; the trivial character's 1 is listed first
     values = (Fraction(1),) + tuple(
         sorted(v for f, v in zip(factors, mu) for _ in range(f.degree))

@@ -1,6 +1,6 @@
 """Tests of the shared helpers of ``sitawim.intpoly`` against brute force:
-the divisor enumerator, the fraction-free division loop against long
-division over Q, and the gcd degree."""
+the divisor enumerator, the fraction-free division loop and the product
+modulo a monic factor against long division over Q, and the gcd degree."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from sitawim.errors import SitawimError
 from sitawim.intpoly import (
     _divisors,
+    _mulmod,
     _pdivexact,
     _pdivides,
     _pdivrem,
@@ -95,6 +96,12 @@ def test_fraction_free_division_is_scaled_long_division(a, b, lead):
 def test_exact_division_recovers_a_planted_cofactor(h, b, lead):
     b = b + [lead]
     assert _pdivexact(_times(h, b), b) == _ptrim(list(h))
+
+
+@given(_coeff_lists, _coeff_lists, st.lists(st.integers(-20, 20), max_size=5))
+def test_product_modulo_a_monic_factor_is_the_long_division_remainder(a, b, f):
+    f = f + [1]
+    assert _mulmod(a, b, f) == fraction_divmod(_times(a, b), f)[1]
 
 
 def test_exact_division_rejects_a_remainder_or_a_fraction():

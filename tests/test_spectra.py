@@ -15,7 +15,7 @@ from sitawim import spectra, structcheck
 from sitawim.solver import GridAxis, SearchConfig, SimplexSpec, run_search
 from sitawim.spectra import SpectralData, eigenmatrix_P, eigenmatrix_Q, krein
 from sitawim.intpoly import IntPoly, _poly_gcd_degree, _real_roots, _sign_changes, _sturm_chain
-from sitawim.structcheck import Instance, multiplicities
+from sitawim.structcheck import Instance, multiplicities, verify_sita
 
 from _fixtures import (
     A1_16_MATRICES,
@@ -433,6 +433,24 @@ class TestFailureModes:
             else:
                 assert eigenmatrix_P(N35).rank == 5
 
+    def test_non_cyclic_e0_is_refused(self):
+        # e_0 is an eigenvector of b_1, so its Krylov matrix is singular
+        inst = Instance([[[1, 0], [0, 1]], [[1, 0], [0, 2]]])
+        assert not verify_sita(inst).passed
+        for stage in (multiplicities, eigenmatrix_P):
+            with pytest.raises(SitawimError, match="Krylov matrix"):
+                stage(inst)
+
+    def test_nonpositive_degree_is_refused(self):
+        # b_1 has an empty row 0: its degree 0 leaves m = n / sum_i
+        # chi(b_i) chi(b_i*) / k_i undefined
+        b1 = [[0, 0, 0], [1, 1, 2], [0, 0, 2]]
+        b2 = [[0, 0, 1], [0, 0, 0], [1, 0, 2]]
+        inst = Instance([[[1, 0, 0], [0, 1, 0], [0, 0, 1]], b1, b2])
+        for stage in (multiplicities, eigenmatrix_P):
+            with pytest.raises(SitawimError, match="not all positive"):
+                stage(inst)
+
     def test_krein_requires_Q(self):
         with pytest.raises(SitawimError, match="eigenmatrix_Q"):
             krein(eigenmatrix_P(N35), N35)
@@ -555,7 +573,8 @@ class TestCharacterRows:
     def test_irrational_multiplicities_keep_P_and_refuse_Q(self):
         sd = eigenmatrix_P(A2_13)
         assert sd.multiplicities is None
-        with pytest.raises(SitawimError, match="power-sum system is inconsistent: not a standard table"):
+        refusal = "some orbit's multiplicity is not a positive rational: not a standard table"
+        with pytest.raises(SitawimError, match=refusal):
             eigenmatrix_Q(sd, A2_13)
 
     def test_nonreal_quartic_columns_are_numpy_eigenvalues(self):
@@ -581,7 +600,7 @@ class TestCharacterRows:
 
     def test_coincident_roots_are_refused(self, monkeypatch):
         # a repeated root would give one character row twice, and both
-        # copies pass the residual check
+        # copies pass the root check
         real = mp.polyroots
 
         def collapsed(coeffs, *args, **kwargs):
@@ -662,7 +681,7 @@ def reference_eigenmatrix_P(inst: Instance, precision: int = 256):
     mats = inst.matrices
     with mp.workprec(precision + 32):
         eps = mp.ldexp(1, -100) * max(1, inst.order)
-        combo, factors, perron, _ = structcheck._orbit_solve(inst)
+        combo, factors, perron, _, _, _ = structcheck._orbit_solve(inst)
         trivial = IntPoly((-perron, 1))
         per_factor = {f: [] for f in factors}
         if all(mats[j][0][j] for j in range(r)):

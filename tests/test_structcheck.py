@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sitawim import structcheck
 from sitawim.errors import SitawimError
 from sitawim.intpoly import (
     GaloisClass,
@@ -395,12 +396,41 @@ class TestMultiplicities:
         assert result.integral
 
     def test_order_35_orbits(self):
-        _, factors, perron, mu = _orbit_solve(N35)
+        _, factors, perron, D, rows, mu = _orbit_solve(N35)
         assert perron == 160
         assert [(f.coeffs, m) for f, m in zip(factors, mu)] == [
             ((25, 1), 4),
             ((-1354, -306, 6, 1), 10),
         ]
+        # the cubic orbit's exact row over Q[x]/(f), times D: W_0 = D
+        # because b_0 = 1, and b_2 takes the rational value -1
+        assert D == 6881562535458
+        assert rows[1] == [
+            [6881562535458],
+            [13904648207892, -689925292758, -70761568488],
+            [-6881562535458],
+            [-27773915631540, -513021371538, 123832744854],
+            [13869267423648, 1202946664296, -53071176366],
+        ]
+
+    @pytest.mark.parametrize("call", range(15))
+    def test_perturbed_exact_row_is_refused(self, monkeypatch, call):
+        # N35 has three factors and five rows each: shifting one
+        # coefficient of any one of the 15 remainders breaks the row check
+        # modulo f
+        real = structcheck._pdivrem
+        seen = []
+
+        def shifted(a, b):
+            quo, rem, scale = real(a, b)
+            if len(seen) == call:
+                rem = [rem[0] + 1] + rem[1:] if rem else [1]
+            seen.append(b)
+            return quo, rem, scale
+
+        monkeypatch.setattr(structcheck, "_pdivrem", shifted)
+        with pytest.raises(SitawimError, match="exact row"):
+            _orbit_solve(N35)
 
     def test_order_249_is_homogeneous(self):
         result = multiplicities(N249)
