@@ -8,12 +8,14 @@ of working precision, and the zero tolerance eps = 2^-100 * max(1, n),
 which :class:`SpectralData` records.  No function takes a precision or a
 tolerance.
 
-The exact layer anchors the numerics: :func:`eigenmatrix_P` runs the one
-orbit solve of :mod:`sitawim.structcheck`, which gives each Galois orbit of
-characters (one irreducible factor f of the characteristic polynomial of the
-squarefree generator) its exact row over Q[x]/(f), checked against every
-basis matrix modulo f, and its exact multiplicity, stored next to each row
-in :attr:`SpectralData.multiplicities`.  Numbers enter only at the roots:
+The exact layer anchors the numerics: :func:`eigenmatrix_P` reads the one
+orbit solve that :mod:`sitawim.structcheck` keeps on the instance, so an
+instance whose multiplicities or cyclotomy verdict are known is not solved
+again.  The solve gives each Galois orbit of characters (one irreducible
+factor f of the characteristic polynomial of the squarefree generator) its
+exact row over Q[x]/(f), checked against every basis matrix modulo f, and
+its exact multiplicity, stored next to each row in
+:attr:`SpectralData.multiplicities`.  Numbers enter only at the roots:
 every row of an orbit is the exact row evaluated at one root theta of f,
 an exact Sturm root (:func:`sitawim.intpoly._real_roots`) when the star is
 the identity, an ``mp.polyroots`` root when there is an asymmetric pair,
@@ -44,7 +46,7 @@ from mpmath import mp
 
 from .errors import SitawimError, SpectralError
 from .intpoly import IntPoly, _real_roots
-from .structcheck import NOT_STANDARD, Instance, _orbit_solve
+from .structcheck import NOT_STANDARD, Instance
 
 __all__ = [
     "SpectralData",
@@ -134,18 +136,17 @@ def eigenmatrix_P(inst: Instance) -> SpectralData:
     mats = inst.matrices
     with mp.workprec(PRECISION + _GUARD_BITS):
         eps = mp.ldexp(1, -100) * max(1, inst.order)
-        solved = _orbit_solve(inst)
-        if solved is None:
+        _, factors, perron, Ds, exact_rows, mu = inst._solved
+        if exact_rows is None:
             raise SitawimError("generator has no rational degree eigenvalue")
-        _, factors, perron, D, exact_rows, mu = solved
-        if mu is None:
-            mu = [None] * len(factors)
         # structural symmetry: b_j*b_j meets the identity iff b_j* = b_j,
         # so the declared involution type cannot misroute the dispatch
         symmetric = all(mats[j][0][j] for j in range(r))
         bits = PRECISION // 2
         blocks: list[tuple[list, IntPoly, Optional[Fraction]]] = []
-        for f, W, m in zip(factors, exact_rows, mu):
+        mu = mu or [None] * len(factors)
+        # the trivial orbit, listed first, is the exact degree row below
+        for f, D, W, m in list(zip(factors, Ds, exact_rows, mu))[1:]:
             if symmetric:
                 roots = [_mpf_of(q) for q in _real_roots(f, PRECISION)]
             else:

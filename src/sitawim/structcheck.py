@@ -11,12 +11,16 @@ the integers, Galois classes of the factors) lives in
 So is the one integer matrix product, :func:`sitawim.intpoly._matmul`,
 which the commutation check uses here.
 
-One orbit solve (:func:`_orbit_solve`) finds a squarefree generator ``g``,
-writes each ``b_i`` as a polynomial in ``g`` and reduces it modulo each
+One orbit solve (:func:`_orbit_solve`) per instance finds a squarefree
+generator ``g``, writes each ``b_i`` as a polynomial in ``g`` through the
+fraction-free adjugate of a Krylov matrix, and reduces it modulo each
 irreducible factor f of the characteristic polynomial: the exact character
 row of f's Galois orbit over Q[x]/(f), which gives the orbit's exact
-multiplicity.  :func:`multiplicities` lists those by character, and
-:func:`sitawim.spectra.eigenmatrix_P` evaluates the rows at the roots.
+multiplicity.  The instance keeps the solve after its first use, and three
+stages read it: :func:`multiplicities` lists the multiplicities by
+character, :func:`is_cyclotomic` classifies the generator's factors, one
+per Galois orbit, and :func:`sitawim.spectra.eigenmatrix_P` evaluates the
+rows at the roots.
 
 Everything here is integer or rational arithmetic end to end: the whole
 point of the multiplicity and cyclotomy verdicts is that no rounding step
@@ -32,7 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from operator import mul
 from typing import Optional
 
@@ -73,10 +78,9 @@ class Instance:
     ``itype`` names the involution type (a key of
     :data:`sitawim.varietygen.INVOLUTION_TYPES`), or None for a symmetric
     table of any rank (identity star).  ``degrees`` are the row-0 sums of
-    the matrices.  The exact multiplicities are not stored here:
-    :func:`multiplicities` computes them, and
-    :attr:`sitawim.spectra.SpectralData.multiplicities` carries them by
-    character row.
+    the matrices.  The orbit solve behind the exact multiplicities, the
+    cyclotomy verdict and the character rows is kept on the instance after
+    its first use, outside the fields.
     """
 
     matrices: tuple[tuple[tuple[int, ...], ...], ...]
@@ -102,6 +106,13 @@ class Instance:
         object.__setattr__(
             self, "degrees", tuple(sum(m[0]) if j else 1 for j, m in enumerate(mats))
         )
+
+    @cached_property
+    def _solved(self) -> tuple:
+        """:func:`_orbit_solve` of this instance, run on first use and kept
+        outside the fields (``==``, ``hash`` and ``repr`` ignore it); a
+        SitawimError is raised again on every use, never kept."""
+        return _orbit_solve(self)
 
     @property
     def rank(self) -> int:
@@ -255,48 +266,54 @@ class MultiplicityResult:
 NOT_STANDARD = "some orbit's multiplicity is not a positive rational: not a standard table"
 
 
-def _inverse(A: list[list[int]]) -> list[list[Fraction]]:
-    """The exact inverse of the square integer Krylov matrix, by
-    Gauss-Jordan elimination over Q; SitawimError when it is singular."""
+def _adjugate(A: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """``(d, X)`` with ``d = |det A|`` and ``X = d A^-1 = sign(det A) adj A``
+    for the square integer Krylov matrix, by fraction-free Gauss-Jordan
+    elimination (Bareiss, *Math. Comp.* 22, 1968): every step divides
+    exactly by the previous pivot, so every entry stays an int, and the last
+    pivot is the determinant up to the sign of the row swaps.
+    SitawimError when A is singular."""
     n = len(A)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(A)
-    ]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    prev = 1
     for col in range(n):
         pr = next((i for i in range(col, n) if aug[i][col]), None)
         if pr is None:
             raise SitawimError("the Krylov matrix of e_0 is singular: e_0 is not cyclic")
         aug[col], aug[pr] = aug[pr], aug[col]
-        prow = aug[col] = [v / aug[col][col] for v in aug[col]]
+        prow, p = aug[col], aug[col][col]
         for i in range(n):
-            if i != col and aug[i][col]:
+            if i != col:
                 f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], prow)]
-    return [row[n:] for row in aug]
+                aug[i] = [(p * a - f * b) // prev for a, b in zip(aug[i], prow)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return sign * prev, [[sign * v for v in row[n:]] for row in aug]
 
 
-def _orbit_solve(inst: Instance) -> Optional[tuple]:
-    """The orbit solve behind :func:`multiplicities` and
-    :func:`sitawim.spectra.eigenmatrix_P`: ``(M, factors, perron, D, rows,
-    mu)``, or None when the trivial factor ``x - perron`` is missing.
+def _orbit_solve(inst: Instance) -> tuple:
+    """``(M, factors, perron, D, rows, mu)``: the record that
+    :func:`multiplicities`, :func:`is_cyclotomic` and
+    :func:`sitawim.spectra.eigenmatrix_P` read from ``Instance._solved``.
 
     ``M = sum_j t^(j-1) b_j`` for the first t = 1, 2, ... whose
-    characteristic polynomial is squarefree; ``factors`` its nontrivial
-    irreducible factors, one per Galois orbit of characters; ``perron =
-    sum_j t^(j-1) k_j`` the degree eigenvalue.  Every character row has
-    ``w_0 = 1``, so ``e_0`` is cyclic for ``M`` (SitawimError otherwise), and
-    the inverse of its Krylov matrix ``[e_0, M e_0, ..., M^(r-1) e_0]``
-    writes ``b_i = p_i(M)``, with ``D`` the least integer that makes every
-    ``D p_i`` integral.  ``rows[o][i] = W_i = D p_i mod f`` for ``f =
-    factors[o]``, so a root theta of f has the character row ``W(theta) /
-    D``; each row is checked as ``D (W b_i) = W_i W`` modulo f.
+    characteristic polynomial is squarefree; ``factors`` its irreducible
+    factors, one per Galois orbit of characters, the trivial factor ``x -
+    perron`` first, with ``perron = sum_j t^(j-1) k_j`` the degree
+    eigenvalue.  Every character row has ``w_0 = 1``, so ``e_0`` is cyclic
+    for ``M`` (SitawimError otherwise), and the adjugate of its Krylov
+    matrix ``[e_0, M e_0, ..., M^(r-1) e_0]`` writes ``b_i = p_i(M)``.
+    ``rows[o][i] = W_i = D[o] p_i mod f`` for ``f = factors[o]``, with
+    ``D[o]`` the least positive integer that makes the orbit's row
+    integral, so a root theta of f has the character row ``W(theta) /
+    D[o]``; each row is checked as ``D[o] (W b_i) = W_i W`` modulo f.
 
     ``mu`` holds each orbit's multiplicity m = n / sum_i chi(b_i)
     chi(b_i*) / k_i (Bannai & Ito, *Algebraic Combinatorics I*, 1984), that
     is ``n D^2 L / N`` with ``L = lcm(k)`` and ``N = sum_i (L / k_i) W_i
     W_i* mod f``, rational exactly when N is a constant; None unless every
-    value is a positive rational and the trivial one is 1.
+    value is a positive rational and the trivial one is 1.  ``D``, ``rows``
+    and ``mu`` are all None when the trivial factor is missing.
     """
     r = inst.rank
     mats = inst.matrices
@@ -314,23 +331,25 @@ def _orbit_solve(inst: Instance) -> Optional[tuple]:
     krylov = [[1] + [0] * (r - 1)]
     for _ in range(1, r):
         krylov.append([sum(map(mul, row, krylov[-1])) for row in M])
-    inv = _inverse([list(col) for col in zip(*krylov)])
-    D = lcm(*(v.denominator for row in inv for v in row))
-    polys = [[(D * inv[s][i]).numerator for s in range(r)] for i in range(r)]
+    det, adj = _adjugate([list(col) for col in zip(*krylov)])
+    polys = list(zip(*adj))  # column i of the adjugate is det * p_i
     perron = sum(t ** (j - 1) * deg[j] for j in range(1, r))
     factors = factor_int_poly(cp)
     trivial = IntPoly((-perron, 1))
     if trivial not in factors:
-        return None
+        return M, factors, perron, None, None, None
+    factors.insert(0, factors.pop(factors.index(trivial)))
     if min(deg) <= 0:
         raise SitawimError(f"degrees {deg} are not all positive")
     # i* from row 0 of b_i, which carries k_i in column i*, so that the
     # declared involution type cannot misroute the pairing
     star = [m[0].index(max(m[0])) for m in mats]
     L = lcm(*deg)
-    rows, mu = [], []
+    Ds, rows, mu = [], [], []
     for f in factors:
         W = [_pdivrem(p, f.coeffs)[1] for p in polys]
+        g = gcd(det, *(v for w in W for v in w))
+        D, W = det // g, [[v // g for v in w] for w in W]
         for i, b in enumerate(mats):
             for c in range(r):
                 image = [0] * f.degree
@@ -344,35 +363,31 @@ def _orbit_solve(inst: Instance) -> Optional[tuple]:
             for s, v in enumerate(_mulmod(W[i], W[star[i]], f.coeffs)):
                 N[s] += L // deg[i] * v
         N = _ptrim(N)
+        Ds.append(D)
         rows.append(W)
         mu.append(Fraction(inst.order * D * D * L, N[0]) if len(N) == 1 and N[0] > 0 else None)
-    at = factors.index(trivial)
-    del factors[at], rows[at]
-    if None in mu or mu.pop(at) != 1:
+    if None in mu or mu[0] != 1:
         mu = None
-    return M, factors, perron, D, rows, mu
+    return M, factors, perron, Ds, rows, mu
 
 
 def multiplicities(inst: Instance) -> MultiplicityResult:
     """Exact standard-module multiplicities, one per character.
 
-    The orbit solve (:func:`_orbit_solve`) gives every Galois orbit of
-    characters its exact row over Q[x]/(f), one irreducible factor f of the
-    squarefree generator's characteristic polynomial per orbit, and from
-    that row the orbit's multiplicity m = n / sum_i chi(b_i) chi(b_i*) /
-    k_i, an exact rational or no rational at all.  SitawimError
-    (:data:`NOT_STANDARD`) unless every value is a positive rational and
-    the trivial one is 1.
+    The orbit solve (:func:`_orbit_solve`), kept on the instance, gives
+    every Galois orbit of characters its exact row over Q[x]/(f), one
+    irreducible factor f of the squarefree generator's characteristic
+    polynomial per orbit, and from that row the orbit's multiplicity m = n /
+    sum_i chi(b_i) chi(b_i*) / k_i, an exact rational or no rational at
+    all.  SitawimError (:data:`NOT_STANDARD`) unless every value is a
+    positive rational and the trivial one is 1.
     """
-    if inst.rank == 1:
-        return MultiplicityResult((1,), True)
-    solved = _orbit_solve(inst)
-    if solved is None or solved[5] is None:
+    _, factors, _, _, _, mu = inst._solved
+    if mu is None:
         raise SitawimError(NOT_STANDARD)
-    _, factors, _, _, _, mu = solved
     # one value per character; the trivial character's 1 is listed first
-    values = (Fraction(1),) + tuple(
-        sorted(v for f, v in zip(factors, mu) for _ in range(f.degree))
+    values = (mu[0],) + tuple(
+        sorted(v for f, v in zip(factors[1:], mu[1:]) for _ in range(f.degree))
     )
     integral = all(v.denominator == 1 for v in values)
     if integral:
@@ -388,7 +403,7 @@ def multiplicities(inst: Instance) -> MultiplicityResult:
 @dataclass(frozen=True)
 class CyclotomicReport:
     cyclotomic: bool
-    factors: tuple  # (basis index, IntPoly, GaloisClass) triples
+    factors: tuple  # (orbit polynomial, GaloisClass) pairs, one per Galois orbit
 
     def __bool__(self) -> bool:
         return self.cyclotomic
@@ -397,19 +412,18 @@ class CyclotomicReport:
 def is_cyclotomic(inst: Instance) -> CyclotomicReport:
     """Whether every eigenvalue of every basis matrix is cyclotomic.
 
-    Eigenvalues generate abelian extensions exactly when the Galois group
-    of each irreducible characteristic-polynomial factor is abelian, so the
-    verdict reduces to the per-factor class tags.  The integer degree is an
-    eigenvalue of every basis matrix (the all-ones vector), so no factor of
-    degree 5 survives factorization and every factor is classifiable.
+    The eigenvalues of ``b_i`` are its character values, and the orbit
+    solve reads them all off one generator M: ``b_i = p_i(M)`` with
+    rational p_i, so ``chi(b_i) = p_i(theta_chi)`` for the eigenvalue
+    ``theta_chi`` of M at chi, and ``theta_chi = sum_j t^(j-1) chi(b_j)``
+    in turn.  The theta_chi are distinct, so the splitting field of the
+    characteristic polynomial of M is the field of all character values.
+    That field is abelian exactly when the Galois group of each irreducible
+    factor is, so the verdict reads one class per Galois orbit, from the
+    generator's factors.  The trivial factor ``x - perron`` is one of them
+    for every table, so no factor of degree 5 is left at rank <= 5.
     """
     if inst.rank > 5:
         raise SitawimError("cyclotomy verdicts cover rank <= 5 only")
-    rows = []
-    verdict = True
-    for j in range(1, inst.rank):
-        for f in factor_int_poly(charpoly(inst.matrices[j])):
-            cls = galois_class(f)
-            rows.append((j, f, cls))
-            verdict = verdict and cls.abelian
-    return CyclotomicReport(verdict, tuple(rows))
+    orbits = tuple((f, galois_class(f)) for f in inst._solved[1])
+    return CyclotomicReport(all(cls.abelian for _, cls in orbits), orbits)

@@ -465,7 +465,8 @@ class TestPrecisionPlumbing:
 @pytest.fixture
 def sweeps(monkeypatch):
     """Records every orbit solve (by instance) and refuses any call of
-    ``multiplicities``."""
+    ``multiplicities``.  An instance keeps its solve, so the tests below
+    build fresh instances and check that the spy saw their one solve."""
     calls = []
     real = structcheck._orbit_solve
 
@@ -476,30 +477,37 @@ def sweeps(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("multiplicities recomputed")
 
-    monkeypatch.setattr(spectra, "_orbit_solve", spy)
     monkeypatch.setattr(structcheck, "_orbit_solve", spy)
     monkeypatch.setattr(structcheck, "multiplicities", refuse)
     return calls
 
 
+def fresh(inst: Instance) -> Instance:
+    """An equal instance without a stored orbit solve."""
+    return Instance(inst.matrices, inst.itype)
+
+
 class TestKreinMultiplicities:
     def test_krein_reads_multiplicities_from_Q(self, sweeps):
-        for inst in (N35, N249, A1_16):
+        for inst in map(fresh, (N35, N249, A1_16)):
             sd = eigenmatrix_Q(eigenmatrix_P(inst), inst)
             expected = krein(sd, inst).krein
+            assert sweeps == [inst]
             sweeps.clear()
             assert krein(sd, inst).krein == expected
             assert sweeps == []
 
     def test_eigenmatrix_P_sweeps_once(self, sweeps):
-        for inst in (N35, N249, A1_16, A2_13):
+        for inst in map(fresh, (N35, N249, A1_16, A2_13)):
             sweeps.clear()
+            eigenmatrix_P(inst)
             eigenmatrix_P(inst)
             assert sweeps == [inst]
 
     def test_eigenmatrix_Q_reads_multiplicities_from_P(self, sweeps):
-        for inst in (N35, N249, A1_16):
+        for inst in map(fresh, (N35, N249, A1_16)):
             sd = eigenmatrix_P(inst)
+            assert sweeps == [inst]
             sweeps.clear()
             eigenmatrix_Q(sd, inst)
             assert sweeps == []
@@ -683,7 +691,8 @@ def reference_eigenmatrix_P(inst: Instance, precision: int = 256):
         eps = mp.ldexp(1, -100) * max(1, inst.order)
         combo, factors, perron, _, _, _ = structcheck._orbit_solve(inst)
         trivial = IntPoly((-perron, 1))
-        per_factor = {f: [] for f in factors}
+        assert factors[0] == trivial
+        per_factor = {f: [] for f in factors[1:]}
         if all(mats[j][0][j] for j in range(r)):
             for f in per_factor:
                 for root in _real_roots(f, precision):
@@ -693,7 +702,7 @@ def reference_eigenmatrix_P(inst: Instance, precision: int = 256):
         else:
             eigvals, right = mp.eig(mp.matrix(combo), left=False, right=True)
             for idx, lam in enumerate(eigvals):
-                host = min(factors + [trivial], key=lambda f: abs(value_at(f, lam)))
+                host = min(factors, key=lambda f: abs(value_at(f, lam)))
                 assert abs(value_at(host, lam)) <= eps * max(1, abs(lam)) ** host.degree
                 if host != trivial:
                     vec = [right[a, idx] for a in range(r)]

@@ -3,7 +3,10 @@ integer factorization, Galois classes, axiom checks, multiplicities, and
 cyclotomy verdicts, pinned against hand-checked values."""
 
 import json
+import pickle
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from sitawim import structcheck
 from sitawim.errors import SitawimError
+from sitawim.feasibility import run_battery
 from sitawim.intpoly import (
     GaloisClass,
     IntPoly,
@@ -19,6 +23,8 @@ from sitawim.intpoly import (
     factor_int_poly,
     galois_class,
 )
+from sitawim.solver import GridAxis, SearchConfig, SimplexSpec, canonical_form, run_search
+from sitawim.spectra import eigenmatrix_P, eigenmatrix_Q, krein
 from sitawim.structcheck import (
     _orbit_solve,
     Instance,
@@ -27,11 +33,21 @@ from sitawim.structcheck import (
     verify_sita,
 )
 
-from _fixtures import A1_16_MATRICES, IDENTITY5, N35_MATRICES, N249_MATRICES
+from _fixtures import (
+    A1_16_MATRICES,
+    A2_13_MATRICES,
+    IDENTITY5,
+    N35_MATRICES,
+    N249_MATRICES,
+    S49_MATRICES,
+)
 
 N35 = Instance(N35_MATRICES, "5S")
 N249 = Instance(N249_MATRICES, "5S")
 A1_16 = Instance(A1_16_MATRICES, "4A1")
+S49 = Instance(S49_MATRICES, "4S")
+A2_13 = Instance(A2_13_MATRICES, "5A2")
+R2 = Instance([[[1, 0], [0, 1]], [[0, 4], [1, 3]]], "R2")
 
 AXIOM_NAMES = {
     "identity",
@@ -398,19 +414,21 @@ class TestMultiplicities:
     def test_order_35_orbits(self):
         _, factors, perron, D, rows, mu = _orbit_solve(N35)
         assert perron == 160
-        assert [(f.coeffs, m) for f, m in zip(factors, mu)] == [
-            ((25, 1), 4),
-            ((-1354, -306, 6, 1), 10),
+        assert [(f.coeffs, d, m) for f, d, m in zip(factors, D, mu)] == [
+            ((-160, 1), 1, 1),
+            ((25, 1), 1, 4),
+            ((-1354, -306, 6, 1), 389, 10),
         ]
-        # the cubic orbit's exact row over Q[x]/(f), times D: W_0 = D
-        # because b_0 = 1, and b_2 takes the rational value -1
-        assert D == 6881562535458
-        assert rows[1] == [
-            [6881562535458],
-            [13904648207892, -689925292758, -70761568488],
-            [-6881562535458],
-            [-27773915631540, -513021371538, 123832744854],
-            [13869267423648, 1202946664296, -53071176366],
+        # each orbit's exact row over Q[x]/(f), times its own least D: the
+        # degree row first; the cubic's W_0 = D because b_0 = 1, and b_2
+        # takes the rational value -1
+        assert rows[0] == [[1], [4], [6], [12], [12]]
+        assert rows[2] == [
+            [389],
+            [786, -39, -4],
+            [-389],
+            [-1570, -29, 7],
+            [784, 68, -3],
         ]
 
     @pytest.mark.parametrize("call", range(15))
@@ -431,6 +449,7 @@ class TestMultiplicities:
         monkeypatch.setattr(structcheck, "_pdivrem", shifted)
         with pytest.raises(SitawimError, match="exact row"):
             _orbit_solve(N35)
+        assert len(seen) > call
 
     def test_order_249_is_homogeneous(self):
         result = multiplicities(N249)
@@ -474,16 +493,109 @@ class TestMultiplicities:
 
 
 # ---------------------------------------------------------------------------
+# the fraction-free Krylov inverse
+# ---------------------------------------------------------------------------
+
+
+def reference_inverse(A):
+    """The exact inverse over Q by Gauss-Jordan elimination on Fractions;
+    SitawimError when A is singular."""
+    n = len(A)
+    aug = [
+        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(A)
+    ]
+    for col in range(n):
+        pr = next((i for i in range(col, n) if aug[i][col]), None)
+        if pr is None:
+            raise SitawimError("the Krylov matrix of e_0 is singular: e_0 is not cyclic")
+        aug[col], aug[pr] = aug[pr], aug[col]
+        prow = aug[col] = [v / aug[col][col] for v in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], prow)]
+    return [row[n:] for row in aug]
+
+
+def leibniz_det(A) -> int:
+    """The determinant as a signed sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(A))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total += (-1) ** inversions * prod(A[i][p] for i, p in enumerate(perm))
+    return total
+
+
+square_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+class TestFractionFreeInverse:
+    @settings(max_examples=200, deadline=None)
+    @given(square_matrices, st.booleans())
+    def test_matches_the_rational_inverse(self, A, dependent):
+        if dependent:
+            # the last row becomes the sum of the others (zero at n = 1)
+            A[-1] = [sum(col) for col in zip(*A[:-1])] or [0]
+        det = leibniz_det(A)
+        if det == 0:
+            for inverse in (reference_inverse, structcheck._adjugate):
+                with pytest.raises(SitawimError, match="Krylov matrix"):
+                    inverse(A)
+            return
+        d, X = structcheck._adjugate(A)
+        assert d == abs(det)
+        assert all(type(v) is int for row in X for v in row)
+        assert [[Fraction(v, d) for v in row] for row in X] == reference_inverse(A)
+
+
+# ---------------------------------------------------------------------------
 # is_cyclotomic
 # ---------------------------------------------------------------------------
 
 
+def reference_is_cyclotomic(inst: Instance):
+    """The per-basis verdict: ``(verdict, factors)`` over every irreducible
+    factor of every basis matrix's characteristic polynomial, as ``(j, f,
+    class)`` triples."""
+    factors = [
+        (j, f, galois_class(f))
+        for j in range(1, inst.rank)
+        for f in factor_int_poly(charpoly(inst.matrices[j]))
+    ]
+    return all(cls.abelian for _, _, cls in factors), factors
+
+
+@pytest.fixture(scope="module")
+def a2_catalog():
+    """The 5A2 pseudocyclic sweep with m <= 8: orders 5, 13 and 29."""
+    cfg = SearchConfig(
+        itype="5A2",
+        assumption="pseudocyclic",
+        grid=(GridAxis("m", 1, 8),),
+        simplex=SimplexSpec(("x14",), anchor="m"),
+    )
+    return run_search(cfg)
+
+
 class TestCyclotomic:
     def test_order_35_fails_on_three_cubics(self):
+        # b_1, b_3 and b_4 each have an S3 cubic factor; the generator
+        # reads them as one Galois orbit of characters, an S3 cubic
         report = is_cyclotomic(N35)
         assert not report.cyclotomic
         assert not bool(report)
-        cubics = [(j, f.coeffs) for j, f, g in report.factors if str(g) == "S3"]
+        assert [(f.coeffs, str(g)) for f, g in report.factors] == [
+            ((-160, 1), "C1"),
+            ((25, 1), "C1"),
+            ((-1354, -306, 6, 1), "S3"),
+        ]
+        _, per_basis = reference_is_cyclotomic(N35)
+        cubics = [(j, f.coeffs) for j, f, g in per_basis if str(g) == "S3"]
         assert cubics == [
             (1, (2, -6, 0, 1)),
             (3, (-2, -12, 0, 1)),
@@ -491,23 +603,108 @@ class TestCyclotomic:
         ]
 
     def test_order_249_fails_on_four_quartics(self):
+        # the four S4 quartics of b_1..b_4 are one S4 quartic orbit
         report = is_cyclotomic(N249)
         assert not report.cyclotomic
-        tags = [str(g) for _, f, g in report.factors if f.degree == 4]
-        assert tags == ["S4", "S4", "S4", "S4"]
+        assert [str(g) for f, g in report.factors if f.degree == 4] == ["S4"]
+        _, per_basis = reference_is_cyclotomic(N249)
+        assert [str(g) for _, f, g in per_basis if f.degree == 4] == ["S4"] * 4
 
     def test_one_asymmetric_pair_table_is_cyclotomic(self):
         report = is_cyclotomic(A1_16)
         assert report.cyclotomic
         assert bool(report)
-        assert all(g.abelian for _, _, g in report.factors)
+        assert [str(g) for _, g in report.factors] == ["C1", "C1", "C2"]
+
+    def test_two_asymmetric_pair_table_has_a_D4_quartic(self):
+        report = is_cyclotomic(A2_13)
+        assert not report.cyclotomic
+        quartic, cls = report.factors[-1]
+        assert (quartic.coeffs, str(cls)) == ((13528, 486, -105, -3, 1), "D4")
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.numberfields.galoisgroups import galois_group
+
+        x = sympy.Symbol("x")
+        group = galois_group(sympy.Poly(list(reversed(quartic.coeffs)), x), by_name=True)[0]
+        assert group.name == "D4"
 
     def test_rank_two_is_cyclotomic(self):
-        inst = Instance([[[1, 0], [0, 1]], [[0, 4], [1, 3]]], "R2")
-        assert verify_sita(inst).passed
-        assert is_cyclotomic(inst).cyclotomic
+        assert verify_sita(R2).passed
+        assert is_cyclotomic(R2).cyclotomic
 
     def test_rank_above_five_unsupported(self):
         zeros = [[[0] * 6 for _ in range(6)] for _ in range(6)]
         with pytest.raises(SitawimError):
             is_cyclotomic(Instance(zeros))
+
+    @pytest.mark.parametrize(
+        "inst",
+        [N35, N249, A1_16, S49, A2_13, R2],
+        ids=["n35", "n249", "a1_16", "s49", "a2_13", "r2"],
+    )
+    def test_matches_the_per_basis_verdict(self, inst):
+        assert is_cyclotomic(inst).cyclotomic == reference_is_cyclotomic(inst)[0]
+
+    def test_matches_the_per_basis_verdict_on_a_sweep(self, a2_catalog):
+        assert [inst.order for inst in a2_catalog] == [5, 13, 29]
+        for inst in a2_catalog:
+            assert is_cyclotomic(inst).cyclotomic == reference_is_cyclotomic(inst)[0]
+
+
+# ---------------------------------------------------------------------------
+# the orbit solve kept on the instance
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Records every orbit solve, by instance."""
+    calls = []
+    real = structcheck._orbit_solve
+
+    def spy(inst):
+        calls.append(inst)
+        return real(inst)
+
+    monkeypatch.setattr(structcheck, "_orbit_solve", spy)
+    return calls
+
+
+class TestStoredSolve:
+    def test_one_solve_serves_every_stage(self, solves):
+        inst = Instance(N35_MATRICES, "5S")
+        for _ in range(2):
+            multiplicities(inst)
+            is_cyclotomic(inst)
+            sd = krein(eigenmatrix_Q(eigenmatrix_P(inst), inst), inst)
+            run_battery(inst, sd)
+            run_battery(inst)
+        # the battery's closed-subset check solves its sub-tables, which
+        # are instances of their own
+        assert [s for s in solves if s is inst] == [inst]
+
+    def test_stored_solve_keeps_equality_hash_and_pickling(self):
+        inst = Instance(N35_MATRICES, "5S")
+        values = multiplicities(inst).values
+        copy = Instance(N35_MATRICES, "5S")
+        assert inst == copy and hash(inst) == hash(copy) and repr(inst) == repr(copy)
+        back = pickle.loads(pickle.dumps(inst))
+        assert back == inst and hash(back) == hash(inst) and repr(back) == repr(inst)
+        assert multiplicities(back).values == multiplicities(copy).values == values
+
+    def test_canonical_form_gets_its_own_solve(self, solves):
+        inst = Instance(N35_MATRICES, "5S")
+        multiplicities(inst)
+        canon = canonical_form(inst)
+        assert canon is not inst
+        multiplicities(canon)
+        is_cyclotomic(canon)
+        assert [s for s in solves if s is canon] == [canon]
+
+    def test_refusal_is_raised_again_not_kept(self, solves):
+        # a non-table whose Krylov matrix of e_0 is singular
+        inst = Instance([[[1, 0], [0, 1]], [[1, 0], [0, 2]]])
+        for _ in range(2):
+            with pytest.raises(SitawimError, match="Krylov matrix"):
+                multiplicities(inst)
+        assert solves == [inst, inst]
