@@ -18,11 +18,12 @@ matrix product (:func:`_matmul`, which :mod:`sitawim.structcheck` and
 monic input only: every polynomial a stage hands them is a characteristic
 polynomial or a monic factor of one, so rational roots are integer roots
 and a quadratic factor is monic.  One fraction-free long-division loop on
-integers (:func:`_pdivrem`) serves exact division, the squarefree test,
-the Sturm remainders and the product modulo a monic factor
-(:func:`_mulmod`) that checks the exact character rows of
-:mod:`sitawim.structcheck`; one divisor enumerator (:func:`_divisors`) serves
-the root finder and the quadratic-factor search.
+integers (:func:`_pdivrem`) serves exact division, the gcd
+(:func:`_poly_gcd`: the squarefree test, and the eliminant of a
+one-unknown system in :mod:`sitawim.solver`), the Sturm remainders and
+the product modulo a monic factor (:func:`_mulmod`) that checks the exact
+character rows of :mod:`sitawim.structcheck`; one divisor enumerator
+(:func:`_divisors`) serves the root finder and the quadratic-factor search.
 """
 
 from __future__ import annotations
@@ -118,20 +119,31 @@ def _pdivides(g: Sequence[int], p: Sequence[int]) -> Optional[list]:
         return None
 
 
-def _poly_gcd_degree(a: Sequence[int], b: Sequence[int]) -> int:
-    """Degree of gcd over Q (Euclid on the fraction-free remainders, which
-    are positive multiples of the rational ones); -1 when both are zero."""
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        a, b = b, _pdivrem(a, b)[1]
-    return len(a) - 1
-
-
 def _content(c: Sequence[int]) -> int:
     g = 0
     for v in c:
         g = gcd(g, v)
     return g
+
+
+def _primitive(c: list) -> list:
+    """A trimmed integer list over its content, with a positive leading
+    coefficient; ``[]`` stays ``[]``."""
+    g = _content(c)
+    if c and c[-1] < 0:
+        g = -g
+    return [v // g for v in c]
+
+
+def _poly_gcd(a: Sequence[int], b: Sequence[int]) -> list:
+    """The gcd over Q of two integer polynomials, primitive with a positive
+    leading coefficient; ``[]`` when both are zero.  Euclid on the
+    fraction-free remainders, each made primitive: a nonzero rational
+    multiple of the remainder over Q, with small coefficients."""
+    a, b = _primitive(_ptrim(list(a))), _primitive(_ptrim(list(b)))
+    while b:
+        a, b = b, _primitive(_pdivrem(a, b)[1])
+    return a
 
 
 def _is_square(v: int) -> bool:

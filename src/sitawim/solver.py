@@ -22,6 +22,19 @@ order with the unknowns last, and the reduced basis, hence every
 solution, is the same.  Those small rings are cached by their variable
 names.
 
+A system left with one unknown u needs no basis: the reduced lex basis of
+an ideal of Q[u] is the gcd of its generators (Cox, Little & O'Shea,
+*Ideals, Varieties, and Algorithms*, §1.5), here
+:func:`sitawim.intpoly._poly_gcd` on integer coefficient lists.  Every
+point of the rank-4 pseudocyclic sweeps (m and x8 given for 4S, k1 for
+4A1) is such a system, and every back-substitution ends in one.  Its caps are read off the inputs in the
+order given: the first whose degree exceeds ``max_degree``, or else whose
+term count exceeds ``max_terms``, raises the
+:class:`~sitawim.errors.ResourceCapExceeded` ``buchberger`` would.  While
+``max_terms`` exceeds ``max_degree`` (the defaults are 60 and a million)
+``buchberger`` raises exactly then; under a smaller term cap it also
+counts the terms of intermediate remainders, so the two can differ.
+
 Per-point diagnostics stream to the ``sitawim.solver`` logger with the
 stable line format ``point=<assignment> status=<sol|empty|posdim|cap>``;
 positive-dimensional and capped points are additionally raised to WARNING
@@ -47,10 +60,11 @@ from .errors import (
     SitawimError,
 )
 from .exactpoly import MonomialOrder, MPoly, Ring
-from .exactpoly.groebner import DEFAULT_MAX_DEGREE, DEFAULT_MAX_TERMS, buchberger
+from .exactpoly.core import cleared_terms
+from .exactpoly.groebner import DEFAULT_MAX_DEGREE, DEFAULT_MAX_TERMS, _check_caps, buchberger
 from .exactpoly.linear import linear_reduce, rational_span_basis
-from .intpoly import _integer_roots
-from .structcheck import Instance, verify_sita
+from .intpoly import _integer_roots, _poly_gcd
+from .structcheck import Instance, _as_int, verify_sita
 from .varietygen import (
     INVOLUTION_TYPES,
     RationalCharTable,
@@ -205,14 +219,13 @@ class SearchConfig:
 
 @dataclass(frozen=True, order=True)
 class Solution:
-    """A full integer assignment extending the grid point it came from."""
+    """A full integer assignment extending the grid point it came from;
+    a value that is not integral raises :class:`SitawimError`."""
 
     assignment: tuple[tuple[str, int], ...]
 
     def __init__(self, assignment: Mapping[str, int]) -> None:
-        object.__setattr__(
-            self, "assignment", tuple(sorted((str(k), int(v)) for k, v in assignment.items()))
-        )
+        object.__setattr__(self, "assignment", tuple(sorted(_integral(assignment).items())))
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.assignment)
@@ -227,6 +240,12 @@ class Solution:
         """Nonnegative structure constants and positive degrees."""
         degs = set(degree_symbols)
         return all(v >= 1 if k in degs else v >= 0 for k, v in self.assignment)
+
+
+def _integral(assignment: Mapping[str, object]) -> dict[str, int]:
+    """The assignment with int values; SitawimError naming a variable whose
+    value is not integral."""
+    return {str(k): _as_int(v, f"{k} =") for k, v in assignment.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +277,38 @@ def _solve_triangular(
     max_terms: int,
 ) -> list[dict]:
     """Integer points of ``V(polys)`` with ``values`` put in, as assignments
-    of the variables left over.  Those unknowns are solved in a ring of
-    their own: lex there is the order the wider ring's lex with the other
-    variables first induces on them, so the reduced basis is the same."""
+    of the variables left over.
+
+    With one unknown u left, the eliminant is the gcd of the polynomials
+    as integer lists in u (denominators cleared), the lex basis up to a
+    scalar, and no basis is computed; each input in turn has its degree
+    checked against ``max_degree``, then its term count against
+    ``max_terms``.  More unknowns are solved in a ring of their own: lex
+    there is the order the wider ring's lex with the other variables first
+    induces on them, so the reduced basis is the same; back-substitution
+    puts in the smallest unknown, so it ends in the one-unknown case."""
     sub = []
+    unknown_set = set()
     for p in polys:
         q = p.subs(values) if values else p
         if q.is_zero:
             continue
-        if not q.variables():
+        used = q.variables()
+        if not used:
             return []  # a nonzero constant: the specialized ideal is trivial
         sub.append(q)
+        unknown_set |= used
     if not sub:
         return [{}]
     ring = sub[0].ring
-    unknown_set = set().union(*[q.variables() for q in sub])
+    if len(unknown_set) == 1:
+        (u,) = unknown_set
+        eliminant = []
+        for q in sub:
+            _check_caps(q.total_degree(), q.num_terms(), max_degree, max_terms)
+            coeffs = MPoly(ring, cleared_terms(q.terms)[0]).as_univariate(u)
+            eliminant = _poly_gcd(eliminant, coeffs)
+        return [{u: root} for root in _integer_roots(eliminant)]
     unknowns = [n for n in ring.names if n in unknown_set]
     sub, order = _project(sub, unknowns)
     gb = buchberger(sub, order, max_degree=max_degree, max_terms=max_terms)
@@ -314,16 +350,25 @@ def specialize_and_solve(
     of only its unknowns (cached by their names), where a lexicographic
     Groebner basis triangularizes it; integer roots are read off the
     univariate eliminant and back-substituted one variable at a time, each
-    step again in a ring of the unknowns that remain.  Returns the empty
-    list when the specialized ideal is trivial.  Raises
+    step again in a ring of the unknowns that remain.  A step with one
+    unknown left takes the integer gcd of its polynomials as the eliminant
+    and computes no basis; it checks each polynomial, in order, for degree
+    above ``max_degree`` and then for more than ``max_terms`` terms.
+    Returns the empty list when the specialized ideal is trivial.  Raises
     :class:`PositiveDimensionalError` when the remainder has a free
-    variable and :class:`ResourceCapExceeded` when a basis computation
-    blows its budget.  Every returned solution is re-checked exactly
-    against every input polynomial.
+    variable, :class:`ResourceCapExceeded` when a basis computation or a
+    one-unknown input blows its budget, and :class:`SitawimError` naming a
+    partial value that is not integral (ints and integral Fractions are)
+    or not a variable of the ring.  Every returned solution is re-checked
+    exactly against every input polynomial.
     """
-    start = {str(k): int(v) for k, v in partial.items()}
+    start = _integral(partial)
     if not polys:
         return [Solution(start)]
+    index = polys[0].ring.index
+    outside = [k for k in start if k not in index]
+    if outside:
+        raise SitawimError(f"not variables of the ring: {outside}")
     raw = _solve_triangular(list(polys), start, max_degree, max_terms)
     solutions = sorted(Solution({**start, **pt}) for pt in raw)
     for sol in solutions:

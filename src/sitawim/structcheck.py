@@ -42,7 +42,7 @@ from operator import mul
 from typing import Optional
 
 from .errors import SitawimError
-from .intpoly import IntPoly, _matmul, _mulmod, _pdivrem, _poly_gcd_degree, _ptrim, charpoly
+from .intpoly import IntPoly, _matmul, _mulmod, _pdivrem, _poly_gcd, _ptrim, charpoly
 from .intpoly import factor_int_poly, galois_class
 from .varietygen import INVOLUTION_TYPES, InvolutionType
 
@@ -63,11 +63,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _as_int(v: object) -> int:
-    """A structure constant as an int; SitawimError unless it is integral."""
+def _as_int(v: object, what: str = "structure constant") -> int:
+    """``v`` as an int; SitawimError naming ``what`` unless it is integral."""
     i = int(v)
     if i != v:
-        raise SitawimError(f"structure constant {v!r} is not an integer")
+        raise SitawimError(f"{what} {v!r} is not an integer")
     return i
 
 
@@ -324,7 +324,7 @@ def _orbit_solve(inst: Instance) -> tuple:
             for a in range(r)
         ]
         cp = charpoly(M)
-        if _poly_gcd_degree(cp.coeffs, cp.derivative().coeffs) == 0:
+        if len(_poly_gcd(cp.coeffs, cp.derivative().coeffs)) == 1:
             break
     else:
         raise SitawimError("no squarefree generator found")

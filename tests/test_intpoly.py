@@ -1,9 +1,11 @@
 """Tests of the shared helpers of ``sitawim.intpoly`` against brute force:
 the divisor enumerator, the fraction-free division loop and the product
-modulo a monic factor against long division over Q, and the gcd degree."""
+modulo a monic factor against long division over Q, and the gcd against
+sympy's."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from sitawim.intpoly import (
     _pdivexact,
     _pdivides,
     _pdivrem,
-    _poly_gcd_degree,
+    _poly_gcd,
     _ptrim,
 )
 
@@ -126,4 +128,35 @@ def test_gcd_degree_matches_sympy(a, b, common):
     if any(common):  # a planted common factor makes a nontrivial gcd likely
         a, b = _times(a, common), _times(b, common)
     want = sympy.gcd(sympy.Poly(list(reversed(a)), x), sympy.Poly(list(reversed(b)), x))
-    assert _poly_gcd_degree(a, b) == want.degree()
+    assert len(_poly_gcd(a, b)) - 1 == want.degree()
+
+
+def _sympy_primitive_gcd(a, b):
+    """sympy's gcd over Q of two coefficient lists, as an ascending integer
+    list divided by its content with a positive leading coefficient."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    pa, pb = (sympy.Poly(list(reversed(c)) or [0], x) for c in (a, b))
+    coeffs = _ptrim([int(c) for c in reversed(sympy.gcd(pa, pb).all_coeffs())])
+    if not coeffs:
+        return []
+    g = math.gcd(*coeffs) * (1 if coeffs[-1] > 0 else -1)
+    return [c // g for c in coeffs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-30, 30), max_size=6),
+    st.lists(st.integers(-30, 30), max_size=6),
+    st.lists(st.integers(-6, 6), max_size=4),
+)
+@example([], [], [])
+@example([0, 0], [], [])
+@example([], [-4, 0, 2], [])
+@example([6, -4], [0, 0, 0], [3, -9])
+@example([3, 7, 2], [-1, 1, 6], [])  # gcd 2x + 1, through a scaled remainder
+def test_gcd_is_sympys_made_primitive(a, b, common):
+    if any(common):  # a planted common factor, so the gcd is often nontrivial
+        a, b = _times(a, common), _times(b, common)
+    assert _poly_gcd(a, b) == _sympy_primitive_gcd(a, b)
+    assert _poly_gcd(b, a) == _poly_gcd(a, b)

@@ -14,7 +14,7 @@ from sitawim.errors import SitawimError, SpectralError
 from sitawim import spectra, structcheck
 from sitawim.solver import GridAxis, SearchConfig, SimplexSpec, run_search
 from sitawim.spectra import SpectralData, eigenmatrix_P, eigenmatrix_Q, krein
-from sitawim.intpoly import IntPoly, _poly_gcd_degree, _real_roots, _sign_changes, _sturm_chain
+from sitawim.intpoly import IntPoly, _poly_gcd, _real_roots, _sign_changes, _sturm_chain
 from sitawim.structcheck import Instance, multiplicities, verify_sita
 
 from _fixtures import (
@@ -896,7 +896,7 @@ def squarefree_polys(draw) -> IntPoly:
     coeffs.append(draw(st.integers(1, 6)))
     poly = IntPoly(tuple(coeffs))
     derivative = [i * c for i, c in enumerate(poly.coeffs)][1:]
-    assume(poly.degree >= 2 and _poly_gcd_degree(poly.coeffs, derivative) == 0)
+    assume(poly.degree >= 2 and len(_poly_gcd(poly.coeffs, derivative)) == 1)
     return poly
 
 
