@@ -35,7 +35,7 @@ from mpmath import mp
 
 from .errors import SitawimError
 from .intpoly import _matmul
-from .spectra import _GUARD_BITS, SpectralData, eigenmatrix_P, eigenmatrix_Q, krein
+from .spectra import _GUARD_BITS, SpectralData, _to_fixed, eigenmatrix_P, eigenmatrix_Q, krein
 from .structcheck import Instance, multiplicities, verify_sita
 from .varietygen import InvolutionType
 
@@ -462,18 +462,6 @@ def krein_nonneg(sd: SpectralData) -> ConditionResult:
             witness={"i": i, "j": j, "k": k, "value": float(v)},
         )
     return ConditionResult("krein-nonnegativity", "pass")
-
-
-def _to_fixed(value, bits: int) -> int:
-    """round(value * 2**bits) as an int, exact from the mpf mantissa and
-    exponent (ties away from zero)."""
-    sign, man, exp, _ = mp.mpf(value)._mpf_
-    shift = exp + bits
-    if shift >= 0:
-        n = int(man) << shift
-    else:
-        n = (int(man) + (1 << (-shift - 1))) >> -shift
-    return -n if sign else n
 
 
 def _gegenbauer_levels(x: list, mfix: int, bits: int):

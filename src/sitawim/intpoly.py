@@ -541,15 +541,70 @@ def _sign_changes(chain: list[list[int]], point: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _value_slope_at(coeffs: Sequence[int], num: int, den: int) -> tuple[int, int]:
+    """The homogeneous forms den^d f(num/den) and den^(d-1) f'(num/den):
+    value and slope of the polynomial at num/den (den > 0), each times a
+    positive power of den, by one Horner pass."""
+    value = slope = 0
+    scale = 1
+    for c in reversed(coeffs):
+        slope = slope * num + value
+        value = value * num + c * scale
+        scale *= den
+    return value, slope
+
+
+def _refine_root(coeffs: Sequence[int], A: int, w: int, D: int, cells: int, slo: int) -> Fraction:
+    """The one root in (A/D, (A + cells*w)/D] of a polynomial with the sign
+    slo at A/D, located on the grid x_j = (A + j*w)/D: x_j itself when the
+    polynomial vanishes there for some 0 < j < cells, otherwise the midpoint
+    of the cell [x_j, x_(j+1)] that holds the root.
+
+    The bracket [lo, hi] of grid indices keeps sign(f(x_lo)) = slo and
+    x_hi past the root (x_cells itself is never evaluated), so the signs at
+    its two ends certify the final cell exactly.  The next index is the
+    Newton iterate j - f/(f'*w), rounded and moved inside the bracket, or
+    the bracket's midpoint when that iterate falls outside it, the slope
+    vanishes, or the step is more than half the step before last
+    (safeguarded Newton, as in rtsafe of *Numerical Recipes*)."""
+    lo, hi = 0, cells
+    j = cells >> 1
+    # the last two step lengths in cells, as (numerator, denominator)
+    step = last = (cells, 1)
+    while hi - lo > 1:
+        value, slope = _value_slope_at(coeffs, A + j * w, D)
+        if not value:
+            return Fraction(A + j * w, D)
+        if (value > 0) == (slo > 0):
+            lo = j
+        else:
+            hi = j
+        den = slope * w
+        if den < 0:
+            value, den = -value, -den
+        # the Newton step value/den in cells, rounded to the nearest cell
+        move = (2 * value + den) // (2 * den) if den else None
+        if move is not None and lo <= j - move <= hi and 2 * abs(value) * last[1] <= last[0] * den:
+            last, step = step, (abs(value), den)
+            j = min(max(j - move, lo + 1), hi - 1)
+        else:
+            last, step = step, (hi - lo, 2)
+            j = (lo + hi) >> 1
+    return Fraction(2 * A + (2 * lo + 1) * w, 2 * D)
+
+
 def _real_roots(poly: IntPoly, precision: int) -> list[Fraction]:
     """All real roots of a squarefree integer polynomial, as rational
     midpoints of bisected isolating intervals of width < 2^-(precision+16).
 
-    Isolation runs on Fractions; the refinement, which makes almost every
-    step, keeps an interval as integer numerators A < B over one common
-    denominator D and halves it by doubling all three around the midpoint
-    A + B, so the midpoints are the same rationals (lo+hi)/2 and each sign
-    is an integer Horner evaluation."""
+    Isolation runs on Fractions.  Bisecting an isolating interval k times,
+    for the least k that brings its width below 2^-(precision+16), would
+    end in one cell of the grid that splits it into 2^k equal cells, or
+    earlier on a grid point where the polynomial vanishes.
+    :func:`_refine_root` finds that cell, or that point, directly by
+    safeguarded Newton steps on the grid, certified by exact integer
+    signs at the cell's two ends, so the roots are the same rationals the
+    bisection gives, (lo+hi)/2 of the last cell, in a few steps each."""
     coeffs = list(poly.coeffs)
     if len(coeffs) == 2:
         return [Fraction(-coeffs[0], coeffs[1])]
@@ -583,18 +638,8 @@ def _real_roots(poly: IntPoly, precision: int) -> list[Fraction]:
     for lo, hi in intervals:
         D = lcm(lo.denominator, hi.denominator)
         A, B = lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator)
+        # the least k with (B - A) / (D 2^k) <= 2^-steps
+        k = (-((A - B << steps) // D) - 1).bit_length()
         slo = _sign_at(coeffs, A, D)
-        # hi - lo > 2^-steps, i.e. (B - A) * 2^steps > D
-        while (B - A) << steps > D:
-            A, B, D = A << 1, B << 1, D << 1
-            M = (A + B) >> 1
-            smid = _sign_at(coeffs, M, D)
-            if smid == 0:
-                A = B = M
-                break
-            if smid == slo:
-                A = M
-            else:
-                B = M
-        roots.append(Fraction(A + B, 2 * D))
+        roots.append(_refine_root(coeffs, A << k, B - A, D << k, 1 << k, slo))
     return sorted(roots)

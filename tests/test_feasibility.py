@@ -31,9 +31,8 @@ from sitawim.feasibility import (
     _closed_subsets,
     _gegenbauer_levels,
     _structural_star,
-    _to_fixed,
 )
-from sitawim.spectra import SpectralData, eigenmatrix_P, eigenmatrix_Q, krein
+from sitawim.spectra import SpectralData, _to_fixed, eigenmatrix_P, eigenmatrix_Q, krein
 from sitawim.intpoly import IntPoly
 from sitawim.structcheck import Instance, verify_sita
 

@@ -599,23 +599,30 @@ class TestCharacterRows:
                 assert min(abs(z - g) for z in want) < 1e-9
 
     def test_unconverged_roots_are_refused(self, monkeypatch):
-        def stuck(*args, **kwargs):
-            raise mp.NoConvergence("stuck")
+        # the double-precision stage never settles
+        real = spectra._settle
 
-        monkeypatch.setattr(mp, "polyroots", stuck)
+        def stuck(coeffs, z, small):
+            return False if isinstance(z[0], complex) else real(coeffs, z, small)
+
+        monkeypatch.setattr(spectra, "_settle", stuck)
         with pytest.raises(SpectralError, match="did not converge"):
             eigenmatrix_P(A1_16)
 
     def test_coincident_roots_are_refused(self, monkeypatch):
         # a repeated root would give one character row twice, and both
-        # copies pass the root check
-        real = mp.polyroots
+        # copies pass the root check: the double-precision stage hands on
+        # one seed for every root, and the multiprecision stage refines
+        # the copies to one root
+        real = spectra._settle
 
-        def collapsed(coeffs, *args, **kwargs):
-            roots = real(coeffs, *args, **kwargs)
-            return [roots[0]] * len(roots)
+        def collapsed(coeffs, z, small):
+            settled = real(coeffs, z, small)
+            if isinstance(z[0], complex):
+                z[:] = [z[0]] * len(z)
+            return settled
 
-        monkeypatch.setattr(mp, "polyroots", collapsed)
+        monkeypatch.setattr(spectra, "_settle", collapsed)
         with pytest.raises(SpectralError, match="within tolerance"):
             eigenmatrix_P(A1_16)
 
@@ -631,6 +638,43 @@ class TestCharacterRows:
         )
         with pytest.raises(SpectralError, match="residual"):
             eigenmatrix_P(N35)
+
+
+@st.composite
+def nonreal_polys(draw) -> IntPoly:
+    """Squarefree integer polynomials of degree 2-4 with coefficients up to
+    10^6 in absolute value and at least one nonreal root."""
+    degree = draw(st.integers(min_value=2, max_value=4))
+    coeffs = draw(st.lists(st.integers(-(10**6), 10**6), min_size=degree, max_size=degree))
+    coeffs.append(draw(st.integers(-(10**6), 10**6).filter(bool)))
+    poly = IntPoly(tuple(coeffs))
+    derivative = [i * c for i, c in enumerate(poly.coeffs)][1:]
+    assume(len(_poly_gcd(poly.coeffs, derivative)) == 1)
+    assume(len(_real_roots(poly, 64)) < poly.degree)
+    return poly
+
+
+class TestFactorRoots:
+    @settings(max_examples=60, deadline=None)
+    @given(nonreal_polys())
+    def test_match_polyroots(self, poly):
+        roots = spectra._factor_roots(poly, mp.ldexp(1, -100))
+        with mp.workprec(2 * (spectra.PRECISION + spectra._GUARD_BITS)):
+            want = list(mp.polyroots(list(reversed(poly.coeffs)), maxsteps=500, extraprec=100))
+            assert len(roots) == len(want)
+            for z in roots:
+                nearest = min(want, key=lambda w: abs(z - w))
+                assert abs(z - nearest) <= mp.ldexp(1, -250)
+                want.remove(nearest)
+
+    def test_huge_coefficients_are_scaled(self):
+        # x^2 - 2^1100 x + 2^2300 has roots of size 2^1150, past any double
+        poly = IntPoly((1 << 2300, -(1 << 1100), 1))
+        roots = spectra._factor_roots(poly, mp.ldexp(1, -100))
+        assert len(roots) == 2
+        with mp.workprec(600):
+            for z in roots:
+                assert abs(z * z - z * 2**1100 + 2**2300) <= abs(z) ** 2 * mp.ldexp(1, -280)
 
 
 # reference eigenmatrix: the adjugate kernel and mp.eig that eigenmatrix_P
@@ -766,12 +810,13 @@ class TestAgainstAdjugateReference:
 # reference Krein tensor: the triple loop with every product formed per k ---
 
 
-def reference_krein(sd: SpectralData, inst: Instance):
-    """kappa_ijk = m_i m_j / n * sum_l P[i][l] P[j][l] conj(P[k][l]) / k_l^2,
-    laid out as ``krein`` lays it out, with the imaginary part dropped."""
+def reference_krein(sd: SpectralData, inst: Instance, bits: int):
+    """kappa_ijk = m_i m_j / n * sum_l P[i][l] P[j][l] conj(P[k][l]) / k_l^2
+    in mpf at ``bits`` bits, laid out as ``krein`` lays it out, with the
+    imaginary part dropped."""
     r, n = sd.rank, inst.order
-    with mp.workprec(sd.precision + spectra._GUARD_BITS):
-        m = sd.Q[0]
+    with mp.workprec(bits):
+        m = [mp.mpf(q.numerator) / q.denominator for q in sd.multiplicities]
         deg2 = [mp.mpf(k) ** 2 for k in inst.degrees]
         kappa = [[[None] * r for _ in range(r)] for _ in range(r)]
         for i in range(r):
@@ -787,22 +832,33 @@ def reference_krein(sd: SpectralData, inst: Instance):
     )
 
 
-def _bits(v):
-    return (mp.re(v)._mpf_, mp.im(v)._mpf_)
-
-
 class TestKreinAgainstTripleLoop:
-    @pytest.mark.parametrize("name", ["n35", "n249", "a1_16", "s49"])
-    def test_same_mpf_bits(self, name):
-        inst = {"n35": N35, "n249": N249, "a1_16": A1_16, "s49": S49}[name]
+    """The fixed-point tensor against the triple loop at twice the working
+    precision.  Integers cannot replay mpf's rounding of each operation, so
+    the two agree within 2^-256 * max(1, |kappa|), not bit for bit."""
+
+    @staticmethod
+    def _assert_close(inst):
         sd = eigenmatrix_Q(eigenmatrix_P(inst), inst)
         got = krein(sd, inst).krein
-        want = reference_krein(sd, inst)
-        assert [_bits(v) for mat in got for row in mat for v in row] == [
-            _bits(v) for mat in want for row in mat for v in row
-        ]
+        want = reference_krein(sd, inst, 2 * (spectra.PRECISION + spectra._GUARD_BITS))
+        with mp.workprec(2 * (spectra.PRECISION + spectra._GUARD_BITS)):
+            for a, b in zip(
+                (v for mat in got for row in mat for v in row),
+                (v for mat in want for row in mat for v in row),
+            ):
+                assert abs(a - b) <= mp.ldexp(1, -256) * max(1, abs(b))
+
+    @pytest.mark.parametrize("name", ["n35", "n249", "a1_16", "s49"])
+    def test_fixtures(self, name):
+        inst = {"n35": N35, "n249": N249, "a1_16": A1_16, "s49": S49}[name]
+        self._assert_close(inst)
         if name == "a1_16":  # conjugate-paired rows: P has nonreal entries
-            assert any(mp.im(v) != 0 for row in sd.P for v in row)
+            assert any(mp.im(v) != 0 for row in eigenmatrix_P(inst).P for v in row)
+
+    def test_rank4_sweeps(self, rank4_catalog):
+        for inst in rank4_catalog:
+            self._assert_close(inst)
 
 
 # reference root isolation: Sturm bisection on Fraction endpoints -------------
