@@ -30,9 +30,14 @@ The hot loops stay on ints wherever they can:
   ``normal_form`` and ``buchberger`` start from it, run fraction-free
   (:func:`mul_terms_into`, :func:`primitive_terms`), and store the ints
   they compute;
-- ``subs`` with constant values and ``evaluate`` share one loop,
-  :func:`_subs_values`, which works on int and ``Fraction`` coefficients
-  and values alike.
+- ``subs`` with constant values runs one loop, :func:`_subs_values`,
+  which works on int and ``Fraction`` coefficients and values alike;
+- a polynomial that is evaluated many times is compiled once, by
+  :func:`term_table`, into its cleared integer terms with each monomial
+  written as the list of variable positions it multiplies, and
+  :func:`table_value` evaluates that table on a vector of values;
+  ``evaluate``, ``Template.instantiate`` and the solver's per-point and
+  per-solution work all go through it.
 
 Monomials stay exponent tuples everywhere a polynomial is stored or
 returned, and in ``buchberger``, ``normal_form``, ``subs`` and
@@ -494,11 +499,14 @@ class MPoly:
     def evaluate(self, point: Mapping[str, object]) -> int | Fraction:
         """Exact value at a full rational point (every used variable must be given)."""
         ring = self.ring
-        values = {ring.index[name]: _coeff(value) for name, value in point.items()}
+        values = [None] * ring.nvars
+        for name, value in point.items():
+            values[ring.index[name]] = _coeff(value)
         for i, col in enumerate(zip(*self.terms)):
-            if i not in values and any(col):
+            if values[i] is None and any(col):
                 raise ValueError(f"no value supplied for {ring.names[i]}")
-        return sum(_subs_values(self.terms, values).values())
+        table, den = term_table(self.terms)
+        return _coeff(Fraction(table_value(table, values), den))
 
     # -- linear structure ---------------------------------------------------------
 
@@ -570,6 +578,30 @@ def cleared_terms(terms: Mapping[Monomial, int | Fraction]) -> tuple[dict, int]:
         if type(c) is not int:
             den = math.lcm(den, c.denominator)
     return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
+def term_table(terms: Mapping[Monomial, int | Fraction]) -> tuple[tuple, int]:
+    """``(table, d)``: the terms times their common denominator ``d`` (as
+    :func:`cleared_terms` gives them), each as a pair ``(c, positions)``
+    whose ``positions`` list every variable of the monomial once per
+    power, so ``x0^2*x2`` is ``(0, 0, 2)``."""
+    ints, den = cleared_terms(terms)
+    table = tuple(
+        (c, tuple(i for i, e in enumerate(m) for _ in range(e))) for m, c in ints.items()
+    )
+    return table, den
+
+
+def table_value(table: Sequence[tuple], values: Sequence) -> int | Fraction:
+    """The value of a :func:`term_table` table (the polynomial times its
+    ``d``) with ``values[i]`` put in for the variable at position ``i``;
+    an int when the values are ints."""
+    total = 0
+    for c, positions in table:
+        for i in positions:
+            c *= values[i]
+        total += c
+    return total
 
 
 def exact_div(num: int, den: int) -> int | Fraction:

@@ -14,26 +14,56 @@ lexicographic Groebner basis triangularizes the specialized system, the
 integer roots of the univariate eliminant come from
 :func:`sitawim.intpoly._integer_roots` (closed form up to degree 2, above
 that a divisor test on the constant term bounded by the Cauchy bound), and
-back-substitution proceeds one variable at a time.  Once a point is put
-in, the system is moved into a ring of only its unknowns (a few of the
-template's dozens of variables), so every monomial the basis computation
-touches is short; lex there is the restriction of the template-ring lex
-order with the unknowns last, and the reduced basis, hence every
-solution, is the same.  Those small rings are cached by their variable
-names.
+back-substitution proceeds one variable at a time.
+
+A search compiles its reduced system once, when it is prepared, into
+integer tables that every grid point and every solution read:
+
+- the *specialization table*: each polynomial, its denominators cleared,
+  has its terms grouped by their monomial in the unknowns (the variables
+  neither enumerated nor eliminated by the chain, in ring order), and each
+  group's coefficient is an integer polynomial in the enumerated
+  variables.  Evaluating those coefficients at a grid point's ints gives
+  the specialized system as integer terms over the unknowns it still
+  uses; no polynomial is substituted into in the template ring;
+- the *chain table*: each eliminated variable's expression as integer
+  terms over one vector of values in ring order, and its denominator;
+- the *entry table* of the template (:meth:`Template.instantiate_at
+  <sitawim.varietygen.Template.instantiate_at>`), one per matrix entry.
+
+A term table (:func:`~sitawim.exactpoly.core.term_table`) is a
+polynomial's cleared integer terms, each monomial written as the list of
+variable positions it multiplies.  The tables move no check from exact
+to approximate: every solution is re-checked exactly against every
+specialized polynomial, a chain value counts only when its numerator is
+divisible by its denominator, and every instance goes through
+:func:`~sitawim.structcheck.verify_sita`.
+
+A system left with several unknowns is built directly in a ring of only
+those (a few of the template's dozens of variables), so every monomial
+the basis computation touches is short; lex there is the restriction of
+the template-ring lex order with the unknowns last, and the reduced
+basis, hence every solution, is the same.  Those small rings are cached
+by their variable names.  Back-substitution compiles the basis for its
+smallest unknown and puts in each integer root.
 
 A system left with one unknown u needs no basis: the reduced lex basis of
 an ideal of Q[u] is the gcd of its generators (Cox, Little & O'Shea,
 *Ideals, Varieties, and Algorithms*, §1.5), here
-:func:`sitawim.intpoly._poly_gcd` on integer coefficient lists.  Every
-point of the rank-4 pseudocyclic sweeps (m and x8 given for 4S, k1 for
-4A1) is such a system, and every back-substitution ends in one.  Its caps are read off the inputs in the
+:func:`sitawim.intpoly._poly_gcd` on the integer coefficient lists the
+specialization gives.  Every point of the rank-4 pseudocyclic sweeps (m
+and x8 given for 4S, k1 for 4A1) is such a system, and every
+back-substitution ends in one.  Its caps are read off the inputs in the
 order given: the first whose degree exceeds ``max_degree``, or else whose
 term count exceeds ``max_terms``, raises the
 :class:`~sitawim.errors.ResourceCapExceeded` ``buchberger`` would.  While
 ``max_terms`` exceeds ``max_degree`` (the defaults are 60 and a million)
 ``buchberger`` raises exactly then; under a smaller term cap it also
 counts the terms of intermediate remainders, so the two can differ.
+
+A pooled search ships the prepared system, tables included, to its
+workers pickled; ``concurrent.futures`` is imported only then, so a
+serial search never loads :mod:`multiprocessing`.
 
 Per-point diagnostics stream to the ``sitawim.solver`` logger with the
 stable line format ``point=<assignment> status=<sol|empty|posdim|cap>``;
@@ -45,11 +75,10 @@ from __future__ import annotations
 
 import itertools
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor
+from math import ceil, floor, prod
 from operator import itemgetter
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -60,7 +89,7 @@ from .errors import (
     SitawimError,
 )
 from .exactpoly import MonomialOrder, MPoly, Ring
-from .exactpoly.core import cleared_terms
+from .exactpoly.core import cleared_terms, table_value, term_table
 from .exactpoly.groebner import DEFAULT_MAX_DEGREE, DEFAULT_MAX_TERMS, _check_caps, buchberger
 from .exactpoly.linear import linear_reduce, rational_span_basis
 from .intpoly import _integer_roots, _poly_gcd
@@ -258,87 +287,142 @@ def _lex_order(names: tuple[str, ...]) -> MonomialOrder:
     return Ring(names).order("lex")
 
 
-def _project(polys: list[MPoly], names: list[str]) -> tuple[list[MPoly], MonomialOrder]:
-    """``polys``, which use only the variables ``names`` (listed in ring
-    order), rewritten in the cached ring of just those variables, with its
-    lex order."""
-    order = _lex_order(tuple(names))
-    index = polys[0].ring.index
-    idx = [index[n] for n in names]
-    pick = itemgetter(*idx) if len(idx) > 1 else lambda m, i=idx[0]: (m[i],)
-    small = order.ring
-    return [MPoly(small, {pick(m): c for m, c in p.terms.items()}) for p in polys], order
+@dataclass(frozen=True)
+class _System:
+    """Polynomials compiled once for putting in values of ``given``.
+
+    ``unknowns`` are the other variables the polynomials use, in ring
+    order.  Each polynomial, times its common denominator, is a tuple of
+    groups ``(mono, bits, table)``: ``mono`` the exponents of the unknowns,
+    ``bits`` the bit mask of the unknowns in it, and ``table`` the
+    :func:`~sitawim.exactpoly.core.term_table` of its integer coefficient,
+    a polynomial in the given variables listed in ``given`` order."""
+
+    given: tuple[str, ...]
+    unknowns: tuple[str, ...]
+    polys: tuple[tuple[tuple[tuple[int, ...], int, tuple], ...], ...]
+
+
+def _compile(ring: Ring, polys: Sequence[MPoly], given: Sequence[str]) -> _System:
+    """``polys``, in ``ring``, compiled for values of ``given``;
+    SitawimError naming a given name that is not a variable of the ring."""
+    index = ring.index
+    outside = [n for n in given if n not in index]
+    if outside:
+        raise SitawimError(f"not variables of the ring: {outside}")
+    used = set().union(*(p.variables() for p in polys))
+    unknowns = tuple(n for n in ring.names if n in used and n not in given)
+    gpick = [index[n] for n in given]
+    upick = [index[n] for n in unknowns]
+    compiled = []
+    for p in polys:
+        groups: dict = {}
+        for m, c in cleared_terms(p.terms)[0].items():
+            mono = tuple(m[i] for i in upick)
+            groups.setdefault(mono, {})[tuple(m[i] for i in gpick)] = c
+        compiled.append(
+            tuple(
+                (mono, sum(1 << k for k, e in enumerate(mono) if e), term_table(coeff)[0])
+                for mono, coeff in groups.items()
+            )
+        )
+    return _System(tuple(given), unknowns, tuple(compiled))
+
+
+def _specialize(system: _System, values: Sequence[int]) -> Optional[list[tuple[dict, int]]]:
+    """The compiled polynomials with ``values`` (listed as ``system.given``)
+    put in, as ``(terms, bits)``: integer terms over the unknowns and the
+    bit mask of the unknowns they use.  Polynomials that vanish are left
+    out; None when one becomes a nonzero constant, the specialized ideal
+    then being trivial."""
+    out = []
+    for groups in system.polys:
+        terms = {}
+        bits = 0
+        for mono, mono_bits, table in groups:
+            c = table_value(table, values)
+            if c:
+                terms[mono] = c
+                bits |= mono_bits
+        if not terms:
+            continue
+        if not bits:
+            return None
+        out.append((terms, bits))
+    return out
 
 
 def _solve_triangular(
-    polys: Sequence[MPoly],
-    values: Mapping[str, int],
+    unknowns: Sequence[str],
+    specialized: list[tuple[dict, int]],
     max_degree: int,
     max_terms: int,
 ) -> list[dict]:
-    """Integer points of ``V(polys)`` with ``values`` put in, as assignments
-    of the variables left over.
+    """Integer points of the specialized system (:func:`_specialize`), as
+    assignments of the unknowns it uses.
 
-    With one unknown u left, the eliminant is the gcd of the polynomials
-    as integer lists in u (denominators cleared), the lex basis up to a
-    scalar, and no basis is computed; each input in turn has its degree
-    checked against ``max_degree``, then its term count against
-    ``max_terms``.  More unknowns are solved in a ring of their own: lex
-    there is the order the wider ring's lex with the other variables first
-    induces on them, so the reduced basis is the same; back-substitution
-    puts in the smallest unknown, so it ends in the one-unknown case."""
-    sub = []
-    unknown_set = set()
-    for p in polys:
-        q = p.subs(values) if values else p
-        if q.is_zero:
-            continue
-        used = q.variables()
-        if not used:
-            return []  # a nonzero constant: the specialized ideal is trivial
-        sub.append(q)
-        unknown_set |= used
-    if not sub:
+    With one unknown u used, the eliminant is the gcd of the polynomials
+    as integer lists in u, the lex basis up to a scalar, and no basis is
+    computed; each polynomial in turn has its degree checked against
+    ``max_degree``, then its term count against ``max_terms``.  More
+    unknowns are solved in a ring of their own: lex there is the order the
+    wider ring's lex with the other variables first induces on them, so
+    the reduced basis is the same; back-substitution compiles the basis
+    for the smallest unknown and puts in each of its roots, so it ends in
+    the one-unknown case."""
+    used = 0
+    for _, bits in specialized:
+        used |= bits
+    if not used:
         return [{}]
-    ring = sub[0].ring
-    if len(unknown_set) == 1:
-        (u,) = unknown_set
+    if not used & (used - 1):
+        k = used.bit_length() - 1
         eliminant = []
-        for q in sub:
-            _check_caps(q.total_degree(), q.num_terms(), max_degree, max_terms)
-            coeffs = MPoly(ring, cleared_terms(q.terms)[0]).as_univariate(u)
+        for terms, _ in specialized:
+            degree = max(m[k] for m in terms)
+            _check_caps(degree, len(terms), max_degree, max_terms)
+            coeffs = [0] * (degree + 1)
+            for m, c in terms.items():
+                coeffs[m[k]] = c
             eliminant = _poly_gcd(eliminant, coeffs)
-        return [{u: root} for root in _integer_roots(eliminant)]
-    unknowns = [n for n in ring.names if n in unknown_set]
-    sub, order = _project(sub, unknowns)
+        return [{unknowns[k]: root} for root in _integer_roots(eliminant)]
+    picks = [k for k in range(len(unknowns)) if used >> k & 1]
+    names = tuple(unknowns[k] for k in picks)
+    order = _lex_order(names)
+    pick = itemgetter(*picks)
+    sub = [MPoly(order.ring, {pick(m): c for m, c in terms.items()}) for terms, _ in specialized]
     gb = buchberger(sub, order, max_degree=max_degree, max_terms=max_terms)
     if any(not g.variables() for g in gb):
         return []
     pure = set()
     for g in gb:
         mono, _ = g.leading(order)
-        lead = [name for name, e in zip(unknowns, mono) if e]
+        lead = [name for name, e in zip(names, mono) if e]
         if len(lead) == 1:
             pure.add(lead[0])
-    free = [u for u in unknowns if u not in pure]
+    free = [u for u in names if u not in pure]
     if free:
         raise PositiveDimensionalError(
             f"specialized system leaves {free} free (no pure-power leading term)"
         )
-    smallest = unknowns[-1]
+    smallest = names[-1]
     eliminant = min(
         (g for g in gb if g.variables() <= {smallest}),
         key=lambda g: g.total_degree(),
     )
+    back = _compile(order.ring, gb, (smallest,))
     out = []
     for root in _integer_roots(eliminant.as_univariate(smallest)):
-        for rest in _solve_triangular(gb, {smallest: root}, max_degree, max_terms):
+        rest_system = _specialize(back, (root,))
+        if rest_system is None:
+            continue
+        for rest in _solve_triangular(back.unknowns, rest_system, max_degree, max_terms):
             out.append({smallest: root, **rest})
     return out
 
 
 def specialize_and_solve(
-    polys: Sequence[MPoly],
+    polys: Union[Sequence[MPoly], _System],
     partial: Mapping[str, int],
     *,
     max_degree: int = DEFAULT_MAX_DEGREE,
@@ -346,38 +430,53 @@ def specialize_and_solve(
 ) -> list[Solution]:
     """All integer points of ``V(polys)`` extending ``partial``.
 
-    Substitutes the partial assignment and moves what is left into a ring
-    of only its unknowns (cached by their names), where a lexicographic
-    Groebner basis triangularizes it; integer roots are read off the
-    univariate eliminant and back-substituted one variable at a time, each
-    step again in a ring of the unknowns that remain.  A step with one
-    unknown left takes the integer gcd of its polynomials as the eliminant
-    and computes no basis; it checks each polynomial, in order, for degree
-    above ``max_degree`` and then for more than ``max_terms`` terms.
+    The polynomials are first compiled for the variables ``partial`` gives
+    (a search compiles its prepared system once and passes that in): each
+    one's denominators are cleared, and its terms are grouped by their
+    monomial in the unknowns, each group's coefficient an integer
+    polynomial in the given variables.  Putting in the point evaluates
+    those coefficients, which gives the specialized system as integer
+    terms over the unknowns it still uses, with no substitution in the
+    full ring.  A system left with one unknown takes the integer gcd of
+    its polynomials as the eliminant and computes no basis; it checks each
+    polynomial, in order, for degree above ``max_degree`` and then for
+    more than ``max_terms`` terms.  More unknowns are moved into a ring of
+    only those (cached by their names), where a lexicographic Groebner
+    basis triangularizes the system; integer roots are read off the
+    univariate eliminant and back-substituted one variable at a time, the
+    basis compiled in turn for its smallest unknown.
+
     Returns the empty list when the specialized ideal is trivial.  Raises
     :class:`PositiveDimensionalError` when the remainder has a free
     variable, :class:`ResourceCapExceeded` when a basis computation or a
     one-unknown input blows its budget, and :class:`SitawimError` naming a
     partial value that is not integral (ints and integral Fractions are)
     or not a variable of the ring.  Every returned solution is re-checked
-    exactly against every input polynomial.
+    exactly: each specialized polynomial, hence each input polynomial
+    times its denominator, must vanish at it.
     """
     start = _integral(partial)
-    if not polys:
+    if isinstance(polys, _System):
+        system = polys
+        if start.keys() != set(system.given):
+            raise SitawimError(
+                f"the system is compiled for {list(system.given)}, not {list(start)}"
+            )
+    elif not polys:
         return [Solution(start)]
-    index = polys[0].ring.index
-    outside = [k for k in start if k not in index]
-    if outside:
-        raise SitawimError(f"not variables of the ring: {outside}")
-    raw = _solve_triangular(list(polys), start, max_degree, max_terms)
+    else:
+        system = _compile(polys[0].ring, polys, tuple(start))
+    specialized = _specialize(system, [start[n] for n in system.given])
+    if specialized is None:
+        return []
+    raw = _solve_triangular(system.unknowns, specialized, max_degree, max_terms)
     solutions = sorted(Solution({**start, **pt}) for pt in raw)
     for sol in solutions:
         point = sol.as_dict()
-        for p in polys:
-            if p.evaluate(point) != 0:
-                raise SitawimError(
-                    f"solver bug: {point} does not kill a generator"
-                )
+        values = [point.get(n, 0) for n in system.unknowns]
+        for terms, _ in specialized:
+            if sum(c * prod(map(pow, values, m)) for m, c in terms.items()):
+                raise SitawimError(f"solver bug: {point} does not kill a generator")
     return solutions
 
 
@@ -419,10 +518,15 @@ def canonical_form(inst: Instance) -> Instance:
 
 @dataclass
 class _Prepared:
+    """The reduced system of one search, and its tables: ``system``
+    compiled for the enumerated variables, and ``backfill``, the chain in
+    the order it is filled, as ``(ring index, term table, denominator)``."""
+
     template: Template
     polys: list[MPoly]
     chain: list[tuple[str, MPoly]]
-    enumerated: list[str]
+    system: _System
+    backfill: tuple[tuple[int, tuple, int], ...]
 
 
 def _prepare(cfg: SearchConfig) -> _Prepared:
@@ -433,13 +537,32 @@ def _prepare(cfg: SearchConfig) -> _Prepared:
     if cfg.assumption == "pseudocyclic":
         gens = gens + homogeneity_constraints(template)
     enumerated = cfg.enumerated_names()
-    known = set(template.ring.names)
-    missing = [n for n in enumerated if n not in known]
+    ring = template.ring
+    missing = [n for n in enumerated if n not in ring.index]
     if missing:
         raise SitawimError(f"not template variables: {missing}")
     red = linear_reduce(gens, degree_symbols=template.degree_symbols, keep=tuple(enumerated))
     polys = rational_span_basis(red.polys)
-    return _Prepared(template, polys, list(red.chain), enumerated)
+    system = _compile(ring, polys, enumerated)
+    return _Prepared(template, polys, list(red.chain), system, _compile_chain(ring, red.chain))
+
+
+def _compile_chain(ring: Ring, chain: Sequence[tuple[str, MPoly]]) -> tuple:
+    """The elimination chain in the order it is filled (last eliminated
+    first), as ``(ring index, term table, denominator)`` per variable."""
+    return tuple((ring.index[name], *term_table(expr.terms)) for name, expr in reversed(chain))
+
+
+def _back_fill(backfill: Sequence[tuple], values: list) -> bool:
+    """Put the chain's values into ``values`` (listed in ring order) in
+    place, each computed from those before it; False, leaving the rest
+    unfilled, at the first that is not an integer."""
+    for target, table, den in backfill:
+        value, rem = divmod(table_value(table, values), den)
+        if rem:
+            return False
+        values[target] = value
+    return True
 
 
 def _iter_points(cfg: SearchConfig) -> Iterator[dict[str, int]]:
@@ -463,12 +586,14 @@ def _solve_point(
     prep: _Prepared, cfg: SearchConfig, point: dict[str, int]
 ) -> tuple[str, list[Instance]]:
     """One grid point: solve, back-fill the chain, keep suitable verified
-    instances.  Returns (status, instances)."""
+    instances.  Returns (status, instances).  Each solution is one vector
+    of values in ring order, which the chain's and the entries' term
+    tables read."""
     template = prep.template
     ring = template.ring
     try:
         sols = specialize_and_solve(
-            prep.polys, point, max_degree=cfg.max_degree, max_terms=cfg.max_terms
+            prep.system, point, max_degree=cfg.max_degree, max_terms=cfg.max_terms
         )
     except PositiveDimensionalError:
         return "posdim", []
@@ -476,23 +601,16 @@ def _solve_point(
         return "cap", []
     found = []
     for sol in sols:
-        full = sol.as_dict()
-        integral = True
-        for name, expr in reversed(prep.chain):
-            value = expr.evaluate(full)
-            if value.denominator != 1:
-                integral = False
-                break
-            full[name] = int(value)
-        if not integral:
+        values = [None] * ring.nvars
+        for name, value in sol.assignment:
+            values[ring.index[name]] = value
+        if not _back_fill(prep.backfill, values):
             continue
-        missing = [n for n in ring.names if n not in full]
-        if missing:
+        if None in values:
             return "posdim", []
-        complete = Solution(full)
-        if not complete.is_suitable(template.degree_symbols):
+        if not Solution(dict(zip(ring.names, values))).is_suitable(template.degree_symbols):
             continue
-        inst = Instance(template.instantiate(full), itype=template.itype)
+        inst = Instance(template.instantiate_at(values), itype=template.itype)
         report = verify_sita(inst)
         if not report.passed:
             log.warning(
@@ -543,6 +661,9 @@ def run_search(cfg: SearchConfig) -> list[Instance]:
     if width <= 1:
         indexed = _stripe_worker(prep, cfg, 0, 1)
     else:
+        # imported here, so that a serial search never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=width) as pool:
             futures = [
                 pool.submit(_stripe_worker, prep, cfg, w, width) for w in range(width)

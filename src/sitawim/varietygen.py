@@ -39,12 +39,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import SitawimError
 from .exactpoly import MPoly, Ring
-from .exactpoly.core import mul_terms_into, poly_sort_key
+from .exactpoly.core import mul_terms_into, poly_sort_key, table_value, term_table
 
 __all__ = [
     "INVOLUTION_TYPES",
@@ -293,22 +294,39 @@ class Template:
     def instantiate(self, assignment: Mapping[str, object]) -> list[list[list[int]]]:
         """Integer regular matrices at a full assignment of the ring
         variables (structure variables and degree symbols alike)."""
-        point = dict(assignment)
+        missing = [name for name in self.ring.names if name not in assignment]
+        if missing:
+            raise ValueError(f"no value supplied for {missing[0]}")
+        return self.instantiate_at([assignment[name] for name in self.ring.names])
+
+    def instantiate_at(self, values: Sequence[int]) -> list[list[list[int]]]:
+        """Integer regular matrices at the values of the ring variables,
+        listed in ring order; every entry is read off its term table."""
         mats = []
-        for rows in self.matrices:
+        for rows in self._entry_tables:
             mat = []
             for row in rows:
                 vals = []
-                for entry in row:
-                    v = entry.evaluate(point)
-                    if v.denominator != 1:
+                for table, den in row:
+                    num = table_value(table, values)
+                    v, rem = divmod(num, den)
+                    if rem:
                         raise SitawimError(
-                            f"non-integer structure constant {v} at this point"
+                            f"non-integer structure constant {Fraction(num, den)} at this point"
                         )
-                    vals.append(int(v))
+                    vals.append(v)
                 mat.append(vals)
             mats.append(mat)
         return mats
+
+    @cached_property
+    def _entry_tables(self) -> tuple:
+        """:func:`~sitawim.exactpoly.core.term_table` of every entry, in
+        the shape of ``matrices``; built on first use."""
+        return tuple(
+            tuple(tuple(term_table(entry.terms) for entry in row) for row in rows)
+            for rows in self.matrices
+        )
 
 
 def _orbit(

@@ -6,7 +6,11 @@ module can carry such an entry.
 """
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +36,25 @@ def test_every_export_resolves(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+IMPORT_EVERY_MODULE = """
+import importlib, pkgutil, sys
+import sitawim
+names = [info.name for info in pkgutil.walk_packages(sitawim.__path__, prefix="sitawim.")]
+for name in names:
+    importlib.import_module(name)
+print(len(names), "multiprocessing" in sys.modules)
+"""
+
+
+def test_importing_every_module_leaves_multiprocessing_out():
+    """Only a pooled search imports the process pool, so a serial process
+    never pays for multiprocessing."""
+    src = str(Path(sitawim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_EVERY_MODULE], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(len(MODULES) - 1), "False"]

@@ -14,8 +14,12 @@ import itertools
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -39,7 +43,7 @@ from sitawim.solver import (
     specialize_and_solve,
 )
 from sitawim.structcheck import Instance, multiplicities
-from sitawim.varietygen import RationalCharTable
+from sitawim.varietygen import RationalCharTable, build_template
 
 N35 = Instance(N35_MATRICES, itype="5S")
 N249 = Instance(N249_MATRICES, itype="5S")
@@ -738,3 +742,206 @@ def test_traced_search_reaches_the_solver_layers(monkeypatch):
         assert "solver.specialize_and_solve" in names, label
         lex_calls = tracing.layer_metrics(tracer, {})["groebner.lex_calls"]
         assert (lex_calls > 0) == (label == "5A2"), (label, lex_calls)
+
+
+# ---------------------------------------------------------------------------
+# the compiled tables against MPoly.subs
+#
+# MPoly.evaluate and Template.instantiate read term tables themselves, so
+# the reference here is MPoly.subs, whose constant substitution is a loop
+# of its own (exactpoly.core._subs_values).
+
+_COEFFS = st.one_of(
+    st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=6)
+)
+_TERMS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(WIDE.names)), _COEFFS, max_size=5)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    drawn=st.lists(
+        st.tuples(_TERMS, st.sampled_from(["plain", "vanishes", "given only"])),
+        min_size=1,
+        max_size=4,
+    ),
+    given_flags=st.lists(st.booleans(), min_size=len(WIDE.names), max_size=len(WIDE.names)),
+    values=st.lists(st.integers(-4, 4), min_size=len(WIDE.names), max_size=len(WIDE.names)),
+)
+def test_compiled_specialization_matches_subs(drawn, given_flags, values):
+    """Polynomials that stay, vanish at the point, or use only given
+    variables (so become constants), with none, some or all of the seven
+    variables given: the compiled specialization is ``MPoly.subs`` times
+    the polynomial's common denominator, restricted to the unknowns."""
+    given = [n for n, flag in zip(WIDE.names, given_flags) if flag]
+    point = {n: v for n, v, flag in zip(WIDE.names, values, given_flags) if flag}
+    polys = []
+    for terms, kind in drawn:
+        p = WIDE.poly(terms)
+        if kind == "given only":
+            keep = [n in point for n in WIDE.names]
+            p = WIDE.poly({tuple(map(mul, m, keep)): c for m, c in terms.items()})
+        elif kind == "vanishes" and given:
+            p = p * (WIDE.var(given[0]) - point[given[0]])
+        polys.append(p)
+    system = solver._compile(WIDE, polys, given)
+    assert list(system.unknowns) == [
+        n for n in WIDE.names if n not in point and any(p.degree(n) > 0 for p in polys)
+    ]
+    specialized = solver._specialize(system, [point[n] for n in system.given])
+    subs = [p.subs(point) for p in polys]
+    if any(q.is_constant and not q.is_zero for q in subs):
+        assert specialized is None
+        return
+    want = []
+    for p, q in zip(polys, subs):
+        if q.is_zero:
+            continue
+        assert q.variables() <= set(system.unknowns)
+        den = math.lcm(*[Fraction(c).denominator for c in p.terms.values()])
+        pick = [WIDE.index[u] for u in system.unknowns]
+        terms = {tuple(m[i] for i in pick): c * den for m, c in q.terms.items()}
+        bits = sum(1 << k for k, u in enumerate(system.unknowns) if u in q.variables())
+        want.append((terms, bits))
+    assert specialized == want
+    assert all(type(c) is int for terms, _ in specialized for c in terms.values())
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    targets=st.lists(st.sampled_from(WIDE.names), min_size=1, max_size=4, unique=True),
+    drawn=st.lists(_TERMS, min_size=4, max_size=4),
+    values=st.lists(st.integers(-4, 4), min_size=len(WIDE.names), max_size=len(WIDE.names)),
+)
+def test_compiled_chain_matches_subs_and_evaluate(targets, drawn, values):
+    """A chain filled last entry first, each expression in the variables
+    given and those filled before it, with Fraction coefficients: the
+    back-fill stops at the first value that is not an integer and otherwise
+    matches ``MPoly.subs`` and ``MPoly.evaluate`` at every step."""
+    point = {n: v for n, v in zip(WIDE.names, values) if n not in targets}
+    chain = []
+    known = set(point)
+    for name, terms in zip(targets, drawn):
+        # zero the exponents of variables not known yet
+        keep = [n in known for n in WIDE.names]
+        expr = WIDE.poly({tuple(map(mul, m, keep)): c for m, c in terms.items()})
+        chain.insert(0, (name, expr))
+        known.add(name)
+    full = dict(point)
+    integral = True
+    for name, expr in reversed(chain):
+        value = expr.subs(full).constant_value()
+        assert expr.evaluate(full) == value
+        if Fraction(value).denominator != 1:
+            integral = False
+            break
+        full[name] = int(value)
+    vector = [point.get(n) for n in WIDE.names]
+    assert solver._back_fill(solver._compile_chain(WIDE, chain), vector) == integral
+    if integral:
+        assert vector == [full[n] for n in WIDE.names]
+
+
+TEMPLATES = {
+    "4S": ("4S", "none"),
+    "4A1": ("4A1", "pseudocyclic"),
+    "5A2": ("5A2", "none"),
+    "5S-n35-table": ("5S", N35_TABLE),
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    label=st.sampled_from(sorted(TEMPLATES)),
+    halve=st.booleans(),
+    data=st.data(),
+)
+def test_entry_tables_match_subs(label, halve, data):
+    """Every matrix entry read off its term table is the entry with the
+    point put in by ``MPoly.subs``; a point (or, with every entry halved,
+    a template) giving an entry that is not an integer is refused."""
+    template = build_template(*TEMPLATES[label])
+    if halve:
+        template = dataclasses.replace(
+            template,
+            matrices=tuple(
+                tuple(tuple(e * Fraction(1, 2) for e in row) for row in rows)
+                for rows in template.matrices
+            ),
+        )
+    names = template.ring.names
+    values = data.draw(
+        st.lists(
+            st.one_of(st.integers(-5, 5), st.sampled_from([Fraction(1, 2), Fraction(4, 2)])),
+            min_size=len(names),
+            max_size=len(names),
+        )
+    )
+    point = dict(zip(names, values))
+    want = [
+        [[e.subs(point).constant_value() for e in row] for row in rows]
+        for rows in template.matrices
+    ]
+    if any(Fraction(v).denominator != 1 for rows in want for row in rows for v in row):
+        with pytest.raises(SitawimError, match="non-integer structure constant"):
+            template.instantiate(point)
+        with pytest.raises(SitawimError, match="non-integer structure constant"):
+            template.instantiate_at(values)
+        return
+    assert template.instantiate(point) == want
+    assert template.instantiate_at(values) == want
+    mats = template.instantiate_at(values)
+    assert all(type(v) is int for mat in mats for row in mat for v in row)
+
+
+# ---------------------------------------------------------------------------
+# the pooled path under the spawn start method
+
+SPAWN_SEARCH = """
+import json, logging, multiprocessing
+from sitawim.solver import GridAxis, SearchConfig, SimplexSpec, run_search
+
+class Lines(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    handler = Lines()
+    logger = logging.getLogger("sitawim.solver")
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    out = {}
+    for workers in (1, 2):
+        handler.lines = []
+        cfg = SearchConfig(
+            itype="5A2",
+            assumption="pseudocyclic",
+            grid=(GridAxis("m", 1, 20),),
+            simplex=SimplexSpec(("x14",), anchor="m"),
+            workers=workers,
+        )
+        catalog = run_search(cfg)
+        out[workers] = {"catalog": [inst.matrices for inst in catalog], "log": handler.lines}
+    print(json.dumps([multiprocessing.get_start_method(), out]))
+"""
+
+
+def test_spawned_workers_match_the_serial_search():
+    """A worker started by spawn inherits nothing from the parent, so a
+    two-worker 5A2 sweep matching the serial one shows the pickled prepared
+    system carries everything a worker needs."""
+    src = str(Path(solver.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", SPAWN_SEARCH], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    method, out = json.loads(done.stdout.splitlines()[-1])
+    assert method == "spawn"
+    serial, pooled = out["1"], out["2"]
+    assert len(serial["catalog"]) == 7 and len(serial["log"]) == 230
+    assert pooled == serial
