@@ -4,15 +4,17 @@ Six conditions, in increasing cost order: the handshake parity condition,
 realizability of closed subsets and quotients, the triangle-count
 integrality condition, the absolute bound, nonnegativity of the Krein
 parameters, and the matrix Gegenbauer criterion.  The first three are
-exact integer computations; the last three read the high-precision Krein
-tensor.  ``run_battery`` produces a :class:`FeasibilityReport` with one
-verdict per condition and a witness for every failure.
+exact integer computations; the last three compare integers too, the Krein
+tensor's values on the grid of :mod:`sitawim.spectra` and the exact
+multiplicities.  ``run_battery`` produces a :class:`FeasibilityReport`
+with one verdict per condition and a witness for every failure.
 
 A verdict depends on the table alone: no condition takes a precision, a
 tolerance or a bound.  The Krein-side conditions read the spectral record
-at its recorded precision and ``eps``, classify Krein zeros at
-:data:`KREIN_ZERO_EPS` (with the :data:`NEAR_ZERO_BAND` warning), and run
-the Gegenbauer recurrence up to 2 * max multiplicity.
+on its grid and against its ``eps``, classify Krein zeros at
+:data:`KREIN_ZERO_EPS`, put on that grid exactly (with the
+:data:`NEAR_ZERO_BAND` warning), and run the Gegenbauer recurrence up to
+2 * max multiplicity.
 
 The Gegenbauer criterion carries column 0 of G_l(X), X = L*_i / m_i, only,
 by G_l(X) = sum_k G_l(X)[k][0] * L*_k (Bannai & Ito, *Algebraic
@@ -26,16 +28,15 @@ column 0 decides the verdict and the failing level.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
-from mpmath import mp
-
 from .errors import SitawimError
 from .intpoly import _matmul
-from .spectra import _GUARD_BITS, SpectralData, _to_fixed, eigenmatrix_P, eigenmatrix_Q, krein
+from .spectra import GRID_BITS, SpectralData, _div, eigenmatrix_P, eigenmatrix_Q, krein
 from .structcheck import Instance, multiplicities, verify_sita
 from .varietygen import InvolutionType
 
@@ -66,6 +67,9 @@ KREIN_ZERO_EPS = "1e-20"
 #: multiplier defining the ambiguous near-zero band that downgrades a
 #: verdict to "warning"
 NEAR_ZERO_BAND = 10**6
+# both ends of the band on the grid, rounded down: an int exceeds x
+# exactly when it exceeds floor(x)
+_ZERO, _BAND_TOP = (int(Fraction(KREIN_ZERO_EPS) * (s << GRID_BITS)) for s in (1, NEAR_ZERO_BAND))
 
 
 @dataclass(frozen=True)
@@ -403,43 +407,28 @@ def absolute_bound(sd: SpectralData) -> ConditionResult:
     :data:`KREIN_ZERO_EPS`.  Entries in the ambiguous band (eps, 10^6*eps]
     downgrade the verdict to ``warning`` because the support
     classification — and with it the verdict — could flip under a
-    different tolerance.
+    different tolerance.  The multiplicities are the exact ones of
+    ``sd.multiplicities``, on their common denominator M, so a total equal
+    to its bound passes.
     """
     _need_krein(sd)
     r = sd.rank
-    with mp.workprec(sd.precision + _GUARD_BITS):
-        eps = mp.mpf(KREIN_ZERO_EPS)
-        m = sd.Q[0]
-        band = []
-        for i in range(r):
-            for j in range(i, r):
-                support = []
-                for k in range(r):
-                    mag = abs(sd.krein[i][k][j])  # (L*_i)[k][j] = kappa_ijk
-                    if mag > eps:
-                        support.append(k)
-                    if eps < mag <= NEAR_ZERO_BAND * eps:
-                        band.append((i, j, k))
-                total = sum(m[k] for k in support)
-                bound = m[i] * m[j] if i != j else m[i] * (m[i] + 1) / 2
-                if total > bound:
-                    return ConditionResult(
-                        "absolute-bound",
-                        "fail",
-                        witness={
-                            "i": i,
-                            "j": j,
-                            "support": tuple(support),
-                            "total": float(total),
-                            "bound": float(bound),
-                        },
-                    )
+    M = math.lcm(*(q.denominator for q in sd.multiplicities))
+    w = [q.numerator * (M // q.denominator) for q in sd.multiplicities]
+    band = []
+    for i in range(r):
+        for j in range(i, r):
+            support = [k for k in range(r) if abs(sd.krein[i][k][j]) > _ZERO]  # kappa_ijk
+            band += [(i, j, k) for k in support if abs(sd.krein[i][k][j]) <= _BAND_TOP]
+            # the total times M against the bound times 2 M^2
+            total = sum(w[k] for k in support)
+            bound = 2 * w[i] * w[j] if i != j else w[i] * (w[i] + M)
+            if 2 * M * total > bound:
+                sums = {"total": total / M, "bound": bound / (2 * M * M)}
+                witness = {"i": i, "j": j, "support": tuple(support), **sums}
+                return ConditionResult("absolute-bound", "fail", witness=witness)
     if band:
-        return ConditionResult(
-            "absolute-bound",
-            "warning",
-            witness={"near-zero": tuple(band)},
-        )
+        return ConditionResult("absolute-bound", "warning", witness={"near-zero": tuple(band)})
     return ConditionResult("absolute-bound", "pass")
 
 
@@ -456,11 +445,8 @@ def krein_nonneg(sd: SpectralData) -> ConditionResult:
                     worst = (i, j, k, v)
     if worst is not None:
         i, j, k, v = worst
-        return ConditionResult(
-            "krein-nonnegativity",
-            "fail",
-            witness={"i": i, "j": j, "k": k, "value": float(v)},
-        )
+        witness = {"i": i, "j": j, "k": k, "value": v / (1 << GRID_BITS)}
+        return ConditionResult("krein-nonnegativity", "fail", witness=witness)
     return ConditionResult("krein-nonnegativity", "pass")
 
 
@@ -500,18 +486,15 @@ def gegenbauer(sd: SpectralData, i: int) -> ConditionResult:
     the battery, column 0 is >= 0 exactly when the whole matrix is, so it
     decides the verdict and the failing level.
 
-    The recurrence runs in fixed point on plain ints: every value is an
-    integer multiple of 2^-F with F = ``sd.precision + 32``.  x = L*_i / m
-    (formed in mpf), m and eps are rounded to that grid from their mpf
-    mantissas and exponents; each step shifts the product x*G_{l-1} back
-    to F bits and divides by l, both rounded to nearest, so entries keep F
-    fractional bits however large their integer part grows, and the fail
-    test compares exact integers.  With xg = x*G_{l-1} and g = G_{l-2} on
-    the grid, M = m on the grid and c_s = (s << F) + M, the rounded step
-    floor((c_{2l-4}*xg - c_{l-4}*g + l*2^(F-1)) / (l*2^F)) is computed as
-    ((2l-4)*xg - (l-4)*g + ((M*(xg - g) + l*2^(F-1)) >> F)) // l, by the
-    identity floor(floor(y/2^F)/l) = floor(y/(l*2^F)) for l >= 1: one
-    big product and a division by the small int l.  Column 0 of G_l
+    The recurrence runs on ints on the grid 2^-F, F = :data:`GRID_BITS` of
+    :mod:`sitawim.spectra`, with x = L*_i / m and m rounded once to it
+    from the Krein integers and the exact multiplicity.  Each step shifts
+    the product x*G_{l-1} back to F bits and divides by l, both rounded to
+    nearest, so the fail test compares exact integers.  With xg =
+    x*G_{l-1}, g = G_{l-2}, M = m on the grid and c_s = (s << F) + M, the
+    rounded step floor((c_{2l-4}*xg - c_{l-4}*g + l*2^(F-1)) / (l*2^F)) is
+    ((2l-4)*xg - (l-4)*g + ((M*(xg - g) + l*2^(F-1)) >> F)) // l, by
+    floor(floor(y/2^F)/l) = floor(y/(l*2^F)) for l >= 1.  Column 0 of G_l
     needs only column 0 of G_{l-1} and G_{l-2}.
 
     The criterion comes from an embedding into a real unit sphere, which
@@ -523,31 +506,21 @@ def gegenbauer(sd: SpectralData, i: int) -> ConditionResult:
     r = sd.rank
     if not 1 <= i < r:
         raise SitawimError(f"dual index {i} out of range for rank {r}")
-    bits = sd.precision + _GUARD_BITS
-    with mp.workprec(bits):
-        if max(abs(mp.im(v)) for v in sd.P[i]) > sd.eps:
-            return ConditionResult(
-                "gegenbauer",
-                "vacuous",
-                detail={"i": i, "reason": "nonreal character row"},
-            )
-        m = sd.Q[0][i]
-        if m < 1:
-            raise SitawimError("gegenbauer requires multiplicity >= 1")
-        bound = int(2 * max(sd.Q[0][k] for k in range(1, r)))
-        detail = {"i": i, "bound": bound}
-        x = [[_to_fixed(sd.krein[i][a][b] / m, bits) for b in range(r)] for a in range(r)]
-        floor = -_to_fixed(sd.eps, bits)
-        levels = _gegenbauer_levels(x, _to_fixed(m, bits), bits)
-        for l, G in zip(range(1, bound + 1), levels):
-            low = min(G)
-            if low < floor:
-                return ConditionResult(
-                    "gegenbauer",
-                    "fail",
-                    witness={"i": i, "l": l, "entry": float(mp.ldexp(low, -bits))},
-                    detail=detail,
-                )
+    if max(abs(v) for _, v in sd.P[i]) > sd.eps:
+        reason = {"i": i, "reason": "nonreal character row"}
+        return ConditionResult("gegenbauer", "vacuous", detail=reason)
+    m = sd.multiplicities[i]
+    if m < 1:
+        raise SitawimError("gegenbauer requires multiplicity >= 1")
+    bound = int(2 * max(sd.multiplicities[1:]))
+    detail = {"i": i, "bound": bound}
+    x = [[_div(v * m.denominator, m.numerator) for v in row] for row in sd.krein[i]]
+    levels = _gegenbauer_levels(x, _div(m.numerator << GRID_BITS, m.denominator), GRID_BITS)
+    for l, G in zip(range(1, bound + 1), levels):
+        low = min(G)
+        if low < -sd.eps:
+            witness = {"i": i, "l": l, "entry": low / (1 << GRID_BITS)}
+            return ConditionResult("gegenbauer", "fail", witness=witness, detail=detail)
     return ConditionResult("gegenbauer", "pass", detail=detail)
 
 

@@ -1,52 +1,51 @@
-"""High-precision eigenstructure: eigenmatrices and dual intersection numbers.
+"""Eigenmatrices and dual intersection numbers on one fixed-point grid.
 
-Everything downstream of the exact layer that genuinely needs numbers — the
-first eigenmatrix P, the second eigenmatrix Q, and the Krein/dual
-intersection matrices — lives here, computed with arbitrary-precision
-binary floats (mpmath) in one configuration: 256 bits, plus 32 guard bits
-of working precision, and the zero tolerance eps = 2^-100 * max(1, n),
-which :class:`SpectralData` records.  No function takes a precision or a
-tolerance.
+The first eigenmatrix P, the second eigenmatrix Q and the Krein (dual
+intersection) parameters are held as integers on one grid 2^-F,
+F = 256 + 32 (:data:`GRID_BITS`): a real x is the int round(x 2^F), a
+complex value the pair (re, im) of such ints, and the zero tolerance
+eps = 2^-100 * max(1, n) lies on the grid exactly.  No function takes a
+precision or a tolerance.
 
 The exact layer anchors the numerics: :func:`eigenmatrix_P` reads the one
-orbit solve that :mod:`sitawim.structcheck` keeps on the instance, so an
-instance whose multiplicities or cyclotomy verdict are known is not solved
-again.  The solve gives each Galois orbit of characters (one irreducible
-factor f of the characteristic polynomial of the squarefree generator) its
-exact row over Q[x]/(f), checked against every basis matrix modulo f, and
-its exact multiplicity, stored next to each row in
-:attr:`SpectralData.multiplicities`.  Numbers enter only at the roots:
-every row of an orbit is the exact row evaluated at one root theta of f,
-and a root is refused unless one Newton step |f(theta)/f'(theta)| is
-within eps.  There are two root paths, one per kind of table:
+orbit solve that :mod:`sitawim.structcheck` keeps on the instance.  It
+gives each Galois orbit of characters (one irreducible factor f of the
+characteristic polynomial of the squarefree generator) its exact row W/D
+over Q[x]/(f) and its exact multiplicity, kept per row in
+:attr:`SpectralData.multiplicities`.  Numbers enter only at the roots
+theta of f, by one of two paths:
 
 - when the star is the identity every root is real, and
-  :func:`sitawim.intpoly._real_roots` gives it exactly, as a rational
-  within 2^-(256+16) of it, by Sturm isolation and safeguarded Newton
-  steps on a dyadic grid; Sturm proves the count and the separation of
-  the roots and gives the intervals that exact enclosures of real entries
-  need;
+  :func:`sitawim.intpoly._real_roots` gives it as a rational within
+  2^-(256+16), by Sturm isolation (which proves the count and the
+  separation of the roots) and safeguarded Newton steps, rounded onto the
+  grid;
 - when there is an asymmetric pair, :func:`_factor_roots` finds all roots
-  of f at once by Aberth's simultaneous iteration, seeded in Python
-  complex doubles and continued in ``mp.mpc`` up to the working precision,
-  and refuses roots that did not settle or lie within eps of each other.
+  of f at once by Aberth's simultaneous iteration, seeded in complex
+  doubles and continued on Gaussian integers on the grid, and refuses
+  roots that did not settle or lie within eps of each other.
 
-Past P, the checks and the Krein tensor run on fixed-point integers: P is
-rounded once to the grid 2^-F, F = 256 + 32 (:func:`_fixed_rows`), and
-every sum of products of its entries is then exact.  The Krein parameters
-kappa_ijk = (m_i m_j / n) sum_l P[i][l] P[j][l] conj(P[k][l]) / k_l^2 are
-one rounding of such a sum: with |P[i][l]| <= k_l, each kappa is within
-(1 + 3 r n) * 2^-F of the same sum over P itself (r the rank, n the
-order), which is below 2^-256 while 3 r n < 2^31.
+Rows are exact on those integers: for theta = T 2^-F and d = deg f, the
+Gaussian integers T^t 2^(F (d-t)) give f(theta), f'(theta) and every
+W_i(theta), times 2^(F d), as exact integer combinations.  A root is
+refused unless the Newton step |f(theta)/f'(theta)| is within eps, and
+each entry W_i(theta)/D is rounded once to the grid, so it is within
+delta * max |W_i'| / D + 2^-F of its character value when theta is within
+delta of the root (the max over the segment between them); on the Sturm
+path delta <= 2^-(256+16) + 2^-F.
+
+Q and the Krein tensor are exact sums of products of those integers,
+rounded once per value.  With |P[i][l]| <= k_l and every entry of P within
+e of its character value, each kappa_ijk = (m_i m_j / n) sum_l P[i][l]
+P[j][l] conj(P[k][l]) / k_l^2 is within 2^-F + 3 r n e of its exact value
+(r the rank, n the order), below 2^-256 for e = 2^-F while 3 r n < 2^31.
 
 Row order is canonical: the degree row first, then Galois orbits by
-(size, leading row), rows inside an orbit ascending by their value tuple,
-compared on a grid of 2^-128 so that rounding noise in entries that are
-exactly equal cannot decide the order.
-
-Each stage takes its input in one state: :func:`eigenmatrix_Q` the record
-:func:`eigenmatrix_P` returns, and :func:`krein` the record
-:func:`eigenmatrix_Q` returns.
+(size, leading row), rows inside an orbit ascending by their value tuple
+rounded to 2^-128, so that rounding noise in entries that are exactly
+equal cannot decide the order.  Each stage takes the record the one
+before it returns: :func:`eigenmatrix_P`, :func:`eigenmatrix_Q`,
+:func:`krein`.
 """
 
 from __future__ import annotations
@@ -55,10 +54,10 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
+from operator import mul
 from typing import Optional
-
-from mpmath import mp
 
 from .errors import SitawimError, SpectralError
 from .intpoly import IntPoly, _real_roots
@@ -73,26 +72,15 @@ __all__ = [
 
 PRECISION = 256
 _GUARD_BITS = 32
+#: F, the fractional bits of the one grid every spectral value lies on
+GRID_BITS = PRECISION + _GUARD_BITS
 # the most Aberth sweeps one stage of _factor_roots may take
 _SWEEPS = 60
 
 
-def _to_fixed(value, bits: int) -> int:
-    """round(value * 2**bits) as an int, exact from the mpf mantissa and
-    exponent (ties away from zero)."""
-    sign, man, exp, _ = mp.mpf(value)._mpf_
-    shift = exp + bits
-    if shift >= 0:
-        n = int(man) << shift
-    else:
-        n = (int(man) + (1 << (-shift - 1))) >> -shift
-    return -n if sign else n
-
-
-def _fixed_rows(P, bits: int) -> list:
-    """Every entry of P as the pair of ints (round(Re * 2^bits),
-    round(Im * 2^bits))."""
-    return [[(_to_fixed(mp.re(v), bits), _to_fixed(mp.im(v), bits)) for v in row] for row in P]
+def _div(a: int, b: int) -> int:
+    """a / b rounded to the nearest int (halves up), for b > 0."""
+    return (2 * a + b) // (2 * b)
 
 
 @dataclass(frozen=True)
@@ -105,19 +93,19 @@ class SpectralData:
     multiplicity of every row, as a ``Fraction`` and in row order, or None
     when some orbit's multiplicity is not a positive rational.  ``Q`` and
     ``krein`` start as ``None`` and are filled by :func:`eigenmatrix_Q` /
-    :func:`krein`.
-    ``precision`` is the number of bits (:data:`PRECISION`) and ``eps`` the
-    zero tolerance every root and residual was checked against.
+    :func:`krein`.  Every value is an int on the grid 2^-:data:`GRID_BITS`:
+    the entries of P and Q are (re, im) pairs, the Krein values and
+    ``eps``, the zero tolerance every root and residual was checked
+    against, single ints.
     """
 
-    precision: int
-    eps: object
-    P: tuple[tuple[object, ...], ...]
+    eps: int
+    P: tuple[tuple[tuple[int, int], ...], ...]
     orbits: tuple[tuple[int, ...], ...]
     orbit_polys: tuple[IntPoly, ...]
     multiplicities: Optional[tuple[Fraction, ...]]
-    Q: Optional[tuple[tuple[object, ...], ...]] = None
-    krein: Optional[tuple[tuple[tuple[object, ...], ...], ...]] = None
+    Q: Optional[tuple[tuple[tuple[int, int], ...], ...]] = None
+    krein: Optional[tuple[tuple[tuple[int, ...], ...], ...]] = None
 
     @property
     def rank(self) -> int:
@@ -125,45 +113,80 @@ class SpectralData:
 
 
 # ---------------------------------------------------------------------------
-# character rows
-
-
-def _mpf_of(q: Fraction):
-    return mp.mpf(q.numerator) / mp.mpf(q.denominator)
+# roots
 
 
 def _aberth_sweep(coeffs: list, z: list) -> list:
-    """One Jacobi sweep of Aberth's simultaneous iteration: the correction
+    """One Jacobi sweep of Aberth's simultaneous iteration on ``z`` in
+    place, returning the correction
     p(z_k) / (p'(z_k) - p(z_k) * sum_(j != k) 1 / (z_k - z_j)) of every
     approximation z_k, for coefficients listed from the highest degree
     down.  A pair of equal approximations contributes no term, so the two
     move as Newton iterates."""
-    d = len(z)
-    pair = [[0] * d for _ in range(d)]
-    for k in range(d):
-        for j in range(k + 1, d):
-            diff = z[k] - z[j]
-            if diff:
-                pair[k][j] = 1 / diff
-                pair[j][k] = -pair[k][j]
     deltas = []
-    for zk, terms in zip(z, pair):
+    for zk in z:
         value = slope = 0
         for c in coeffs:
             slope = slope * zk + value
             value = value * zk + c
-        deltas.append(value / (slope - value * sum(terms)) if value else value)
+        terms = sum(1 / (zk - zj) for zj in z if zj != zk)
+        deltas.append(value / (slope - value * terms) if value else value)
+    z[:] = [v - dv for v, dv in zip(z, deltas)]
     return deltas
 
 
-def _settle(coeffs: list, z: list, small) -> bool:
-    """Aberth sweeps on ``z`` in place until ``small(correction, root)``
-    accepts every corrected root of one sweep; False when :data:`_SWEEPS`
-    sweeps do not get there."""
+def _powers(theta: tuple, d: int) -> tuple[list, list]:
+    """The real and the imaginary parts of T^t 2^(F (d - t)), t = 0..d,
+    for theta = T 2^-F: a polynomial of degree at most d at theta, times
+    2^(F d), is an exact integer combination of them (:func:`_at`)."""
+    x, y = theta
+    re, im = [1 << GRID_BITS * d], [0]
+    for _ in range(d):
+        a, b = re[-1], im[-1]
+        re.append((a * x - b * y) >> GRID_BITS)
+        im.append((a * y + b * x) >> GRID_BITS)
+    return re, im
+
+
+def _at(coeffs, powers: tuple) -> tuple[int, int]:
+    """The polynomial with ascending ``coeffs`` at theta, times 2^(F d),
+    from the :func:`_powers` of theta."""
+    return sum(map(mul, coeffs, powers[0])), sum(map(mul, coeffs, powers[1]))
+
+
+def _grid_sweep(f: IntPoly, z: list) -> list:
+    """The sweep of :func:`_aberth_sweep` on Gaussian integers (x, y) =
+    (x + i y) 2^-F, for the polynomial f, as N / (1 - N * sum_(j != k)
+    1 / (z_k - z_j)) with the Newton step N = f(z_k) / f'(z_k): f and f'
+    exact at z_k, so that each reciprocal and quotient, rounded to the
+    grid, costs about 2^-F however large or clustered the roots are."""
+    F = GRID_BITS
+    slope = f.derivative().coeffs
+    deltas = []
+    for x, y in z:
+        powers = _powers((x, y), f.degree)
+        (pr, pi), (sr, si) = _at(f.coeffs, powers), _at(slope, powers)
+        if pr or pi:
+            norm = sr * sr + si * si
+            nr, ni = _div((pr * sr + pi * si) << F, norm), _div((pi * sr - pr * si) << F, norm)
+            # sum_(j != k) 1 / (z_k - z_j), skipping equal approximations
+            pairs = [(x - a, y - b) for a, b in z if (a, b) != (x, y)]
+            tr = sum(_div(u << 2 * F, u * u + v * v) for u, v in pairs)
+            ti = sum(_div(-v << 2 * F, u * u + v * v) for u, v in pairs)
+            qr, qi = (1 << F) - ((nr * tr - ni * ti) >> F), -((nr * ti + ni * tr) >> F)
+            norm = qr * qr + qi * qi
+            pr, pi = _div((nr * qr + ni * qi) << F, norm), _div((ni * qr - nr * qi) << F, norm)
+        deltas.append((pr, pi))
+    z[:] = [(x - dx, y - dy) for (x, y), (dx, dy) in zip(z, deltas)]
+    return deltas
+
+
+def _settle(sweep, z: list, small) -> bool:
+    """Sweeps ``sweep(z)`` until ``small(correction, root)`` accepts every
+    corrected root of one sweep; False when :data:`_SWEEPS` sweeps do not
+    get there."""
     for _ in range(_SWEEPS):
-        deltas = _aberth_sweep(coeffs, z)
-        z[:] = [v - dv for v, dv in zip(z, deltas)]
-        if all(small(dv, v) for dv, v in zip(deltas, z)):
+        if all(small(dv, v) for dv, v in zip(sweep(z), z)):
             return True
     return False
 
@@ -194,23 +217,21 @@ def _initial_guesses(a: list) -> list:
     return z
 
 
-def _factor_roots(f: IntPoly, eps) -> list:
-    """All roots of an integer polynomial by Aberth's simultaneous
-    iteration, refused unless it settled and the roots are pairwise farther
-    apart than eps.
+def _factor_roots(f: IntPoly, eps: int) -> list:
+    """All roots of an integer polynomial, as Gaussian integers (x, y) on
+    the grid, by Aberth's simultaneous iteration, refused unless it settled
+    and the roots are pairwise farther apart than eps (an int on the grid).
 
-    The roots are seeded in Python complex doubles, on x = 2^s y with s the
-    least shift that puts every root in |y| <= 2 (so every coefficient's
-    double and every evaluation stay in range), until every correction is
-    at most 2^-20 of its root.  The same iteration then continues in
-    ``mp.mpc`` at 106, 212 and finally PRECISION + _GUARD_BITS bits, each
-    level until every correction is at most 2^-(bits/3) of its root: a
-    cubically convergent step of that size leaves a relative error near
-    2^-bits.  A root's size counts as at least 2^-(B+1), with B the largest
-    coefficient's bit length, a lower bound on every nonzero root, so that
-    a zero root settles too.  Updating every root at once keeps two
-    clustered roots apart, where independent Newton steps could merge
-    them."""
+    The roots are seeded in complex doubles, on x = 2^s y with s the least
+    shift that puts every root in |y| <= 2 (so every double stays in
+    range), until every correction is at most 2^-20 of its root or of
+    2^-(B+1), B the largest coefficient's bit length (a lower bound on
+    every nonzero root).  The iteration then continues on the grid until
+    every correction is at most one grid step, which p and p' exact at the
+    grid points make reachable; a stop at 2^-(F/3) of the root, enough for
+    well-separated roots, would leave clustered ones far off the grid.
+    Updating every root at once keeps two clustered roots apart, where
+    independent Newton steps could merge them."""
     c = list(f.coeffs)
     d = len(c) - 1
     lead = c[-1]
@@ -222,33 +243,52 @@ def _factor_roots(f: IntPoly, eps) -> list:
     y = _initial_guesses(scaled)
     floor = math.ldexp(1.0, low - s)
     try:
-        settled = _settle(scaled[::-1], y, lambda dv, v: abs(dv) <= max(abs(v), floor) * 2.0**-20)
-        bits = 53
-        z = [mp.mpc(mp.ldexp(v.real, s), mp.ldexp(v.imag, s)) for v in y]
-        while settled and bits < PRECISION + _GUARD_BITS:
-            bits = min(2 * bits, PRECISION + _GUARD_BITS)
-            with mp.workprec(bits):
-                settled = _settle(
-                    [mp.mpf(v) for v in c[::-1]],
-                    z,
-                    lambda dv, v: mp.mag(dv) <= max(mp.mag(v), low) - bits // 3,
-                )
+        settled = _settle(
+            partial(_aberth_sweep, scaled[::-1]),
+            y,
+            lambda dv, v: abs(dv) <= max(abs(v), floor) * 2.0**-20,
+        )
+        if settled:
+            ratios = [map(float.as_integer_ratio, (v.real, v.imag)) for v in y]
+            z = [tuple(_div(a << s + GRID_BITS, b) for a, b in pair) for pair in ratios]
+            settled = _settle(partial(_grid_sweep, f), z, lambda dv, v: max(map(abs, dv)) <= 1)
     except (ZeroDivisionError, OverflowError):
         settled = False
     if not settled:
         raise SpectralError(f"roots of {f.coeffs} did not converge")
-    with mp.workprec(PRECISION + _GUARD_BITS):
-        if any(abs(a - b) <= eps for a, b in combinations(z, 2)):
-            raise SpectralError(f"two roots of {f.coeffs} lie within tolerance")
+    if any((a - u) ** 2 + (b - v) ** 2 <= eps * eps for (a, b), (u, v) in combinations(z, 2)):
+        raise SpectralError(f"two roots of {f.coeffs} lie within tolerance")
     return z
 
 
-def _row_key(row, bits: int) -> list:
-    """The value tuple of a row past its b_0 entry, rounded to 2^-bits."""
-    return [
-        (int(mp.nint(mp.ldexp(mp.re(v), bits))), int(mp.nint(mp.ldexp(mp.im(v), bits))))
-        for v in row[1:]
-    ]
+# ---------------------------------------------------------------------------
+# character rows
+
+
+def _character_rows(f: IntPoly, D: int, W: list, roots: list, eps: int) -> list:
+    """The rows W_i(theta) / D on the grid, one per root theta of f, each
+    refused unless |f(theta) / f'(theta)| <= eps; every value is exact
+    (:func:`_powers`) before the one rounding of each entry."""
+    den = D << GRID_BITS * (f.degree - 1)
+    slope = f.derivative().coeffs
+    rows = []
+    for theta in roots:
+        powers = _powers(theta, f.degree)
+        (vr, vi), (sr, si) = _at(f.coeffs, powers), _at(slope, powers)
+        # |f / f'| <= eps 2^-F
+        value, slope_at = vr * vr + vi * vi, sr * sr + si * si
+        if value << 2 * GRID_BITS > eps * eps * slope_at:
+            step = math.sqrt(value / slope_at) if slope_at else math.inf
+            raise SpectralError(f"root residual {step:.5g} of {f.coeffs} exceeds tolerance")
+        rows.append(tuple((_div(a, den), _div(b, den)) for a, b in (_at(w, powers) for w in W)))
+    return rows
+
+
+def _row_key(row) -> list:
+    """The value tuple of a row past its b_0 entry, rounded to 2^-128."""
+    shift = GRID_BITS - PRECISION // 2
+    half = 1 << shift - 1
+    return [((a + half) >> shift, (b + half) >> shift) for a, b in row[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -269,156 +309,138 @@ def eigenmatrix_P(inst: Instance) -> SpectralData:
     """
     r = inst.rank
     mats = inst.matrices
-    with mp.workprec(PRECISION + _GUARD_BITS):
-        eps = mp.ldexp(1, -100) * max(1, inst.order)
-        _, factors, perron, Ds, exact_rows, mu = inst._solved
-        if exact_rows is None:
-            raise SitawimError("generator has no rational degree eigenvalue")
-        # structural symmetry: b_j*b_j meets the identity iff b_j* = b_j,
-        # so the declared involution type cannot misroute the dispatch
-        symmetric = all(mats[j][0][j] for j in range(r))
-        bits = PRECISION // 2
-        blocks: list[tuple[list, IntPoly, Optional[Fraction]]] = []
-        mu = mu or [None] * len(factors)
-        # the trivial orbit, listed first, is the exact degree row below
-        for f, D, W, m in list(zip(factors, Ds, exact_rows, mu))[1:]:
-            if symmetric:
-                roots = [_mpf_of(q) for q in _real_roots(f, PRECISION)]
-            else:
-                roots = _factor_roots(f, eps)
-            if len(roots) != f.degree:
-                raise SpectralError(
-                    f"found {len(roots)} roots for a degree-{f.degree} factor"
-                )
-            for theta in roots:
-                value, slope = mp.polyval(f.coeffs[::-1], theta, derivative=True)
-                step = abs(value / slope)
-                if step > eps:
-                    raise SpectralError(
-                        f"root residual {mp.nstr(step, 5)} of {f.coeffs} exceeds tolerance"
-                    )
-            rows = [tuple(mp.polyval(w[::-1], theta) / D for w in W) for theta in roots]
-            rows.sort(key=lambda row: _row_key(row, bits))
-            blocks.append((rows, f, m))
-        blocks.sort(key=lambda block: (len(block[0]), _row_key(block[0][0], bits)))
-        P = [tuple(mp.mpf(d) for d in inst.degrees)]
-        orbits = [(0,)]
-        orbit_polys = [IntPoly((-perron, 1))]
-        row_mu = [Fraction(1)]
-        for rows, f, m in blocks:
-            orbits.append(tuple(range(len(P), len(P) + len(rows))))
-            orbit_polys.append(f)
-            P.extend(rows)
-            row_mu.extend([m] * len(rows))
-        return SpectralData(
-            precision=PRECISION,
-            eps=eps,
-            P=tuple(P),
-            orbits=tuple(orbits),
-            orbit_polys=tuple(orbit_polys),
-            multiplicities=None if None in row_mu else tuple(row_mu),
-        )
+    eps = max(1, inst.order) << GRID_BITS - 100
+    _, factors, perron, Ds, exact_rows, mu = inst._solved
+    if exact_rows is None:
+        raise SitawimError("generator has no rational degree eigenvalue")
+    # structural symmetry: b_j*b_j meets the identity iff b_j* = b_j,
+    # so the declared involution type cannot misroute the dispatch
+    symmetric = all(mats[j][0][j] for j in range(r))
+    blocks: list[tuple[list, IntPoly, Optional[Fraction]]] = []
+    mu = mu or [None] * len(factors)
+    # the trivial orbit, listed first, is the exact degree row below
+    for f, D, W, m in list(zip(factors, Ds, exact_rows, mu))[1:]:
+        if symmetric:
+            exact = _real_roots(f, PRECISION)
+            roots = [(_div(q.numerator << GRID_BITS, q.denominator), 0) for q in exact]
+        else:
+            roots = _factor_roots(f, eps)
+        if len(roots) != f.degree:
+            raise SpectralError(f"found {len(roots)} roots for a degree-{f.degree} factor")
+        rows = _character_rows(f, D, W, roots, eps)
+        rows.sort(key=_row_key)
+        blocks.append((rows, f, m))
+    blocks.sort(key=lambda block: (len(block[0]), _row_key(block[0][0])))
+    P = [tuple((k << GRID_BITS, 0) for k in inst.degrees)]
+    orbits = [(0,)]
+    orbit_polys = [IntPoly((-perron, 1))]
+    row_mu = [Fraction(1)]
+    for rows, f, m in blocks:
+        orbits.append(tuple(range(len(P), len(P) + len(rows))))
+        orbit_polys.append(f)
+        P.extend(rows)
+        row_mu.extend([m] * len(rows))
+    return SpectralData(
+        eps=eps,
+        P=tuple(P),
+        orbits=tuple(orbits),
+        orbit_polys=tuple(orbit_polys),
+        multiplicities=None if None in row_mu else tuple(row_mu),
+    )
 
 
 def eigenmatrix_Q(sd: SpectralData, inst: Instance) -> SpectralData:
     """The second eigenmatrix: Q[j][i] = m_i * conj(P[i][j]) / k_j, with the
-    exact multiplicities and degrees; checks P.Q = n.I within eps * n.
+    exact multiplicities and degrees, each entry rounded once to the grid;
+    checks P.Q = n.I within eps * n.
 
     (P.Q)[a][b] = m_b * sum_l P[a][l] conj(P[b][l]) / k_l, so the check
-    runs on the fixed-point P of :func:`_fixed_rows` with integer weights
-    K / k_l, K = lcm(k_l): each sum is an exact integer, and the comparison
-    with n on the scale of m_b / K is exact too."""
-    r = sd.rank
-    n = inst.order
-    bits = sd.precision + _GUARD_BITS
-    with mp.workprec(bits):
-        if sd.multiplicities is None:
-            raise SitawimError(NOT_STANDARD)
-        m = [_mpf_of(q) for q in sd.multiplicities]
-        Q = tuple(
-            tuple(m[i] * mp.conj(sd.P[i][j]) / inst.degrees[j] for i in range(r))
-            for j in range(r)
+    runs on the grid integers of P with integer weights K / k_l,
+    K = lcm(k_l): each sum is an exact integer, and the comparison with n
+    on the scale of m_b / K is exact too."""
+    r, n, bits, m = sd.rank, inst.order, GRID_BITS, sd.multiplicities
+    if m is None:
+        raise SitawimError(NOT_STANDARD)
+    re, im = [[a for a, _ in row] for row in sd.P], [[b for _, b in row] for row in sd.P]
+    Q = tuple(
+        tuple(
+            (_div(q.numerator * a, q.denominator * k), _div(-q.numerator * b, q.denominator * k))
+            for q, (a, b) in zip(m, (row[j] for row in sd.P))
         )
-        P = _fixed_rows(sd.P, bits)
-        K = math.lcm(*inst.degrees)
-        weights = [K // k for k in inst.degrees]
-        # |m_b S / (K 2^2F) - n [a = b]| <= eps n, times den(m_b) K 2^2F
-        limit = _to_fixed(sd.eps, bits) * n * K << bits
-        for b, mb in enumerate(sd.multiplicities):
-            conj_b = [(w * u, w * v) for w, (u, v) in zip(weights, P[b])]
-            for a in range(r):
-                # sum_l w_l P[a][l] conj(P[b][l]), with 2F fractional bits
-                re = sum(x * u + y * v for (x, y), (u, v) in zip(P[a], conj_b))
-                im = sum(y * u - x * v for (x, y), (u, v) in zip(P[a], conj_b))
-                re = mb.numerator * re - (n * mb.denominator * K << 2 * bits if a == b else 0)
-                im = mb.numerator * im
-                if re * re + im * im > (limit * mb.denominator) ** 2:
-                    miss = mp.sqrt(re * re + im * im) / (mb.denominator * K << 2 * bits)
-                    raise SpectralError(f"P.Q misses n.I at ({a},{b}) by {mp.nstr(miss, 5)}")
+        for j, k in enumerate(inst.degrees)
+    )
+    K = math.lcm(*inst.degrees)
+    weights = [K // k for k in inst.degrees]
+    # |m_b S / (K 2^2F) - n [a = b]| <= eps n, times den(m_b) K 2^2F
+    limit = sd.eps * n * K << bits
+    for b, mb in enumerate(m):
+        wr, wi = list(map(mul, weights, re[b])), list(map(mul, weights, im[b]))
+        for a in range(r):
+            # S = sum_l w_l P[a][l] conj(P[b][l]), with 2F fractional bits
+            sr = sum(map(mul, re[a], wr)) + sum(map(mul, im[a], wi))
+            si = sum(map(mul, im[a], wr)) - sum(map(mul, re[a], wi))
+            sr = mb.numerator * sr - (n * mb.denominator * K << 2 * bits if a == b else 0)
+            si = mb.numerator * si
+            if sr * sr + si * si > (limit * mb.denominator) ** 2:
+                miss = math.isqrt(sr * sr + si * si) / (mb.denominator * K << 2 * bits)
+                raise SpectralError(f"P.Q misses n.I at ({a},{b}) by {miss:.5g}")
     return replace(sd, Q=Q)
 
 
 def krein(sd: SpectralData, inst: Instance) -> SpectralData:
     """Dual intersection matrices: (L*_i)[k][j] = kappa_ijk with
-    kappa_ijk = (m_i m_j / n) sum_l P[i][l] P[j][l] conj(P[k][l]) / k_l**2.
+    kappa_ijk = (m_i m_j / n) sum_l P[i][l] P[j][l] conj(P[k][l]) / k_l**2,
+    kept in ``SpectralData.krein`` as ints on the grid in that layout.
 
-    Computed on fixed-point integers with F = precision + 32 fractional
-    bits: P is rounded to that grid once (:func:`_fixed_rows`), the weights
-    L / k_l**2 with L = lcm(k_l**2) are exact ints, so each sum over l is an
-    exact integer with 3F fractional bits, and the rational scale
-    m_i m_j / (n L) is applied once per unordered pair {i, j}
-    (kappa_ijk = kappa_jik) as one integer product and one division rounded
-    to F bits.  Verifies vanishing imaginary parts, L*_0 = identity and row
-    sums equal to the multiplicities on those integers, each within
-    tolerance.  ``SpectralData.krein`` holds the values as mpf, in the
-    layout above.  ``sd`` must carry the Q that :func:`eigenmatrix_Q` set.
+    With the int weights L / k_l**2, L = lcm(k_l**2), each sum over l is an
+    exact integer with 3F fractional bits, and the scale m_i m_j / (n L) is
+    applied once per unordered pair {i, j} (kappa_ijk = kappa_jik) as one
+    product and one division rounded to F bits.  Verifies vanishing
+    imaginary parts, L*_0 = identity and row sums equal to the
+    multiplicities, each within tolerance.  ``sd`` must carry the Q that
+    :func:`eigenmatrix_Q` set.
     """
-    r = sd.rank
-    n = inst.order
+    r, n, bits, eps, m = sd.rank, inst.order, GRID_BITS, sd.eps, sd.multiplicities
     if sd.Q is None:
         raise SitawimError("krein requires Q; run eigenmatrix_Q() first")
-    bits = sd.precision + _GUARD_BITS
-    with mp.workprec(bits):
-        P = _fixed_rows(sd.P, bits)
-        eps = _to_fixed(sd.eps, bits)
-        L = math.lcm(*(k * k for k in inst.degrees))
-        weights = [L // (k * k) for k in inst.degrees]
-        conj = [[(w * c, -w * e) for w, (c, e) in zip(weights, row)] for row in P]
-        m = sd.multiplicities
-        kappa = [[[0] * r for _ in range(r)] for _ in range(r)]
-        for i in range(r):
-            for j in range(i, r):
-                pij = [(a * c - b * e, a * e + b * c) for (a, b), (c, e) in zip(P[i], P[j])]
-                scale = m[i] * m[j]
-                num, den = scale.numerator, scale.denominator * n * L << 2 * bits
-                for k in range(r):
-                    re = sum(a * c - b * e for (a, b), (c, e) in zip(pij, conj[k]))
-                    im = sum(a * e + b * c for (a, b), (c, e) in zip(pij, conj[k]))
-                    im = (2 * num * im + den) // (2 * den)
-                    if abs(im) > eps:
+    re, im = [[a for a, _ in row] for row in sd.P], [[b for _, b in row] for row in sd.P]
+    real = not any(map(any, im))
+    L = math.lcm(*(k * k for k in inst.degrees))
+    weights = [L // (k * k) for k in inst.degrees]
+    # conj(P[k][l]) L / k_l^2
+    cr = [list(map(mul, weights, row)) for row in re]
+    ci = [[-w * v for w, v in zip(weights, row)] for row in im]
+    kappa = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            pr = [a * c - b * e for a, b, c, e in zip(re[i], im[i], re[j], im[j])]
+            pi = [] if real else [a * e + b * c for a, b, c, e in zip(re[i], im[i], re[j], im[j])]
+            scale = m[i] * m[j]
+            num, den = scale.numerator, scale.denominator * n * L << 2 * bits
+            for k in range(r):
+                total = sum(map(mul, pr, cr[k]))
+                if not real:
+                    total -= sum(map(mul, pi, ci[k]))
+                    imag = _div(num * (sum(map(mul, pr, ci[k])) + sum(map(mul, pi, cr[k]))), den)
+                    if abs(imag) > eps:
                         raise SpectralError(
-                            f"kappa[{i}][{j}][{k}] has imaginary part "
-                            f"{mp.nstr(mp.ldexp(im, -bits), 5)}"
+                            f"kappa[{i}][{j}][{k}] has imaginary part {imag / (1 << bits):.5g}"
                         )
-                    kappa[i][j][k] = kappa[j][i][k] = (2 * num * re + den) // (2 * den)
-        one = 1 << bits
-        for j in range(r):
-            for k in range(r):
-                if abs(kappa[0][j][k] - (one if j == k else 0)) > eps:
-                    raise SpectralError("L*_0 is not the identity")
-        for i in range(r):
-            for k in range(r):
-                # |sum_j kappa_ijk - m_i| <= eps * max(1, n), times den(m_i)
-                total = sum(kappa[i][j][k] for j in range(r))
-                q = m[i].denominator
-                if abs(total * q - (m[i].numerator << bits)) > eps * max(1, n) * q:
-                    raise SpectralError(
-                        f"row {k} of a dual intersection matrix sums to "
-                        f"{mp.nstr(mp.ldexp(total, -bits), 8)}, expected multiplicity "
-                        f"{mp.nstr(_mpf_of(m[i]), 8)}"
-                    )
-        mats = tuple(
-            tuple(tuple(mp.mpf((kappa[i][j][k], -bits)) for j in range(r)) for k in range(r))
-            for i in range(r)
-        )
+                kappa[i][j][k] = kappa[j][i][k] = _div(num * total, den)
+    one = 1 << bits
+    for j in range(r):
+        for k in range(r):
+            if abs(kappa[0][j][k] - (one if j == k else 0)) > eps:
+                raise SpectralError("L*_0 is not the identity")
+    for i in range(r):
+        for k in range(r):
+            # |sum_j kappa_ijk - m_i| <= eps * max(1, n), times den(m_i)
+            total = sum(kappa[i][j][k] for j in range(r))
+            q = m[i].denominator
+            if abs(total * q - (m[i].numerator << bits)) > eps * max(1, n) * q:
+                raise SpectralError(
+                    f"row {k} of a dual intersection matrix sums to "
+                    f"{total / one:.8g}, expected multiplicity {float(m[i]):.8g}"
+                )
+    mats = tuple(tuple(tuple(kappa[i][j][k] for j in range(r)) for k in range(r)) for i in range(r))
     return replace(sd, krein=mats)

@@ -1,9 +1,40 @@
-"""Shared hand-checked instances used across test modules.
+"""Shared hand-checked instances used across test modules, and the one
+view of spectral records as mpmath numbers.
 
 The matrices are regular representations of realized tables: ``(M_j)[i][k]``
 is the coefficient of ``b_i`` in ``b_j b_k``.  They are kept verbatim as
 independent test inputs; nothing here is computed by the package.
 """
+
+from dataclasses import replace
+
+from mpmath import mp
+from mpmath.libmp import from_man_exp
+
+from sitawim.spectra import GRID_BITS
+
+
+def grid_mp(value):
+    """An int on the spectral grid 2^-GRID_BITS as the exact mpf, and an
+    (re, im) pair of them as an mpf when im is 0, else the exact mpc."""
+    if isinstance(value, int):
+        return mp.make_mpf(from_man_exp(value, -GRID_BITS))
+    re, im = value
+    if not im:
+        return grid_mp(re)
+    return mp.make_mpc((from_man_exp(re, -GRID_BITS), from_man_exp(im, -GRID_BITS)))
+
+
+def mp_view(sd):
+    """The spectral record ``sd`` with P, Q, krein and eps as exact mpmath
+    numbers (:func:`grid_mp`), every other field as it is."""
+
+    def table(rows):
+        return None if rows is None else tuple(tuple(map(grid_mp, row)) for row in rows)
+
+    krein = None if sd.krein is None else tuple(map(table, sd.krein))
+    return replace(sd, eps=grid_mp(sd.eps), P=table(sd.P), Q=table(sd.Q), krein=krein)
+
 
 IDENTITY5 = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
 

@@ -58,3 +58,22 @@ def test_importing_every_module_leaves_multiprocessing_out():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [str(len(MODULES) - 1), "False"]
+
+
+IMPORT_THE_PIPELINE = """
+import sys
+import sitawim.solver, sitawim.spectra, sitawim.feasibility, sitawim.structcheck, sitawim.varietygen
+print("mpmath" in sys.modules)
+"""
+
+
+def test_the_pipeline_runs_without_mpmath():
+    """Spectra and the battery work on integers alone, so mpmath is a test
+    dependency and importing the pipeline leaves it out."""
+    src = str(Path(sitawim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_THE_PIPELINE], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

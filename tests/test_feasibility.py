@@ -30,13 +30,14 @@ from sitawim.feasibility import (
 from sitawim.feasibility import (
     _closed_subsets,
     _gegenbauer_levels,
+    _plain,
     _structural_star,
 )
-from sitawim.spectra import SpectralData, _to_fixed, eigenmatrix_P, eigenmatrix_Q, krein
+from sitawim.spectra import GRID_BITS, SpectralData, eigenmatrix_P, eigenmatrix_Q, krein
 from sitawim.intpoly import IntPoly
 from sitawim.structcheck import Instance, verify_sita
 
-from _fixtures import A1_16_MATRICES, N35_MATRICES, N249_MATRICES, S49_MATRICES
+from _fixtures import A1_16_MATRICES, N35_MATRICES, N249_MATRICES, S49_MATRICES, mp_view
 
 
 def complete_graph(n):
@@ -139,24 +140,30 @@ def rep249(n249, sd249):
     return run_battery(n249, sd249)
 
 
+def on_grid(value) -> int:
+    """A float, int or Fraction rounded to the spectral grid."""
+    return round(Fraction(value) * (1 << GRID_BITS))
+
+
 def fabricated_sd(krein_tensor, Q0, eps=None):
-    """Hand-built rank-len(Q0) spectral data for condition unit tests."""
+    """Hand-built rank-len(Q0) spectral data for condition unit tests: the
+    multiplicities Q0, the Krein tensor and eps (default 2^-30) given as
+    numbers and put on the grid."""
     r = len(Q0)
-    P = tuple(tuple(mp.mpf(1) for _ in range(r)) for _ in range(r))
-    Q = (tuple(mp.mpf(v) for v in Q0),) + tuple(
-        tuple(mp.mpf(0) for _ in range(r)) for _ in range(r - 1)
+    P = tuple(tuple((on_grid(1), 0) for _ in range(r)) for _ in range(r))
+    Q = (tuple((on_grid(v), 0) for v in Q0),) + tuple(
+        tuple((0, 0) for _ in range(r)) for _ in range(r - 1)
     )
     kr = tuple(
-        tuple(tuple(mp.mpf(v) for v in row) for row in plane)
+        tuple(tuple(on_grid(v) for v in row) for row in plane)
         for plane in krein_tensor
     )
     return SpectralData(
-        precision=53,
-        eps=mp.mpf(2) ** -30 if eps is None else eps,
+        eps=on_grid(Fraction(1, 2**30) if eps is None else eps),
         P=P,
         orbits=tuple((i,) for i in range(r)),
         orbit_polys=tuple(IntPoly((-1, 1)) for _ in range(r)),
-        multiplicities=None,
+        multiplicities=tuple(map(Fraction, Q0)),
         Q=Q,
         krein=kr,
     )
@@ -346,9 +353,9 @@ class TestAbsoluteBound:
         # kappa_{1,1,k} vanishes for k >= 2, so the (1,1) support has
         # multiplicity sum 1 + 4 = 5 <= 10; without the zeros the sum 35
         # would breach the bound
-        with mp.workprec(sd35.precision + 32):
+        with mp.workprec(GRID_BITS):
             support = [
-                k for k in range(5) if abs(sd35.krein[1][k][1]) > mp.mpf(10) ** -20
+                k for k in range(5) if abs(mp_view(sd35).krein[1][k][1]) > mp.mpf(10) ** -20
             ]
         assert support == [0, 1]
 
@@ -377,6 +384,26 @@ class TestAbsoluteBound:
         res = absolute_bound(sd)
         assert res.verdict == "warning"
         assert (1, 1, 0) in res.witness["near-zero"]
+
+    def test_total_equal_to_the_bound_passes(self):
+        # multiplicities in thirds: the (0, 3) support {1, 2} totals
+        # 1/3 + 4/3 = 5/3 = m_0 m_3 exactly, a sum that 288-bit floats round
+        # above the product; one more support entry breaks the bound
+        m = (1, Fraction(1, 3), Fraction(4, 3), Fraction(5, 3))
+        support = {(0, 0): [0], (0, 2): [2], (0, 3): [1, 2], (3, 3): [0, 1]}
+
+        def tensor():
+            kappa = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+            for (i, j), ks in support.items():
+                for k in ks:
+                    kappa[i][k][j] = 1  # (L*_i)[k][j] = kappa_ijk
+            return kappa
+
+        assert absolute_bound(fabricated_sd(tensor(), m)).verdict == "pass"
+        support[0, 3].append(0)
+        res = absolute_bound(fabricated_sd(tensor(), m))
+        assert res.verdict == "fail"
+        assert res.witness == {"i": 0, "j": 3, "support": (0, 1, 2), "total": 8 / 3, "bound": 5 / 3}
 
     def test_requires_krein(self, n35):
         sd = eigenmatrix_P(n35)
@@ -420,7 +447,7 @@ class TestKreinNonneg:
                 [[-1e-40, 1], [0, 1]],
             ],
             Q0=(1, 2),
-            eps=mp.mpf("1e-45"),
+            eps=Fraction("1e-45"),
         )
         assert krein_nonneg(tight).verdict == "fail"
 
@@ -431,7 +458,7 @@ class TestGegenbauer:
         # the rank-2 dual-subset case; column 0 decides it like any other
         # index, with nothing detected
         eps = mp.mpf(KREIN_ZERO_EPS)
-        assert all(abs(sd35.krein[1][k][1]) <= eps for k in (2, 3, 4))
+        assert all(abs(mp_view(sd35).krein[1][k][1]) <= eps for k in (2, 3, 4))
         res = gegenbauer(sd35, 1)
         assert res.verdict == "pass"
         assert res.detail == {"i": 1, "bound": 20}
@@ -442,7 +469,7 @@ class TestGegenbauer:
         # the full matrix does
         eps = mp.mpf(KREIN_ZERO_EPS)
         for i in (2, 3, 4):
-            assert any(abs(sd35.krein[i][k][i]) > eps for k in range(1, 5) if k != i)
+            assert any(abs(mp_view(sd35).krein[i][k][i]) > eps for k in range(1, 5) if k != i)
             res = gegenbauer(sd35, i)
             assert res.verdict == "pass"
             assert res.detail == {"i": i, "bound": 20}
@@ -453,7 +480,7 @@ class TestGegenbauer:
         # hold that column unchanged and pass as well
         for i in range(1, 5):
             x, mfix, bits, cols = fixed_point_inputs(sd35, i, False)
-            floor = -_to_fixed(sd35.eps, bits)
+            floor = -sd35.eps
             short = _gegenbauer_levels(x, mfix, bits)
             whole = reference_fixed_gegenbauer(x, mfix, bits, cols, 20)
             for G0, G in zip(short, whole):
@@ -480,7 +507,7 @@ class TestGegenbauer:
                 # G_1 = m x = L*_i, every column
                 x, mfix, bits, cols = fixed_point_inputs(sd, i, False)
                 (G1,) = reference_fixed_gegenbauer(x, mfix, bits, cols, 1)
-                assert min(min(col) for col in G1) >= -_to_fixed(sd.eps, bits)
+                assert min(min(col) for col in G1) >= -sd.eps
 
     def test_level_one_fails_with_krein_nonnegativity(self):
         sd = fabricated_sd(
@@ -511,7 +538,7 @@ class TestGegenbauer:
 
 def reference_levels(sd, i):
     """G_1, G_2, ... of x = L*_i / m_i as full mpf matrices, at the
-    working precision of the caller."""
+    working precision of the caller, for ``sd`` in its mpmath view."""
     r = sd.rank
     m = sd.Q[0][i]
     x = [[sd.krein[i][a][b] / m for b in range(r)] for a in range(r)]
@@ -535,12 +562,13 @@ def reference_levels(sd, i):
 
 
 def reference_gegenbauer(sd, i, first_column_only=None):
-    """The criterion evaluated on full mpf matrices at sd.precision + 32
-    bits, read on column 0 as ``gegenbauer`` reads it (None) or on every
-    column (False)."""
+    """The criterion evaluated on full mpf matrices at the grid's
+    precision, read on column 0 as ``gegenbauer`` reads it (None) or on
+    every column (False)."""
+    sd = mp_view(sd)
     r = sd.rank
     eps = sd.eps
-    with mp.workprec(sd.precision + 32):
+    with mp.workprec(GRID_BITS):
         if max(abs(mp.im(v)) for v in sd.P[i]) > eps:
             return ConditionResult(
                 "gegenbauer", "vacuous", detail={"i": i, "reason": "nonreal character row"}
@@ -625,14 +653,13 @@ class TestGegenbauerIdentity:
     @pytest.mark.parametrize("name", ["sd35", "sd249", "a1_16", "s49"])
     def test_columns_are_krein_combinations(self, request, name):
         sd = request.getfixturevalue(name)
-        if isinstance(sd, Instance):
-            sd = full(sd)
+        sd = mp_view(full(sd) if isinstance(sd, Instance) else sd)
         r = sd.rank
         real = [i for i in range(1, r) if all(mp.im(v) == 0 for v in sd.P[i])]
         assert real == ([1] if name == "a1_16" else list(range(1, r)))
         bound = int(2 * max(sd.Q[0][1:]))
         tol = mp.mpf(2) ** -200
-        with mp.workprec(sd.precision + 32):
+        with mp.workprec(GRID_BITS):
             for i in real:
                 for G in itertools.islice(reference_levels(sd, i), bound):
                     scale = max(abs(v) for row in G for v in row)
@@ -647,15 +674,13 @@ class TestGegenbauerIdentity:
 
 def fixed_point_inputs(sd, i, first_column_only):
     """x = L*_i / m and m on the 2^-F grid as ``gegenbauer`` forms them,
-    F, and the columns to carry: column 0 as ``gegenbauer`` does (None) or
-    every column (False)."""
-    r = sd.rank
-    bits = sd.precision + 32
-    with mp.workprec(bits):
-        m = sd.Q[0][i]
-        x = [[_to_fixed(sd.krein[i][a][b] / m, bits) for b in range(r)] for a in range(r)]
-        mfix = _to_fixed(m, bits)
-    return x, mfix, bits, tuple(range(r)) if first_column_only is False else (0,)
+    from the Krein integers and the exact multiplicity, F, and the columns
+    to carry: column 0 as ``gegenbauer`` does (None) or every column
+    (False)."""
+    num, den = sd.multiplicities[i].numerator, sd.multiplicities[i].denominator
+    x = [[(2 * v * den + num) // (2 * num) for v in row] for row in sd.krein[i]]
+    mfix = ((2 * num << GRID_BITS) + den) // (2 * den)
+    return x, mfix, GRID_BITS, tuple(range(sd.rank)) if first_column_only is False else (0,)
 
 
 def reference_fixed_gegenbauer(x, mfix, bits, cols, bound):
@@ -688,15 +713,16 @@ class TestGegenbauerFixedPoint:
         """Column 0 of every level equals the reference's integers; with
         False the reference carries every column, and column 0 is below the
         floor at the same levels as the whole matrix."""
+        view = mp_view(sd)
         for i in range(1, sd.rank):
-            if max(abs(mp.im(v)) for v in sd.P[i]) > sd.eps:
+            if max(abs(mp.im(v)) for v in view.P[i]) > view.eps:
                 continue  # nonreal rows never reach the recurrence
             x, mfix, bits, cols = fixed_point_inputs(sd, i, first_column_only)
-            bound = max(int(2 * max(sd.Q[0][1:])), 12)
+            bound = max(int(2 * max(view.Q[0][1:])), 12)
             got = list(itertools.islice(_gegenbauer_levels(x, mfix, bits), bound))
             want = reference_fixed_gegenbauer(x, mfix, bits, cols, bound)
             assert got == [G[0] for G in want]
-            floor = -_to_fixed(sd.eps, bits)
+            floor = -sd.eps
             assert [min(G0) < floor for G0 in got] == [
                 min(min(col) for col in G) < floor for G in want
             ]
@@ -718,7 +744,7 @@ class TestGegenbauerFixedPoint:
         levels = reference_fixed_gegenbauer(x, mfix, bits, (0,), res.witness["l"])
         low = min(levels[-1][0])
         assert res.witness["entry"] == float(mp.ldexp(low, -bits))
-        assert all(min(G[0]) >= -_to_fixed(sd.eps, bits) for G in levels[:-1])
+        assert all(min(G[0]) >= -sd.eps for G in levels[:-1])
 
 
 class TestBattery:
@@ -836,3 +862,32 @@ class TestStructuralStar:
             2,
             1,
         )
+
+
+# pins: hand-built records against the mpf implementation's verdicts,
+# witnesses and details (tests/spectra_pins.json) --------------------------
+
+PINS = json.loads((Path(__file__).parent / "spectra_pins.json").read_text())["fabricated"]
+
+PINNED_RECORDS = {
+    "gegenbauer-level-one": GEGENBAUER_FAILS["level-one"],
+    "gegenbauer-level-two": GEGENBAUER_FAILS["level-two"],
+    "krein-outside-column-zero": ([[[1, 0], [0, 1]], [[0, -0.1], [1, 1]]], (1, 2)),
+    "overfull-support": ([[[1, 0], [0, 1]], [[0, 1], [1, 1]]], (1, 1)),
+    "near-zero-band": ([[[1, 0], [0, 1]], [[0, 1e-18], [1, 1]]], (1, 2)),
+    "negative-entry": ([[[1, 0], [0, 1]], [[-0.1, 1], [-0.2, 1]]], (1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RECORDS))
+def test_fabricated_records_match_the_pins(name):
+    sd = fabricated_sd(*PINNED_RECORDS[name])
+    pin = PINS[name]
+    assert run_battery(cyclic_group_table(2), sd).as_dict() == pin["battery"]
+    for key, res in (
+        ("absolute_bound", absolute_bound(sd)),
+        ("krein_nonneg", krein_nonneg(sd)),
+        ("gegenbauer", gegenbauer(sd, 1)),
+    ):
+        plain = {"verdict": res.verdict, "witness": _plain(res.witness), "detail": _plain(res.detail)}
+        assert plain == pin[key]

@@ -3,7 +3,10 @@ orthogonality/duality invariants, pinned against the published
 six-significant-digit displays for the orders 35 and 249; the exact
 rationals in those displays are read back by continued fractions."""
 
+import json
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,9 +16,10 @@ from mpmath import mp
 from sitawim.errors import SitawimError, SpectralError
 from sitawim import spectra, structcheck
 from sitawim.solver import GridAxis, SearchConfig, SimplexSpec, run_search
-from sitawim.spectra import SpectralData, eigenmatrix_P, eigenmatrix_Q, krein
+from sitawim.spectra import GRID_BITS, SpectralData, eigenmatrix_P, eigenmatrix_Q, krein
 from sitawim.intpoly import IntPoly, _poly_gcd, _real_roots, _sign_changes, _sturm_chain
-from sitawim.structcheck import Instance, multiplicities, verify_sita
+from sitawim.feasibility import run_battery
+from sitawim.structcheck import Instance, is_cyclotomic, multiplicities, verify_sita
 
 from _fixtures import (
     A1_16_MATRICES,
@@ -23,6 +27,8 @@ from _fixtures import (
     N249_MATRICES,
     N35_MATRICES,
     S49_MATRICES,
+    grid_mp,
+    mp_view,
 )
 
 N35 = Instance(N35_MATRICES, "5S")
@@ -158,7 +164,7 @@ def display_to_canonical(i: int) -> int:
 
 class TestCompleteGraph:
     def test_exact_spectrum(self):
-        sd = full(complete_graph(7))
+        sd = mp_view(full(complete_graph(7)))
         assert err(sd.P, [[1, 6], [1, -1]]) == 0
         assert err(sd.Q, [[1, 6], [1, -1]]) == 0
         assert err(sd.krein[0], [[1, 0], [0, 1]]) == 0
@@ -167,12 +173,12 @@ class TestCompleteGraph:
     @settings(max_examples=12, deadline=None)
     @given(st.integers(min_value=2, max_value=60))
     def test_all_orders(self, n):
-        sd = eigenmatrix_P(complete_graph(n))
+        sd = mp_view(eigenmatrix_P(complete_graph(n)))
         assert err(sd.P, [[1, n - 1], [1, -1]]) == 0
 
 
 class TestOrder35:
-    sd = full(N35)
+    sd = mp_view(full(N35))
 
     def test_orbit_partition(self):
         assert self.sd.orbits == ((0,), (1,), (2, 3, 4))
@@ -222,7 +228,7 @@ class TestOrder35:
 
 
 class TestOrder249:
-    sd = full(N249)
+    sd = mp_view(full(N249))
 
     def test_orbit_partition(self):
         assert self.sd.orbits == ((0,), (1, 2, 3, 4))
@@ -258,7 +264,7 @@ class TestOrder249:
         assert abs(sum(L1_249_DISPLAY[3]) - 62) > 1
         s = display_to_canonical
         row = [self.sd.krein[s(1)][s(3)][s(j)] for j in range(5)]
-        with mp.workprec(self.sd.precision + 32):
+        with mp.workprec(GRID_BITS):
             assert abs(sum(row) - 62) < 1e-20
         assert abs(row[2] - L1_249_DISPLAY[2][3]) < 1e-3
         assert abs(row[4] - L1_249_DISPLAY[4][3]) < 1e-3
@@ -267,7 +273,7 @@ class TestOrder249:
 
 
 class TestAsymmetricPair:
-    sd = full(A1_16)
+    sd = mp_view(full(A1_16))
 
     def test_conjugate_orbit(self):
         assert self.sd.orbits == ((0,), (1,), (2, 3))
@@ -304,7 +310,7 @@ FIXTURES = {
 @pytest.fixture(scope="module", params=sorted(FIXTURES))
 def spectrum(request):
     inst = FIXTURES[request.param]
-    return inst, full(inst)
+    return inst, mp_view(full(inst))
 
 
 class TestInvariants:
@@ -318,7 +324,7 @@ class TestInvariants:
     def test_PQ_is_nI(self, spectrum):
         inst, sd = spectrum
         n, r = inst.order, sd.rank
-        with mp.workprec(sd.precision + 32):
+        with mp.workprec(GRID_BITS):
             for a in range(r):
                 for b in range(r):
                     acc = sum(sd.P[a][l] * sd.Q[l][b] for l in range(r))
@@ -328,7 +334,7 @@ class TestInvariants:
         inst, sd = spectrum
         n, r = inst.order, sd.rank
         m = [sd.Q[0][i] for i in range(r)]
-        with mp.workprec(sd.precision + 32):
+        with mp.workprec(GRID_BITS):
             for i in range(r):
                 for j in range(r):
                     acc = sum(
@@ -341,7 +347,7 @@ class TestInvariants:
     def test_degree_row_column_orthogonality(self, spectrum):
         inst, sd = spectrum
         m = [sd.Q[0][i] for i in range(sd.rank)]
-        with mp.workprec(sd.precision + 32):
+        with mp.workprec(GRID_BITS):
             for j in range(1, sd.rank):
                 acc = sum(m[l] * sd.P[l][j] for l in range(sd.rank))
                 assert abs(acc) < 1e-20 * inst.order
@@ -363,7 +369,7 @@ class TestInvariants:
         inst, sd = spectrum
         n, r = inst.order, sd.rank
         m = [sd.Q[0][l] for l in range(r)]
-        with mp.workprec(sd.precision + 32):
+        with mp.workprec(GRID_BITS):
             for j in range(r):
                 M = [list(row) for row in inst.matrices[j]]
                 M2 = [[sum(M[a][t] * M[t][b] for t in range(r)) for b in range(r)] for a in range(r)]
@@ -407,15 +413,9 @@ class TestFailureModes:
     def test_corrupted_P_fails_duality_check(self):
         sd = eigenmatrix_P(N35)
         rows = [list(r) for r in sd.P]
-        rows[2][1] += mp.mpf("1e-3")
-        bad = SpectralData(
-            precision=sd.precision,
-            eps=sd.eps,
-            P=tuple(tuple(r) for r in rows),
-            orbits=sd.orbits,
-            orbit_polys=sd.orbit_polys,
-            multiplicities=sd.multiplicities,
-        )
+        re, im = rows[2][1]
+        rows[2][1] = (re + round(Fraction("1e-3") * (1 << GRID_BITS)), im)
+        bad = replace(sd, P=tuple(tuple(r) for r in rows))
         with pytest.raises(SpectralError):
             eigenmatrix_Q(bad, N35)
 
@@ -459,7 +459,7 @@ class TestFailureModes:
 class TestPrecisionPlumbing:
     def test_eps_recorded(self):
         sd = eigenmatrix_P(N249)
-        assert sd.eps == mp.ldexp(1, -100) * 249
+        assert mp_view(sd).eps == mp.ldexp(1, -100) * 249
 
 
 @pytest.fixture
@@ -491,10 +491,10 @@ class TestKreinMultiplicities:
     def test_krein_reads_multiplicities_from_Q(self, sweeps):
         for inst in map(fresh, (N35, N249, A1_16)):
             sd = eigenmatrix_Q(eigenmatrix_P(inst), inst)
-            expected = krein(sd, inst).krein
+            expected = mp_view(krein(sd, inst)).krein
             assert sweeps == [inst]
             sweeps.clear()
-            assert krein(sd, inst).krein == expected
+            assert mp_view(krein(sd, inst)).krein == expected
             assert sweeps == []
 
     def test_eigenmatrix_P_sweeps_once(self, sweeps):
@@ -528,8 +528,8 @@ class TestKreinMultiplicities:
 def numeric_multiplicity(sd: SpectralData, inst: Instance, l: int):
     """m_l = n / sum_i |P[l][i]|^2 / k_i (Bannai & Ito, *Algebraic
     Combinatorics I*, 1984), from the numeric row alone."""
-    with mp.workprec(sd.precision + spectra._GUARD_BITS):
-        norm = sum(abs(v) ** 2 / k for v, k in zip(sd.P[l], inst.degrees))
+    with mp.workprec(GRID_BITS):
+        norm = sum(abs(v) ** 2 / k for v, k in zip(mp_view(sd).P[l], inst.degrees))
         return inst.order / norm
 
 
@@ -539,7 +539,9 @@ class TestMultiplicitiesAgainstRowNorms:
         assert sd.multiplicities is not None
         for l, exact in enumerate(sd.multiplicities):
             numeric = numeric_multiplicity(sd, inst, l)
-            assert abs(numeric - spectra._mpf_of(exact)) <= sd.eps, (l, exact)
+            with mp.workprec(GRID_BITS):
+                exact_mp = mp.mpf(exact.numerator) / exact.denominator
+                assert abs(numeric - exact_mp) <= mp_view(sd).eps, (l, exact)
 
     @pytest.mark.parametrize("name", ["n35", "n249", "a1_16", "s49"])
     def test_fixtures(self, name):
@@ -562,7 +564,7 @@ class TestCharacterRows:
     def test_tied_rows_follow_exact_order(self):
         # the three integer rows tie on b_1 = 2 (two of them) and differ
         # only past it; rounding noise must not decide their order
-        sd = eigenmatrix_P(S49)
+        sd = mp_view(eigenmatrix_P(S49))
         assert sd.orbits == ((0,), (1,), (2,), (3,))
         exact = [(1, 16, 16, 16), (1, -5, 2, 2), (1, 2, -5, 2), (1, 2, 2, -5)]
         assert err(sd.P, exact) < 1e-12
@@ -570,9 +572,9 @@ class TestCharacterRows:
 
     def test_conjugate_rows_ascend_by_imaginary_part(self):
         # conjugate rows share their real parts exactly
-        sd = eigenmatrix_P(A2_13)
+        sd = mp_view(eigenmatrix_P(A2_13))
         assert sd.orbits == ((0,), (1, 2, 3, 4))
-        with mp.workprec(sd.precision):
+        with mp.workprec(spectra.PRECISION):
             for a, b in ((1, 2), (3, 4)):
                 assert abs(sd.P[a][1] - mp.conj(sd.P[b][1])) < 1e-60
                 assert mp.im(sd.P[a][1]) < 0 < mp.im(sd.P[b][1])
@@ -587,7 +589,7 @@ class TestCharacterRows:
 
     def test_nonreal_quartic_columns_are_numpy_eigenvalues(self):
         np = pytest.importorskip("numpy")
-        sd = eigenmatrix_P(A2_13)
+        sd = mp_view(eigenmatrix_P(A2_13))
         assert [f.degree for f in sd.orbit_polys] == [1, 4]
         assert all(abs(mp.im(sd.P[l][1])) > 0.5 for l in range(1, 5))
         for i, b in enumerate(A2_13_MATRICES):
@@ -602,8 +604,8 @@ class TestCharacterRows:
         # the double-precision stage never settles
         real = spectra._settle
 
-        def stuck(coeffs, z, small):
-            return False if isinstance(z[0], complex) else real(coeffs, z, small)
+        def stuck(sweep, z, small):
+            return False if isinstance(z[0], complex) else real(sweep, z, small)
 
         monkeypatch.setattr(spectra, "_settle", stuck)
         with pytest.raises(SpectralError, match="did not converge"):
@@ -612,12 +614,12 @@ class TestCharacterRows:
     def test_coincident_roots_are_refused(self, monkeypatch):
         # a repeated root would give one character row twice, and both
         # copies pass the root check: the double-precision stage hands on
-        # one seed for every root, and the multiprecision stage refines
-        # the copies to one root
+        # one seed for every root, and the grid stage refines the copies
+        # to one root
         real = spectra._settle
 
-        def collapsed(coeffs, z, small):
-            settled = real(coeffs, z, small)
+        def collapsed(sweep, z, small):
+            settled = real(sweep, z, small)
             if isinstance(z[0], complex):
                 z[:] = [z[0]] * len(z)
             return settled
@@ -654,12 +656,44 @@ def nonreal_polys(draw) -> IntPoly:
     return poly
 
 
+EPS = 1 << GRID_BITS - 100  # 2^-100 on the grid
+
+
+def assert_roots_match(roots, want, tol):
+    """Each root within ``tol * max(1, |root|)`` of a distinct one of
+    ``want``, at the caller's working precision."""
+    assert len(roots) == len(want)
+    want = list(want)
+    for z in roots:
+        nearest = min(want, key=lambda w: abs(z - w))
+        assert abs(z - nearest) <= tol * max(1, abs(nearest))
+        want.remove(nearest)
+
+
+@st.composite
+def root_cases(draw):
+    """``(poly, exact)``: a squarefree integer polynomial of degree 2-5 and
+    None, or a clustered pair (x^2 - a)(x^2 - a - 1) for a large a, whose
+    roots +-sqrt(a) and +-sqrt(a + 1) lie about 1 / (2 sqrt a) apart, and
+    the function giving them."""
+    if draw(st.booleans()):
+        a = draw(st.integers(2, 10**40))
+        poly = IntPoly((a * (a + 1), 0, -(2 * a + 1), 0, 1))
+        return poly, lambda: [s * mp.sqrt(v) for v in (a, a + 1) for s in (1, -1)]
+    degree = draw(st.integers(min_value=2, max_value=5))
+    coeffs = draw(st.lists(st.integers(-1000, 1000), min_size=degree, max_size=degree))
+    poly = IntPoly(tuple(coeffs) + (draw(st.integers(-1000, 1000).filter(bool)),))
+    derivative = [i * c for i, c in enumerate(poly.coeffs)][1:]
+    assume(len(_poly_gcd(poly.coeffs, derivative)) == 1)
+    return poly, None
+
+
 class TestFactorRoots:
     @settings(max_examples=60, deadline=None)
     @given(nonreal_polys())
     def test_match_polyroots(self, poly):
-        roots = spectra._factor_roots(poly, mp.ldexp(1, -100))
-        with mp.workprec(2 * (spectra.PRECISION + spectra._GUARD_BITS)):
+        roots = [grid_mp(z) for z in spectra._factor_roots(poly, EPS)]
+        with mp.workprec(2 * GRID_BITS):
             want = list(mp.polyroots(list(reversed(poly.coeffs)), maxsteps=500, extraprec=100))
             assert len(roots) == len(want)
             for z in roots:
@@ -667,10 +701,39 @@ class TestFactorRoots:
                 assert abs(z - nearest) <= mp.ldexp(1, -250)
                 want.remove(nearest)
 
+    @settings(max_examples=60, deadline=None)
+    @given(root_cases())
+    def test_match_polyroots_at_320_bits(self, case):
+        # an input that does not settle must be refused, never answered:
+        # only a clustered pair may take that way out
+        poly, exact = case
+        try:
+            roots = [grid_mp(z) for z in spectra._factor_roots(poly, EPS)]
+        except SpectralError:
+            assert exact is not None
+            return
+        with mp.workprec(320):
+            coeffs = list(reversed(poly.coeffs))
+            want = exact() if exact else mp.polyroots(coeffs, maxsteps=500, extraprec=320)
+            assert_roots_match(roots, want, mp.ldexp(1, -250))
+
+    def test_unsettled_grid_stage_is_refused(self, monkeypatch):
+        # every grid sweep kicks the roots away again
+        real = spectra._grid_sweep
+
+        def kicked(f, z):
+            deltas = real(f, z)
+            z[:] = [(x + (1 << GRID_BITS - 10), y) for x, y in z]
+            return deltas
+
+        monkeypatch.setattr(spectra, "_grid_sweep", kicked)
+        with pytest.raises(SpectralError, match="did not converge"):
+            spectra._factor_roots(IntPoly((1, 1, 1)), EPS)
+
     def test_huge_coefficients_are_scaled(self):
         # x^2 - 2^1100 x + 2^2300 has roots of size 2^1150, past any double
         poly = IntPoly((1 << 2300, -(1 << 1100), 1))
-        roots = spectra._factor_roots(poly, mp.ldexp(1, -100))
+        roots = [grid_mp(z) for z in spectra._factor_roots(poly, EPS)]
         assert len(roots) == 2
         with mp.workprec(600):
             for z in roots:
@@ -788,7 +851,7 @@ def rank4_catalog():
 
 class TestAgainstAdjugateReference:
     def _assert_same(self, inst):
-        sd = eigenmatrix_P(inst)
+        sd = mp_view(eigenmatrix_P(inst))
         P, orbits, polys = reference_eigenmatrix_P(inst)
         assert sd.orbit_polys == polys
         assert sd.orbits == orbits
@@ -815,6 +878,7 @@ def reference_krein(sd: SpectralData, inst: Instance, bits: int):
     in mpf at ``bits`` bits, laid out as ``krein`` lays it out, with the
     imaginary part dropped."""
     r, n = sd.rank, inst.order
+    P = mp_view(sd).P
     with mp.workprec(bits):
         m = [mp.mpf(q.numerator) / q.denominator for q in sd.multiplicities]
         deg2 = [mp.mpf(k) ** 2 for k in inst.degrees]
@@ -823,7 +887,7 @@ def reference_krein(sd: SpectralData, inst: Instance, bits: int):
             for j in range(r):
                 for k in range(r):
                     acc = sum(
-                        sd.P[i][l] * sd.P[j][l] * mp.conj(sd.P[k][l]) / deg2[l]
+                        P[i][l] * P[j][l] * mp.conj(P[k][l]) / deg2[l]
                         for l in range(r)
                     )
                     kappa[i][j][k] = mp.re(m[i] * m[j] / n * acc)
@@ -840,9 +904,9 @@ class TestKreinAgainstTripleLoop:
     @staticmethod
     def _assert_close(inst):
         sd = eigenmatrix_Q(eigenmatrix_P(inst), inst)
-        got = krein(sd, inst).krein
-        want = reference_krein(sd, inst, 2 * (spectra.PRECISION + spectra._GUARD_BITS))
-        with mp.workprec(2 * (spectra.PRECISION + spectra._GUARD_BITS)):
+        got = mp_view(krein(sd, inst)).krein
+        want = reference_krein(sd, inst, 2 * GRID_BITS)
+        with mp.workprec(2 * GRID_BITS):
             for a, b in zip(
                 (v for mat in got for row in mat for v in row),
                 (v for mat in want for row in mat for v in row),
@@ -854,7 +918,7 @@ class TestKreinAgainstTripleLoop:
         inst = {"n35": N35, "n249": N249, "a1_16": A1_16, "s49": S49}[name]
         self._assert_close(inst)
         if name == "a1_16":  # conjugate-paired rows: P has nonreal entries
-            assert any(mp.im(v) != 0 for row in eigenmatrix_P(inst).P for v in row)
+            assert any(mp.im(v) != 0 for row in mp_view(eigenmatrix_P(inst)).P for v in row)
 
     def test_rank4_sweeps(self, rank4_catalog):
         for inst in rank4_catalog:
@@ -1025,3 +1089,103 @@ class TestSturmChain:
             ratio = Fraction(got[-1]) / want[-1]
             assert ratio > 0
             assert [Fraction(v) for v in got] == [ratio * v for v in want]
+
+
+# pins: every output of the fixtures and the tier-1 catalogs as the mpf
+# implementation gave them, P and kappa rounded to 2^-250 -----------------
+
+PINS = json.loads((Path(__file__).parent / "spectra_pins.json").read_text())
+PIN_BITS = 250
+
+
+def cyclic_group_table(n: int) -> Instance:
+    """Regular representation of Z/n as a table: b_j b_k = b_{j+k mod n}."""
+    return Instance(
+        [[[int(i == (j + k) % n) for k in range(n)] for i in range(n)] for j in range(n)]
+    )
+
+
+PIN_FIXTURES = {
+    "N35": N35,
+    "N249": N249,
+    "A1_16": A1_16,
+    "S49": S49,
+    "A2_13": A2_13,
+    "R2": Instance([[[1, 0], [0, 1]], [[0, 4], [1, 3]]], "R2"),
+    **{f"K{n}": complete_graph(n) for n in (4, 7, 12)},
+    **{f"Z{n}": cyclic_group_table(n) for n in (2, 3, 4, 5, 6)},
+}
+
+
+def unpin(value: str):
+    """A pinned hex int as the exact mpf it stands for, on 2^-250."""
+    return mp.ldexp(int(value, 16), -PIN_BITS)
+
+
+def outcome(stage, *args, errors=False):
+    """``stage(*args)``, or the refusal it raises as the pins spell it."""
+    try:
+        return stage(*args)
+    except SitawimError as exc:
+        return f"error: {type(exc).__name__}: {exc}" if errors else f"error: {exc}"
+
+
+def assert_matches_pin(inst: Instance, pin: dict):
+    """The exact outputs equal the pin's; P is within 2^-250 and every
+    kappa within 2^-250 max(1, |kappa|) of the pinned value."""
+    assert inst.order == pin["order"]
+    mult = outcome(multiplicities, inst)
+    mult = mult if isinstance(mult, str) else [str(v) for v in mult.values]
+    assert mult == pin["multiplicities"]
+    cyclo = outcome(is_cyclotomic, inst)
+    assert (cyclo if isinstance(cyclo, str) else cyclo.cyclotomic) == pin["cyclotomic"]
+    sd = outcome(eigenmatrix_P, inst, errors=True)
+    if isinstance(sd, str):
+        assert sd == pin["P"]
+        return
+    assert [list(o) for o in sd.orbits] == pin["orbits"]
+    assert [list(f.coeffs) for f in sd.orbit_polys] == pin["orbit_polys"]
+    m = sd.multiplicities
+    assert (None if m is None else [str(v) for v in m]) == pin["row_multiplicities"]
+    tol = mp.ldexp(1, -PIN_BITS)
+    with mp.workprec(2 * GRID_BITS):
+        pinned = [mp.mpc(*map(unpin, v)) for row in pin["P"] for v in row]
+        got = [v for row in mp_view(sd).P for v in row]
+        assert len(got) == len(pinned)
+        assert all(abs(a - b) <= tol for a, b in zip(got, pinned))
+    sd = outcome(lambda: krein(eigenmatrix_Q(sd, inst), inst), errors=True)
+    if isinstance(sd, str):
+        assert sd == pin["Q"]
+        return
+    with mp.workprec(2 * GRID_BITS):
+        pinned = [unpin(h) for mat in pin["krein"] for row in mat for h in row]
+        got = [v for mat in mp_view(sd).krein for row in mat for v in row]
+        assert len(got) == len(pinned)
+        assert all(abs(a - b) <= tol * max(1, abs(a)) for a, b in zip(got, pinned))
+    assert run_battery(inst, sd).as_dict() == pin["battery"]
+
+
+@pytest.fixture(scope="module")
+def a2_catalog():
+    """The 5A2 pseudocyclic sweep with m <= 8: orders 5, 13 and 29."""
+    cfg = SearchConfig(
+        itype="5A2",
+        assumption="pseudocyclic",
+        grid=(GridAxis("m", 1, 8),),
+        simplex=SimplexSpec(("x14",), anchor="m"),
+    )
+    return run_search(cfg)
+
+
+class TestPins:
+    @pytest.mark.parametrize("name", sorted(PIN_FIXTURES))
+    def test_fixtures(self, name):
+        assert_matches_pin(PIN_FIXTURES[name], PINS["fixtures"][name])
+
+    def test_tier1_catalogs(self, rank4_catalog, a2_catalog):
+        pins = PINS["catalogs"]
+        pinned = pins["4S-m40"] + pins["4A1-k40"] + pins["5A2-m8"]
+        entries = rank4_catalog + a2_catalog
+        assert len(entries) == len(pinned)
+        for inst, pin in zip(entries, pinned):
+            assert_matches_pin(inst, pin)
