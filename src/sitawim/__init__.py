@@ -10,8 +10,8 @@ The package follows the pipeline of a structure-constant analysis:
 - :mod:`sitawim.solver` — specialization to integer points, zero-dimensional
   solving, and deterministic parallel grid searches.
 - :mod:`sitawim.intpoly` — dense integer polynomials in one variable:
-  characteristic polynomials, factorization, Galois classification,
-  integer roots, and real-root isolation.
+  characteristic polynomials, factorization, Galois classification and
+  integer roots.
 - :mod:`sitawim.structcheck` — exact invariants of a realized table: the
   axiom check, cyclotomy, and standard-module multiplicities.
 - :mod:`sitawim.spectra` — certified high-precision eigendata, eigenmatrices,

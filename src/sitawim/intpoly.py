@@ -2,8 +2,8 @@
 
 Every exact univariate step of the pipeline lives here: characteristic
 polynomials of integer matrices, factorization over Z up to degree 5,
-Galois classes of the irreducible factors up to degree 4, integer roots of
-eliminants, and Sturm isolation of real roots.
+Galois classes of the irreducible factors up to degree 4, and integer roots
+of eliminants.
 
 Coefficient lists are ascending.  The degrees that show up are tiny
 (matrices are at most 5x5), so clarity beats asymptotics throughout, with
@@ -20,17 +20,16 @@ polynomial or a monic factor of one, so rational roots are integer roots
 and a quadratic factor is monic.  One fraction-free long-division loop on
 integers (:func:`_pdivrem`) serves exact division, the gcd
 (:func:`_poly_gcd`: the squarefree test, and the eliminant of a
-one-unknown system in :mod:`sitawim.solver`), the Sturm remainders and
-the product modulo a monic factor (:func:`_mulmod`) that checks the exact
-character rows of :mod:`sitawim.structcheck`; one divisor enumerator
+one-unknown system in :mod:`sitawim.solver`) and the product modulo a
+monic factor (:func:`_mulmod`) that checks the exact character rows of
+:mod:`sitawim.structcheck`; one divisor enumerator
 (:func:`_divisors`) serves the root finder and the quadratic-factor search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import mul
 from typing import Optional, Sequence
 
@@ -499,147 +498,3 @@ def galois_class(p: IntPoly) -> GaloisClass:
     def splits(t) -> bool:
         return _is_square(t) or _is_square(t * disc)
     return GaloisClass("C4" if splits(t1) and splits(t2) else "D4")
-
-
-# ---------------------------------------------------------------------------
-# real-root isolation
-# ---------------------------------------------------------------------------
-
-
-def _sign_at(coeffs: Sequence[int], num: int, den: int) -> int:
-    """Sign of the polynomial at num/den (den > 0), from the homogeneous
-    integer form sum c_i num^i den^(d-i), which has the same sign."""
-    acc = 0
-    scale = 1
-    for c in reversed(coeffs):
-        acc = acc * num + c * scale
-        scale *= den
-    return (acc > 0) - (acc < 0)
-
-
-def _sturm_chain(coeffs: Sequence[int]) -> list[list[int]]:
-    """The Sturm sequence of an integer polynomial of degree >= 1, on
-    integers: each new member is the negated fraction-free remainder of the
-    previous two divided by its content.  That is a positive multiple of the
-    member the rational sequence has in its place, so every sign, and so
-    every sign count, is the same."""
-    chain = [list(coeffs), [i * c for i, c in enumerate(coeffs) if i]]
-    while True:
-        rem = _pdivrem(chain[-2], chain[-1])[1]
-        if not rem:
-            return chain
-        g = _content(rem)
-        chain.append([-v // g for v in rem])
-
-
-def _sign_changes(chain: list[list[int]], point: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        s = _sign_at(poly, point.numerator, point.denominator)
-        if s:
-            signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _value_slope_at(coeffs: Sequence[int], num: int, den: int) -> tuple[int, int]:
-    """The homogeneous forms den^d f(num/den) and den^(d-1) f'(num/den):
-    value and slope of the polynomial at num/den (den > 0), each times a
-    positive power of den, by one Horner pass."""
-    value = slope = 0
-    scale = 1
-    for c in reversed(coeffs):
-        slope = slope * num + value
-        value = value * num + c * scale
-        scale *= den
-    return value, slope
-
-
-def _refine_root(coeffs: Sequence[int], A: int, w: int, D: int, cells: int, slo: int) -> Fraction:
-    """The one root in (A/D, (A + cells*w)/D] of a polynomial with the sign
-    slo at A/D, located on the grid x_j = (A + j*w)/D: x_j itself when the
-    polynomial vanishes there for some 0 < j < cells, otherwise the midpoint
-    of the cell [x_j, x_(j+1)] that holds the root.
-
-    The bracket [lo, hi] of grid indices keeps sign(f(x_lo)) = slo and
-    x_hi past the root (x_cells itself is never evaluated), so the signs at
-    its two ends certify the final cell exactly.  The next index is the
-    Newton iterate j - f/(f'*w), rounded and moved inside the bracket, or
-    the bracket's midpoint when that iterate falls outside it, the slope
-    vanishes, or the step is more than half the step before last
-    (safeguarded Newton, as in rtsafe of *Numerical Recipes*)."""
-    lo, hi = 0, cells
-    j = cells >> 1
-    # the last two step lengths in cells, as (numerator, denominator)
-    step = last = (cells, 1)
-    while hi - lo > 1:
-        value, slope = _value_slope_at(coeffs, A + j * w, D)
-        if not value:
-            return Fraction(A + j * w, D)
-        if (value > 0) == (slo > 0):
-            lo = j
-        else:
-            hi = j
-        den = slope * w
-        if den < 0:
-            value, den = -value, -den
-        # the Newton step value/den in cells, rounded to the nearest cell
-        move = (2 * value + den) // (2 * den) if den else None
-        if move is not None and lo <= j - move <= hi and 2 * abs(value) * last[1] <= last[0] * den:
-            last, step = step, (abs(value), den)
-            j = min(max(j - move, lo + 1), hi - 1)
-        else:
-            last, step = step, (hi - lo, 2)
-            j = (lo + hi) >> 1
-    return Fraction(2 * A + (2 * lo + 1) * w, 2 * D)
-
-
-def _real_roots(poly: IntPoly, precision: int) -> list[Fraction]:
-    """All real roots of a squarefree integer polynomial, as rational
-    midpoints of bisected isolating intervals of width < 2^-(precision+16).
-
-    Isolation runs on Fractions.  Bisecting an isolating interval k times,
-    for the least k that brings its width below 2^-(precision+16), would
-    end in one cell of the grid that splits it into 2^k equal cells, or
-    earlier on a grid point where the polynomial vanishes.
-    :func:`_refine_root` finds that cell, or that point, directly by
-    safeguarded Newton steps on the grid, certified by exact integer
-    signs at the cell's two ends, so the roots are the same rationals the
-    bisection gives, (lo+hi)/2 of the last cell, in a few steps each."""
-    coeffs = list(poly.coeffs)
-    if len(coeffs) == 2:
-        return [Fraction(-coeffs[0], coeffs[1])]
-    chain = _sturm_chain(coeffs)
-    bound = 1 + Fraction(max(abs(c) for c in coeffs[:-1]), abs(coeffs[-1]))
-    intervals = []
-    pending = [(-bound - 1, bound + 1)]
-    while pending:
-        lo, hi = pending.pop()
-        count = _sign_changes(chain, lo) - _sign_changes(chain, hi)
-        if count == 0:
-            continue
-        if count == 1:
-            intervals.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        if _sign_at(coeffs, mid.numerator, mid.denominator) == 0:
-            # rational root dead on the midpoint: shave it into its own box,
-            # narrowed until no other root shares it
-            width = Fraction(1, 4 * mid.denominator * (1 + abs(mid.numerator)))
-            while _sign_changes(chain, mid - width) - _sign_changes(chain, mid + width) != 1:
-                width /= 2
-            intervals.append((mid - width, mid + width))
-            pending.append((lo, mid - width))
-            pending.append((mid + width, hi))
-            continue
-        pending.append((lo, mid))
-        pending.append((mid, hi))
-    roots = []
-    steps = precision + 16
-    for lo, hi in intervals:
-        D = lcm(lo.denominator, hi.denominator)
-        A, B = lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator)
-        # the least k with (B - A) / (D 2^k) <= 2^-steps
-        k = (-((A - B << steps) // D) - 1).bit_length()
-        slo = _sign_at(coeffs, A, D)
-        roots.append(_refine_root(coeffs, A << k, B - A, D << k, 1 << k, slo))
-    return sorted(roots)

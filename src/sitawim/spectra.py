@@ -13,26 +13,21 @@ gives each Galois orbit of characters (one irreducible factor f of the
 characteristic polynomial of the squarefree generator) its exact row W/D
 over Q[x]/(f) and its exact multiplicity, kept per row in
 :attr:`SpectralData.multiplicities`.  Numbers enter only at the roots
-theta of f, by one of two paths:
-
-- when the star is the identity every root is real, and
-  :func:`sitawim.intpoly._real_roots` gives it as a rational within
-  2^-(256+16), by Sturm isolation (which proves the count and the
-  separation of the roots) and safeguarded Newton steps, rounded onto the
-  grid;
-- when there is an asymmetric pair, :func:`_factor_roots` finds all roots
-  of f at once by Aberth's simultaneous iteration, seeded in complex
-  doubles and continued on Gaussian integers on the grid, and refuses
-  roots that did not settle or lie within eps of each other.
+theta of f: :func:`_factor_roots` finds all of them at once by Aberth's
+simultaneous iteration, seeded in complex doubles and continued on
+Gaussian integers on the grid.  When the star is the identity every
+character value is real, and each root's imaginary part is set to 0.
 
 Rows are exact on those integers: for theta = T 2^-F and d = deg f, the
 Gaussian integers T^t 2^(F (d-t)) give f(theta), f'(theta) and every
 W_i(theta), times 2^(F d), as exact integer combinations.  A root is
 refused unless the Newton step |f(theta)/f'(theta)| is within eps, and
-each entry W_i(theta)/D is rounded once to the grid, so it is within
-delta * max |W_i'| / D + 2^-F of its character value when theta is within
-delta of the root (the max over the segment between them); on the Sturm
-path delta <= 2^-(256+16) + 2^-F.
+the roots of f unless B. T. Smith's inclusion disks about them
+(:func:`_inclusion_radii`) are pairwise disjoint, which proves that each
+disk holds one root of f, a real one when its centre is real.  Each entry
+W_i(theta)/D is rounded once to the grid, so it is within
+delta * max |W_i'| / D + 2^-F of its character value, delta the radius of
+theta's disk (the max over that disk).
 
 Q and the Krein tensor are exact sums of products of those integers,
 rounded once per value.  With |P[i][l]| <= k_l and every entry of P within
@@ -60,7 +55,7 @@ from operator import mul
 from typing import Optional
 
 from .errors import SitawimError, SpectralError
-from .intpoly import IntPoly, _real_roots
+from .intpoly import IntPoly
 from .structcheck import NOT_STANDARD, Instance
 
 __all__ = [
@@ -74,8 +69,10 @@ PRECISION = 256
 _GUARD_BITS = 32
 #: F, the fractional bits of the one grid every spectral value lies on
 GRID_BITS = PRECISION + _GUARD_BITS
-# the most Aberth sweeps one stage of _factor_roots may take
-_SWEEPS = 60
+# the most Aberth sweeps one stage of _factor_roots may take: one per bit
+# of the grid, as a stage converges linearly (about a bit a sweep) about
+# a cluster of roots until the cluster splits
+_SWEEPS = GRID_BITS
 
 
 def _div(a: int, b: int) -> int:
@@ -217,10 +214,11 @@ def _initial_guesses(a: list) -> list:
     return z
 
 
-def _factor_roots(f: IntPoly, eps: int) -> list:
-    """All roots of an integer polynomial, as Gaussian integers (x, y) on
-    the grid, by Aberth's simultaneous iteration, refused unless it settled
-    and the roots are pairwise farther apart than eps (an int on the grid).
+def _factor_roots(f: IntPoly) -> list:
+    """All d roots of an integer polynomial of degree d, as Gaussian
+    integers (x, y) on the grid, by Aberth's simultaneous iteration,
+    refused unless it settled.  The inclusion disks of
+    :func:`_inclusion_radii` prove them.
 
     The roots are seeded in complex doubles, on x = 2^s y with s the least
     shift that puts every root in |y| <= 2 (so every double stays in
@@ -256,9 +254,30 @@ def _factor_roots(f: IntPoly, eps: int) -> list:
         settled = False
     if not settled:
         raise SpectralError(f"roots of {f.coeffs} did not converge")
-    if any((a - u) ** 2 + (b - v) ** 2 <= eps * eps for (a, b), (u, v) in combinations(z, 2)):
-        raise SpectralError(f"two roots of {f.coeffs} lie within tolerance")
     return z
+
+
+def _inclusion_radii(f: IntPoly, roots: list, values: list) -> list:
+    """Smith's inclusion disks about the approximations theta_i of the d
+    roots of f (B. T. Smith, *J. ACM* 17, 1970), as grid radii, for
+    ``values`` the squared norms |f(theta_i)|^2 2^(2 F d): each radius is
+    more than d |f(theta_i)| / (|a_d| prod_(j != i) |theta_i - theta_j|).
+    Refused unless the disks are pairwise disjoint, two equal theta
+    included.  Disjoint disks hold one root of f each, so f has d distinct
+    roots, one per disk; a disk centred on the real axis holds a real
+    root, as a nonreal one would bring its conjugate into the same disk."""
+    d, lead = f.degree, f.coeffs[-1]
+    # |theta_i - theta_j|^2 2^(2F)
+    dist = [[(x - u) ** 2 + (y - v) ** 2 for u, v in roots] for x, y in roots]
+    radii = []
+    for i, value in enumerate(values):
+        gap = math.prod(dist[i][:i] + dist[i][i + 1 :])
+        # the radius squared is d^2 value / (a_d^2 gap) 2^(-2F); infinite
+        # when theta_i equals another theta
+        radii.append(math.isqrt(d * d * value // (lead * lead * gap)) + 1 if gap else math.inf)
+    if any(dist[i][j] <= (radii[i] + radii[j]) ** 2 for i, j in combinations(range(d), 2)):
+        raise SpectralError(f"inclusion disks of the roots of {f.coeffs} overlap")
+    return radii
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +286,13 @@ def _factor_roots(f: IntPoly, eps: int) -> list:
 
 def _character_rows(f: IntPoly, D: int, W: list, roots: list, eps: int) -> list:
     """The rows W_i(theta) / D on the grid, one per root theta of f, each
-    refused unless |f(theta) / f'(theta)| <= eps; every value is exact
-    (:func:`_powers`) before the one rounding of each entry."""
+    refused unless |f(theta) / f'(theta)| <= eps, and all refused unless
+    the roots' inclusion disks (:func:`_inclusion_radii`) are pairwise
+    disjoint; every value is exact (:func:`_powers`) before the one
+    rounding of each entry."""
     den = D << GRID_BITS * (f.degree - 1)
     slope = f.derivative().coeffs
-    rows = []
+    rows, values = [], []
     for theta in roots:
         powers = _powers(theta, f.degree)
         (vr, vi), (sr, si) = _at(f.coeffs, powers), _at(slope, powers)
@@ -280,7 +301,9 @@ def _character_rows(f: IntPoly, D: int, W: list, roots: list, eps: int) -> list:
         if value << 2 * GRID_BITS > eps * eps * slope_at:
             step = math.sqrt(value / slope_at) if slope_at else math.inf
             raise SpectralError(f"root residual {step:.5g} of {f.coeffs} exceeds tolerance")
+        values.append(value)
         rows.append(tuple((_div(a, den), _div(b, den)) for a, b in (_at(w, powers) for w in W)))
+    _inclusion_radii(f, roots, values)
     return rows
 
 
@@ -303,9 +326,10 @@ def eigenmatrix_P(inst: Instance) -> SpectralData:
     generator's characteristic polynomial.  The orbit solve gives each
     orbit one exact row over Q[x]/(f) and its exact multiplicity, which is
     stored once per row; each row of the orbit is that exact row evaluated
-    at one root of f (exact Sturm roots when every element is self-paired,
-    :func:`_factor_roots` otherwise), and a root is refused unless one
-    Newton step moves it by at most eps.
+    at one root of f from :func:`_factor_roots`, made real when every
+    element is self-paired.  A root is refused unless one Newton step
+    moves it by at most eps, and the roots of f unless their inclusion
+    disks are pairwise disjoint.
     """
     r = inst.rank
     mats = inst.matrices
@@ -314,19 +338,17 @@ def eigenmatrix_P(inst: Instance) -> SpectralData:
     if exact_rows is None:
         raise SitawimError("generator has no rational degree eigenvalue")
     # structural symmetry: b_j*b_j meets the identity iff b_j* = b_j,
-    # so the declared involution type cannot misroute the dispatch
+    # so the declared involution type cannot make a root real
     symmetric = all(mats[j][0][j] for j in range(r))
     blocks: list[tuple[list, IntPoly, Optional[Fraction]]] = []
     mu = mu or [None] * len(factors)
     # the trivial orbit, listed first, is the exact degree row below
     for f, D, W, m in list(zip(factors, Ds, exact_rows, mu))[1:]:
+        roots = _factor_roots(f)
         if symmetric:
-            exact = _real_roots(f, PRECISION)
-            roots = [(_div(q.numerator << GRID_BITS, q.denominator), 0) for q in exact]
-        else:
-            roots = _factor_roots(f, eps)
-        if len(roots) != f.degree:
-            raise SpectralError(f"found {len(roots)} roots for a degree-{f.degree} factor")
+            # every character value is real: the residual check and the
+            # disks, on real centres, certify the projected roots
+            roots = [(x, 0) for x, _ in roots]
         rows = _character_rows(f, D, W, roots, eps)
         rows.sort(key=_row_key)
         blocks.append((rows, f, m))

@@ -1,10 +1,13 @@
-"""Every public name a module exports resolves.
+"""Every public name a module exports resolves, and every module uses
+what it imports.
 
 A name left in ``__all__`` after its definition is deleted makes
 ``from <module> import *`` raise; this walks the whole package so that no
-module can carry such an entry.
+module can carry such an entry.  An import left behind after the code that
+used it is deleted is caught the same way, from each module's syntax tree.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -77,3 +80,26 @@ def test_the_pipeline_runs_without_mpmath():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
+
+
+def test_every_top_level_import_is_used():
+    """A name bound by a top-level import is read somewhere in its module
+    or listed in its ``__all__`` (a re-export)."""
+    unused = []
+    for path in sorted(Path(sitawim.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+    assert unused == []

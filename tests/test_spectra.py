@@ -6,6 +6,7 @@ rationals in those displays are read back by continued fractions."""
 import json
 from dataclasses import replace
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from sitawim.errors import SitawimError, SpectralError
 from sitawim import spectra, structcheck
 from sitawim.solver import GridAxis, SearchConfig, SimplexSpec, run_search
 from sitawim.spectra import GRID_BITS, SpectralData, eigenmatrix_P, eigenmatrix_Q, krein
-from sitawim.intpoly import IntPoly, _poly_gcd, _real_roots, _sign_changes, _sturm_chain
+from sitawim.intpoly import IntPoly, _poly_gcd
 from sitawim.feasibility import run_battery
 from sitawim.structcheck import Instance, is_cyclotomic, multiplicities, verify_sita
 
@@ -422,11 +423,10 @@ class TestFailureModes:
     def test_residual_check_is_as_tight_as_eps(self, monkeypatch):
         # eps = 2^-100 * 35 is about 2^-94.9: roots moved by 2^-110 still
         # give rows within it, roots moved by 2^-90 do not
+        real = spectra._factor_roots
         for bits, refused in ((110, False), (90, True)):
-            shift = Fraction(1, 2**bits)
-            monkeypatch.setattr(
-                spectra, "_real_roots", lambda f, precision: [q + shift for q in _real_roots(f, precision)]
-            )
+            shift = 1 << GRID_BITS - bits
+            monkeypatch.setattr(spectra, "_factor_roots", lambda f: [(x + shift, y) for x, y in real(f)])
             if refused:
                 with pytest.raises(SpectralError, match="residual"):
                     eigenmatrix_P(N35)
@@ -625,19 +625,13 @@ class TestCharacterRows:
             return settled
 
         monkeypatch.setattr(spectra, "_settle", collapsed)
-        with pytest.raises(SpectralError, match="within tolerance"):
+        with pytest.raises(SpectralError, match="disks .* overlap"):
             eigenmatrix_P(A1_16)
 
-    def test_missing_roots_are_refused(self, monkeypatch):
-        monkeypatch.setattr(spectra, "_real_roots", lambda f, precision: _real_roots(f, precision)[1:])
-        with pytest.raises(SpectralError, match="roots for a degree"):
-            eigenmatrix_P(N35)
-
     def test_inexact_root_fails_the_residual_check(self, monkeypatch):
-        shift = Fraction(1, 2**60)
-        monkeypatch.setattr(
-            spectra, "_real_roots", lambda f, precision: [q + shift for q in _real_roots(f, precision)]
-        )
+        real = spectra._factor_roots
+        shift = 1 << GRID_BITS - 60
+        monkeypatch.setattr(spectra, "_factor_roots", lambda f: [(x + shift, y) for x, y in real(f)])
         with pytest.raises(SpectralError, match="residual"):
             eigenmatrix_P(N35)
 
@@ -652,11 +646,8 @@ def nonreal_polys(draw) -> IntPoly:
     poly = IntPoly(tuple(coeffs))
     derivative = [i * c for i, c in enumerate(poly.coeffs)][1:]
     assume(len(_poly_gcd(poly.coeffs, derivative)) == 1)
-    assume(len(_real_roots(poly, 64)) < poly.degree)
+    assume(len(reference_real_roots(poly, 64)) < poly.degree)
     return poly
-
-
-EPS = 1 << GRID_BITS - 100  # 2^-100 on the grid
 
 
 def assert_roots_match(roots, want, tol):
@@ -670,29 +661,53 @@ def assert_roots_match(roots, want, tol):
         want.remove(nearest)
 
 
+def product(factors) -> IntPoly:
+    """The product of ascending integer coefficient lists."""
+    acc = [1]
+    for f in factors:
+        out = [0] * (len(acc) + len(f) - 1)
+        for i, a in enumerate(acc):
+            for j, b in enumerate(f):
+                out[i + j] += a * b
+        acc = out
+    return IntPoly(tuple(acc))
+
+
 @st.composite
 def root_cases(draw):
-    """``(poly, exact)``: a squarefree integer polynomial of degree 2-5 and
-    None, or a clustered pair (x^2 - a)(x^2 - a - 1) for a large a, whose
-    roots +-sqrt(a) and +-sqrt(a + 1) lie about 1 / (2 sqrt a) apart, and
-    the function giving them."""
-    if draw(st.booleans()):
-        a = draw(st.integers(2, 10**40))
+    """``(kind, poly, exact)``: a squarefree integer polynomial of degree
+    2-5 and the function giving its roots at the working precision (None
+    for a ``"random"`` one).  Besides random polynomials, two kinds whose
+    roots are all real: a ``"clustered"`` pair (x^2 - a)(x^2 - a - 1) for
+    a large a, whose roots +-sqrt(a) and +-sqrt(a + 1) lie about
+    1 / (2 sqrt a) apart, and ``"real"`` products of distinct factors
+    x - a and x^2 - b, b not a square."""
+    kind = draw(st.sampled_from(["random", "clustered", "real"]))
+    if kind == "clustered":
+        a = draw(st.integers(2, 10**80))
         poly = IntPoly((a * (a + 1), 0, -(2 * a + 1), 0, 1))
-        return poly, lambda: [s * mp.sqrt(v) for v in (a, a + 1) for s in (1, -1)]
+        return kind, poly, lambda: [s * mp.sqrt(v) for v in (a, a + 1) for s in (1, -1)]
+    if kind == "real":
+        linear = draw(st.lists(st.integers(-50, 50), max_size=3, unique=True))
+        squares = st.integers(2, 50).filter(lambda b: isqrt(b) ** 2 != b)
+        quadratic = draw(st.lists(squares, max_size=2, unique=True))
+        assume(2 <= len(linear) + 2 * len(quadratic) <= 5)
+        poly = product([[-a, 1] for a in linear] + [[-b, 0, 1] for b in quadratic])
+        roots = lambda: [mp.mpf(a) for a in linear] + [s * mp.sqrt(b) for b in quadratic for s in (1, -1)]
+        return kind, poly, roots
     degree = draw(st.integers(min_value=2, max_value=5))
     coeffs = draw(st.lists(st.integers(-1000, 1000), min_size=degree, max_size=degree))
     poly = IntPoly(tuple(coeffs) + (draw(st.integers(-1000, 1000).filter(bool)),))
     derivative = [i * c for i, c in enumerate(poly.coeffs)][1:]
     assume(len(_poly_gcd(poly.coeffs, derivative)) == 1)
-    return poly, None
+    return kind, poly, None
 
 
 class TestFactorRoots:
     @settings(max_examples=60, deadline=None)
     @given(nonreal_polys())
     def test_match_polyroots(self, poly):
-        roots = [grid_mp(z) for z in spectra._factor_roots(poly, EPS)]
+        roots = [grid_mp(z) for z in spectra._factor_roots(poly)]
         with mp.workprec(2 * GRID_BITS):
             want = list(mp.polyroots(list(reversed(poly.coeffs)), maxsteps=500, extraprec=100))
             assert len(roots) == len(want)
@@ -704,18 +719,27 @@ class TestFactorRoots:
     @settings(max_examples=60, deadline=None)
     @given(root_cases())
     def test_match_polyroots_at_320_bits(self, case):
-        # an input that does not settle must be refused, never answered:
-        # only a clustered pair may take that way out
-        poly, exact = case
-        try:
-            roots = [grid_mp(z) for z in spectra._factor_roots(poly, EPS)]
-        except SpectralError:
-            assert exact is not None
-            return
+        # real roots are projected onto the real axis, as for a symmetric
+        # table, and every root then lies in exactly one inclusion disk
+        kind, poly, exact = case
+        roots = spectra._factor_roots(poly)
+        if kind != "random":
+            roots = [(x, 0) for x, _ in roots]
+        values = [spectra._at(poly.coeffs, spectra._powers(z, poly.degree)) for z in roots]
+        radii = spectra._inclusion_radii(poly, roots, [a * a + b * b for a, b in values])
+        coeffs = list(reversed(poly.coeffs))
         with mp.workprec(320):
-            coeffs = list(reversed(poly.coeffs))
             want = exact() if exact else mp.polyroots(coeffs, maxsteps=500, extraprec=320)
-            assert_roots_match(roots, want, mp.ldexp(1, -250))
+            assert_roots_match([grid_mp(z) for z in roots], want, mp.ldexp(1, -250))
+        if kind == "real":
+            got = sorted(Fraction(x, 1 << GRID_BITS) for x, _ in roots)
+            ref = reference_real_roots(poly, 256)
+            assert max(abs(a - b) for a, b in zip(got, ref)) <= Fraction(1, 2**250)
+        with mp.workprec(2 * GRID_BITS):
+            want = exact() if exact else mp.polyroots(coeffs, maxsteps=500, extraprec=2 * GRID_BITS)
+            disks = [(grid_mp(z), grid_mp(r)) for z, r in zip(roots, radii)]
+            for w in want:
+                assert sum(abs(w - z) <= r for z, r in disks) == 1
 
     def test_unsettled_grid_stage_is_refused(self, monkeypatch):
         # every grid sweep kicks the roots away again
@@ -728,12 +752,12 @@ class TestFactorRoots:
 
         monkeypatch.setattr(spectra, "_grid_sweep", kicked)
         with pytest.raises(SpectralError, match="did not converge"):
-            spectra._factor_roots(IntPoly((1, 1, 1)), EPS)
+            spectra._factor_roots(IntPoly((1, 1, 1)))
 
     def test_huge_coefficients_are_scaled(self):
         # x^2 - 2^1100 x + 2^2300 has roots of size 2^1150, past any double
         poly = IntPoly((1 << 2300, -(1 << 1100), 1))
-        roots = [grid_mp(z) for z in spectra._factor_roots(poly, EPS)]
+        roots = [grid_mp(z) for z in spectra._factor_roots(poly)]
         assert len(roots) == 2
         with mp.workprec(600):
             for z in roots:
@@ -802,7 +826,7 @@ def reference_eigenmatrix_P(inst: Instance, precision: int = 256):
         per_factor = {f: [] for f in factors[1:]}
         if all(mats[j][0][j] for j in range(r)):
             for f in per_factor:
-                for root in _real_roots(f, precision):
+                for root in reference_real_roots(f, precision):
                     theta = mp.mpf(root.numerator) / root.denominator
                     A = mp.matrix([[combo[a][b] - (theta if a == b else 0) for b in range(r)] for a in range(r)])
                     per_factor[f].append(_ref_row_from_vector(mats, _ref_null_vector(A, r), eps))
@@ -1009,88 +1033,6 @@ def reference_real_roots(poly: IntPoly, precision: int) -> list:
     return sorted(roots)
 
 
-@st.composite
-def squarefree_polys(draw) -> IntPoly:
-    degree = draw(st.integers(min_value=2, max_value=5))
-    coeffs = draw(st.lists(st.integers(-40, 40), min_size=degree, max_size=degree))
-    coeffs.append(draw(st.integers(1, 6)))
-    poly = IntPoly(tuple(coeffs))
-    derivative = [i * c for i, c in enumerate(poly.coeffs)][1:]
-    assume(poly.degree >= 2 and len(_poly_gcd(poly.coeffs, derivative)) == 1)
-    return poly
-
-
-# x^3 - x: the first isolation midpoint, 0, is a root (the "shave" branch);
-# x^2 - 5x - 6: bisecting the boxes (-8, 0) and (0, 8) lands on -1 and 6
-MIDPOINT_ROOTS = [
-    (IntPoly((0, -1, 0, 1)), [Fraction(0)]),
-    (IntPoly((-6, -5, 1)), [Fraction(-1), Fraction(6)]),
-]
-
-
-class TestRealRoots:
-    @pytest.mark.parametrize("poly, exact", MIDPOINT_ROOTS)
-    def test_rational_midpoint_roots_are_exact(self, poly, exact):
-        roots = _real_roots(poly, 256)
-        assert roots == reference_real_roots(poly, 256)
-        assert [q for q in roots if value_at(poly, q) == 0] == exact
-
-    def test_shaved_box_leaves_out_a_nearby_root(self):
-        # 5x^3 + 4x^2 - 6x - 5 = (x + 1)(5x^2 - x - 5): the first box shaved
-        # around the midpoint root -1 also held (1 - sqrt(101))/10 ~ -0.905
-        roots = _real_roots(IntPoly((-5, -6, 4, 5)), 64)
-        assert len(roots) == 3
-        assert roots[0] == -1 and Fraction(-91, 100) < roots[1] < Fraction(-90, 100)
-
-    @settings(max_examples=60, deadline=None)
-    @given(squarefree_polys(), st.sampled_from([64, 256]))
-    def test_matches_fraction_bisection(self, poly, precision):
-        assert _real_roots(poly, precision) == reference_real_roots(poly, precision)
-
-    @settings(max_examples=30, deadline=None)
-    @given(squarefree_polys())
-    def test_agrees_with_sympy(self, poly):
-        sympy = pytest.importorskip("sympy")
-        x = sympy.Symbol("x")
-        sp = sympy.Poly(list(reversed(poly.coeffs)), x)
-        roots = _real_roots(poly, 256)
-        assert len(roots) == len(sp.real_roots())
-        tol = Fraction(1, 2 ** (256 + 16))
-        boxes = sorted(
-            (Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q)))
-            for (a, b), _ in sp.intervals()
-        )
-        for root, (a, b) in zip(roots, boxes):
-            assert a - tol <= root <= b + tol
-
-
-@st.composite
-def int_polys(draw) -> list:
-    degree = draw(st.integers(min_value=1, max_value=5))
-    coeffs = draw(st.lists(st.integers(-40, 40), min_size=degree, max_size=degree))
-    return coeffs + [draw(st.integers(-8, 8).filter(bool))]
-
-
-class TestSturmChain:
-    @settings(max_examples=150, deadline=None)
-    @given(int_polys(), st.lists(st.fractions(), min_size=1, max_size=4))
-    def test_sign_changes_match_the_rational_chain(self, coeffs, points):
-        chain = _sturm_chain(coeffs)
-        ref = _ref_sturm_chain(coeffs)
-        assert len(chain) == len(ref)
-        for point in points:
-            assert _sign_changes(chain, point) == _ref_sign_changes(ref, point)
-
-    @settings(max_examples=150, deadline=None)
-    @given(int_polys())
-    def test_members_are_positive_multiples_of_the_rational_chain(self, coeffs):
-        for got, want in zip(_sturm_chain(coeffs), _ref_sturm_chain(coeffs)):
-            assert len(got) == len(want)
-            ratio = Fraction(got[-1]) / want[-1]
-            assert ratio > 0
-            assert [Fraction(v) for v in got] == [ratio * v for v in want]
-
-
 # pins: every output of the fixtures and the tier-1 catalogs as the mpf
 # implementation gave them, P and kappa rounded to 2^-250 -----------------
 
@@ -1143,6 +1085,8 @@ def assert_matches_pin(inst: Instance, pin: dict):
     if isinstance(sd, str):
         assert sd == pin["P"]
         return
+    if all(b[0][j] for j, b in enumerate(inst.matrices)):  # symmetric
+        assert all(im == 0 for row in sd.P for _, im in row)
     assert [list(o) for o in sd.orbits] == pin["orbits"]
     assert [list(f.coeffs) for f in sd.orbit_polys] == pin["orbit_polys"]
     m = sd.multiplicities
