@@ -10,12 +10,12 @@ The package follows the pipeline of a structure-constant analysis:
 - :mod:`sitawim.solver` — specialization to integer points, zero-dimensional
   solving, and deterministic parallel grid searches.
 - :mod:`sitawim.intpoly` — dense integer polynomials in one variable:
-  characteristic polynomials, factorization, Galois classification and
-  integer roots.
+  characteristic polynomials, certified complex roots, factorization and
+  Galois classification read off those roots, and integer roots.
 - :mod:`sitawim.structcheck` — exact invariants of a realized table: the
   axiom check, cyclotomy, and standard-module multiplicities.
-- :mod:`sitawim.spectra` — certified high-precision eigendata, eigenmatrices,
-  and dual intersection numbers.
+- :mod:`sitawim.spectra` — eigenmatrices and dual intersection numbers on
+  one fixed-point grid, evaluated at the certified roots.
 - :mod:`sitawim.feasibility` — counting, quotient, positivity, and
   sphere-packing screens on proposed parameter sets.
 """

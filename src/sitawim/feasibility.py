@@ -35,8 +35,8 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import SitawimError
-from .intpoly import _matmul
-from .spectra import GRID_BITS, SpectralData, _div, eigenmatrix_P, eigenmatrix_Q, krein
+from .intpoly import GRID_BITS, _div, _matmul
+from .spectra import SpectralData, eigenmatrix_P, eigenmatrix_Q, krein
 from .structcheck import Instance, multiplicities, verify_sita
 from .varietygen import InvolutionType
 

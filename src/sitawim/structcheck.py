@@ -5,26 +5,27 @@ A realized table is a family of nonnegative-integer regular matrices
 constants of a commutative based algebra.  This module checks the defining
 axioms exactly, solves for the standard-module multiplicities as exact
 rationals, and decides whether every eigenvalue is cyclotomic.  The
-univariate work underneath (characteristic polynomials, factorization over
-the integers, Galois classes of the factors) lives in
+univariate work underneath (characteristic polynomials, certified roots,
+factorization over the integers, Galois classes of the factors) lives in
 :mod:`sitawim.intpoly`; its names are imported from there, not from here.
 So is the one integer matrix product, :func:`sitawim.intpoly._matmul`,
 which the commutation check uses here.
 
 One orbit solve (:func:`_orbit_solve`) per instance finds a squarefree
-generator ``g``, writes each ``b_i`` as a polynomial in ``g`` through the
+generator ``g``, computes the roots of its characteristic polynomial once
+and reads its irreducible factors, their roots and their Galois classes
+off them, writes each ``b_i`` as a polynomial in ``g`` through the
 fraction-free adjugate of a Krylov matrix, and reduces it modulo each
-irreducible factor f of the characteristic polynomial: the exact character
-row of f's Galois orbit over Q[x]/(f), which gives the orbit's exact
-multiplicity.  The instance keeps the solve after its first use, and three
-stages read it: :func:`multiplicities` lists the multiplicities by
-character, :func:`is_cyclotomic` classifies the generator's factors, one
-per Galois orbit, and :func:`sitawim.spectra.eigenmatrix_P` evaluates the
-rows at the roots.
+factor f: the exact character row of f's Galois orbit over Q[x]/(f),
+which gives the orbit's exact multiplicity.  The instance keeps the solve
+after its first use, and three stages read it: :func:`multiplicities`
+lists the multiplicities by character, :func:`is_cyclotomic` reads the
+factors' classes, one per Galois orbit, and
+:func:`sitawim.spectra.eigenmatrix_P` evaluates the rows at the roots.
 
-Everything here is integer or rational arithmetic end to end: the whole
-point of the multiplicity and cyclotomy verdicts is that no rounding step
-gets to decide them.
+Every decision here is an exact check, with roots proven by disks: the
+whole point of the multiplicity and cyclotomy verdicts is that no
+rounding step gets to decide them.
 
 Conventions shared with :mod:`sitawim.varietygen`: ``(M_j)[i][k]`` is the
 coefficient of ``b_i`` in ``b_j b_k``, row sums of ``M_j`` equal the degree
@@ -42,8 +43,8 @@ from operator import mul
 from typing import Optional
 
 from .errors import SitawimError
-from .intpoly import IntPoly, _matmul, _mulmod, _pdivrem, _poly_gcd, _ptrim, charpoly
-from .intpoly import factor_int_poly, galois_class
+from .intpoly import IntPoly, _factor_squarefree, _galois_class, _matmul, _mulmod, _pdivrem
+from .intpoly import _poly_gcd, _ptrim, charpoly
 from .varietygen import INVOLUTION_TYPES, InvolutionType
 
 __all__ = [
@@ -292,8 +293,8 @@ def _adjugate(A: list[list[int]]) -> tuple[int, list[list[int]]]:
 
 
 def _orbit_solve(inst: Instance) -> tuple:
-    """``(M, factors, perron, D, rows, mu)``: the record that
-    :func:`multiplicities`, :func:`is_cyclotomic` and
+    """``(M, factors, perron, D, rows, mu, roots, classes)``: the record
+    that :func:`multiplicities`, :func:`is_cyclotomic` and
     :func:`sitawim.spectra.eigenmatrix_P` read from ``Instance._solved``.
 
     ``M = sum_j t^(j-1) b_j`` for the first t = 1, 2, ... whose
@@ -307,6 +308,9 @@ def _orbit_solve(inst: Instance) -> tuple:
     ``D[o]`` the least positive integer that makes the orbit's row
     integral, so a root theta of f has the character row ``W(theta) /
     D[o]``; each row is checked as ``D[o] (W b_i) = W_i W`` modulo f.
+    ``roots[o]`` and ``classes[o]`` are f's roots on the grid and its
+    Galois class (None above degree 4), read off one root solve of the
+    characteristic polynomial (:func:`sitawim.intpoly._factor_squarefree`).
 
     ``mu`` holds each orbit's multiplicity m = n / sum_i chi(b_i)
     chi(b_i*) / k_i (Bannai & Ito, *Algebraic Combinatorics I*, 1984), that
@@ -334,11 +338,16 @@ def _orbit_solve(inst: Instance) -> tuple:
     det, adj = _adjugate([list(col) for col in zip(*krylov)])
     polys = list(zip(*adj))  # column i of the adjugate is det * p_i
     perron = sum(t ** (j - 1) * deg[j] for j in range(1, r))
-    factors = factor_int_poly(cp)
     trivial = IntPoly((-perron, 1))
+    # b_j b_j meets the identity iff b_j* = b_j; then every character
+    # value is real, and so is every root of cp
+    real = all(mats[j][0][j] for j in range(r))
+    pieces = sorted(_factor_squarefree(cp, real), key=lambda piece: piece[0] != trivial)
+    factors = [f for f, _ in pieces]
+    roots = [[z for z, _ in disks] for _, disks in pieces]
+    classes = [_galois_class(f, disks) if f.degree <= 4 else None for f, disks in pieces]
     if trivial not in factors:
-        return M, factors, perron, None, None, None
-    factors.insert(0, factors.pop(factors.index(trivial)))
+        return M, factors, perron, None, None, None, roots, classes
     if min(deg) <= 0:
         raise SitawimError(f"degrees {deg} are not all positive")
     # i* from row 0 of b_i, which carries k_i in column i*, so that the
@@ -368,7 +377,7 @@ def _orbit_solve(inst: Instance) -> tuple:
         mu.append(Fraction(inst.order * D * D * L, N[0]) if len(N) == 1 and N[0] > 0 else None)
     if None in mu or mu[0] != 1:
         mu = None
-    return M, factors, perron, Ds, rows, mu
+    return M, factors, perron, Ds, rows, mu, roots, classes
 
 
 def multiplicities(inst: Instance) -> MultiplicityResult:
@@ -382,7 +391,7 @@ def multiplicities(inst: Instance) -> MultiplicityResult:
     all.  SitawimError (:data:`NOT_STANDARD`) unless every value is a
     positive rational and the trivial one is 1.
     """
-    _, factors, _, _, _, mu = inst._solved
+    _, factors, _, _, _, mu, _, _ = inst._solved
     if mu is None:
         raise SitawimError(NOT_STANDARD)
     # one value per character; the trivial character's 1 is listed first
@@ -425,5 +434,8 @@ def is_cyclotomic(inst: Instance) -> CyclotomicReport:
     """
     if inst.rank > 5:
         raise SitawimError("cyclotomy verdicts cover rank <= 5 only")
-    orbits = tuple((f, galois_class(f)) for f in inst._solved[1])
+    _, factors, *_, classes = inst._solved
+    if None in classes:
+        raise SitawimError("Galois classification supports degree <= 4, got 5")
+    orbits = tuple(zip(factors, classes))
     return CyclotomicReport(all(cls.abelian for _, cls in orbits), orbits)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from sitawim.errors import SitawimError, SpectralError
-from sitawim import spectra, structcheck
+from sitawim import intpoly, spectra, structcheck
 from sitawim.solver import GridAxis, SearchConfig, SimplexSpec, run_search
 from sitawim.spectra import GRID_BITS, SpectralData, eigenmatrix_P, eigenmatrix_Q, krein
 from sitawim.intpoly import IntPoly, _poly_gcd
@@ -410,6 +410,25 @@ class TestRationalDetection:
             assert as_rational(near, tol=mp.ldexp(1, -50)) == Fraction(2, 3)
 
 
+REAL_FACTOR_ROOTS = intpoly._factor_roots
+
+
+def shifted_roots(monkeypatch, shift: int) -> list:
+    """Moves every root the root finder returns by ``shift`` grid steps
+    along the real axis, and returns the list of the polynomials it is
+    called on.  An instance keeps its orbit solve, roots included, so a
+    test hands the patched finder a fresh instance (:func:`fresh`) and
+    checks that it ran."""
+    calls = []
+
+    def shifted(f):
+        calls.append(f)
+        return [(x + shift, y) for x, y in REAL_FACTOR_ROOTS(f)]
+
+    monkeypatch.setattr(intpoly, "_factor_roots", shifted)
+    return calls
+
+
 class TestFailureModes:
     def test_corrupted_P_fails_duality_check(self):
         sd = eigenmatrix_P(N35)
@@ -423,15 +442,16 @@ class TestFailureModes:
     def test_residual_check_is_as_tight_as_eps(self, monkeypatch):
         # eps = 2^-100 * 35 is about 2^-94.9: roots moved by 2^-110 still
         # give rows within it, roots moved by 2^-90 do not
-        real = spectra._factor_roots
         for bits, refused in ((110, False), (90, True)):
-            shift = 1 << GRID_BITS - bits
-            monkeypatch.setattr(spectra, "_factor_roots", lambda f: [(x + shift, y) for x, y in real(f)])
+            calls = shifted_roots(monkeypatch, 1 << GRID_BITS - bits)
+            inst = fresh(N35)
             if refused:
                 with pytest.raises(SpectralError, match="residual"):
-                    eigenmatrix_P(N35)
+                    eigenmatrix_P(inst)
             else:
-                assert eigenmatrix_P(N35).rank == 5
+                assert eigenmatrix_P(inst).rank == 5
+            # one root solve, of the whole generator, and none in eigenmatrix_P
+            assert len(calls) == 1
 
     def test_non_cyclic_e0_is_refused(self):
         # e_0 is an eigenvector of b_1, so its Krylov matrix is singular
@@ -602,38 +622,43 @@ class TestCharacterRows:
 
     def test_unconverged_roots_are_refused(self, monkeypatch):
         # the double-precision stage never settles
-        real = spectra._settle
+        real = intpoly._settle
+        calls = []
 
         def stuck(sweep, z, small):
+            calls.append(z)
             return False if isinstance(z[0], complex) else real(sweep, z, small)
 
-        monkeypatch.setattr(spectra, "_settle", stuck)
+        monkeypatch.setattr(intpoly, "_settle", stuck)
         with pytest.raises(SpectralError, match="did not converge"):
-            eigenmatrix_P(A1_16)
+            eigenmatrix_P(fresh(A1_16))
+        assert calls
 
     def test_coincident_roots_are_refused(self, monkeypatch):
         # a repeated root would give one character row twice, and both
         # copies pass the root check: the double-precision stage hands on
         # one seed for every root, and the grid stage refines the copies
         # to one root
-        real = spectra._settle
+        real = intpoly._settle
+        calls = []
 
         def collapsed(sweep, z, small):
+            calls.append(z)
             settled = real(sweep, z, small)
             if isinstance(z[0], complex):
                 z[:] = [z[0]] * len(z)
             return settled
 
-        monkeypatch.setattr(spectra, "_settle", collapsed)
+        monkeypatch.setattr(intpoly, "_settle", collapsed)
         with pytest.raises(SpectralError, match="disks .* overlap"):
-            eigenmatrix_P(A1_16)
+            eigenmatrix_P(fresh(A1_16))
+        assert calls
 
     def test_inexact_root_fails_the_residual_check(self, monkeypatch):
-        real = spectra._factor_roots
-        shift = 1 << GRID_BITS - 60
-        monkeypatch.setattr(spectra, "_factor_roots", lambda f: [(x + shift, y) for x, y in real(f)])
+        calls = shifted_roots(monkeypatch, 1 << GRID_BITS - 60)
         with pytest.raises(SpectralError, match="residual"):
-            eigenmatrix_P(N35)
+            eigenmatrix_P(fresh(N35))
+        assert len(calls) == 1
 
 
 @st.composite
@@ -707,7 +732,7 @@ class TestFactorRoots:
     @settings(max_examples=60, deadline=None)
     @given(nonreal_polys())
     def test_match_polyroots(self, poly):
-        roots = [grid_mp(z) for z in spectra._factor_roots(poly)]
+        roots = [grid_mp(z) for z in intpoly._factor_roots(poly)]
         with mp.workprec(2 * GRID_BITS):
             want = list(mp.polyroots(list(reversed(poly.coeffs)), maxsteps=500, extraprec=100))
             assert len(roots) == len(want)
@@ -722,11 +747,10 @@ class TestFactorRoots:
         # real roots are projected onto the real axis, as for a symmetric
         # table, and every root then lies in exactly one inclusion disk
         kind, poly, exact = case
-        roots = spectra._factor_roots(poly)
+        roots = intpoly._factor_roots(poly)
         if kind != "random":
             roots = [(x, 0) for x, _ in roots]
-        values = [spectra._at(poly.coeffs, spectra._powers(z, poly.degree)) for z in roots]
-        radii = spectra._inclusion_radii(poly, roots, [a * a + b * b for a, b in values])
+        radii = intpoly._inclusion_radii(poly, roots)
         coeffs = list(reversed(poly.coeffs))
         with mp.workprec(320):
             want = exact() if exact else mp.polyroots(coeffs, maxsteps=500, extraprec=320)
@@ -743,21 +767,21 @@ class TestFactorRoots:
 
     def test_unsettled_grid_stage_is_refused(self, monkeypatch):
         # every grid sweep kicks the roots away again
-        real = spectra._grid_sweep
+        real = intpoly._grid_sweep
 
         def kicked(f, z):
             deltas = real(f, z)
             z[:] = [(x + (1 << GRID_BITS - 10), y) for x, y in z]
             return deltas
 
-        monkeypatch.setattr(spectra, "_grid_sweep", kicked)
+        monkeypatch.setattr(intpoly, "_grid_sweep", kicked)
         with pytest.raises(SpectralError, match="did not converge"):
-            spectra._factor_roots(IntPoly((1, 1, 1)))
+            intpoly._factor_roots(IntPoly((1, 1, 1)))
 
     def test_huge_coefficients_are_scaled(self):
         # x^2 - 2^1100 x + 2^2300 has roots of size 2^1150, past any double
         poly = IntPoly((1 << 2300, -(1 << 1100), 1))
-        roots = [grid_mp(z) for z in spectra._factor_roots(poly)]
+        roots = [grid_mp(z) for z in intpoly._factor_roots(poly)]
         assert len(roots) == 2
         with mp.workprec(600):
             for z in roots:
@@ -820,7 +844,7 @@ def reference_eigenmatrix_P(inst: Instance, precision: int = 256):
     mats = inst.matrices
     with mp.workprec(precision + 32):
         eps = mp.ldexp(1, -100) * max(1, inst.order)
-        combo, factors, perron, _, _, _ = structcheck._orbit_solve(inst)
+        combo, factors, perron, *_ = structcheck._orbit_solve(inst)
         trivial = IntPoly((-perron, 1))
         assert factors[0] == trivial
         per_factor = {f: [] for f in factors[1:]}

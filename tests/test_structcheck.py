@@ -13,10 +13,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sitawim import structcheck
+from sitawim import intpoly, structcheck
 from sitawim.errors import SitawimError
 from sitawim.feasibility import run_battery
 from sitawim.intpoly import (
+    GRID_BITS,
     GaloisClass,
     IntPoly,
     charpoly,
@@ -209,13 +210,14 @@ class TestFactorIntPoly:
         assert factor_int_poly(p) == [p]
 
     def test_cyclotomic_octic_piece_is_irreducible(self):
-        # reducible modulo every prime, so only the divisor search settles it
+        # reducible modulo every prime: no pair of its roots rounds to a
+        # quadratic factor
         p = poly(1, 0, 0, 0, 1)
         assert factor_int_poly(p) == [p]
 
     def test_quintic_with_large_values(self):
-        # generator polynomial of the order-249 table at weight 2: the sample
-        # values carry eight-digit divisors, which the search must tolerate
+        # generator polynomial of the order-249 table at weight 2: the root
+        # 930 and an irreducible quartic
         p = poly(309896460, 65260608, 3179819, -17445, -915, 1)
         fs = factor_int_poly(p)
         assert [f.degree for f in fs] == [1, 4]
@@ -285,9 +287,12 @@ class TestGaloisClass:
 # factorization and Galois classes against sympy
 # ---------------------------------------------------------------------------
 
-# a monic factor of degree 1..3 with small coefficients
-_small_factors = st.integers(1, 3).flatmap(
-    lambda d: st.lists(st.integers(-6, 6), min_size=d, max_size=d).map(lambda c: c + [1])
+# a coefficient small or up to 10^30, where no running time may grow with
+# its value
+_coefficients = st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30))
+# a monic factor of degree 1..3
+_factors = st.integers(1, 3).flatmap(
+    lambda d: st.lists(_coefficients, min_size=d, max_size=d).map(lambda c: c + [1])
 )
 
 
@@ -298,9 +303,10 @@ def _ascending(sympy_poly) -> tuple:
 class TestAgainstSympy:
     @settings(max_examples=80, deadline=None)
     @given(
-        st.lists(_small_factors, min_size=1, max_size=3).filter(
-            lambda fs: sum(len(f) - 1 for f in fs) <= 5
-        )
+        # up to three pieces, the first one or two of them repeated
+        st.tuples(st.lists(_factors, min_size=1, max_size=3), st.integers(0, 2))
+        .map(lambda drawn: drawn[0] + drawn[0][: drawn[1]])
+        .filter(lambda fs: sum(len(f) - 1 for f in fs) <= 5)
     )
     def test_factorization_matches_factor_list(self, pieces):
         sympy = pytest.importorskip("sympy")
@@ -315,7 +321,7 @@ class TestAgainstSympy:
         assert factor_int_poly(p) == want
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(3, 4).flatmap(lambda d: st.lists(st.integers(-9, 9), min_size=d, max_size=d)))
+    @given(st.integers(3, 4).flatmap(lambda d: st.lists(_coefficients, min_size=d, max_size=d)))
     def test_galois_class_matches_galois_group(self, drawn):
         sympy = pytest.importorskip("sympy")
         from sympy.polys.numberfields.galoisgroups import galois_group
@@ -326,6 +332,32 @@ class TestAgainstSympy:
         assume(sp.is_irreducible)
         name = galois_group(sp, by_name=True)[0].name
         assert str(galois_class(p)) == {"A3": "C3", "V": "V4"}.get(name, name)
+
+    def test_large_values_need_no_divisor_search(self, monkeypatch):
+        # sqrt(a) + sqrt(b) at a, b near 10^4, and a quadratic factor with a
+        # 10^15-sized constant term: factors and classes come from the
+        # roots, so no step enumerates the divisors of a coefficient
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.numberfields.galoisgroups import galois_group
+
+        def refused(*args):
+            raise AssertionError("divisor search")
+
+        monkeypatch.setattr(intpoly, "_divisors", refused)
+        x = sympy.Symbol("x")
+        a, b = 10007, 10009
+        quartic = sympy.Poly(x**4 - 2 * (a + b) * x**2 + (a - b) ** 2, x)
+        product = sympy.Poly((x - 5) * (x**2 + x + 1) * (x**2 - 3 * x + 10**15 + 37), x)
+        for sp in (quartic, product):
+            _, theirs = sympy.factor_list(sp)
+            want = sorted(
+                (IntPoly(_ascending(f)) for f, e in theirs for _ in range(e)),
+                key=lambda f: (f.degree, f.coeffs),
+            )
+            assert factor_int_poly(IntPoly(_ascending(sp))) == want
+        assert [f.degree for f in factor_int_poly(IntPoly(_ascending(product)))] == [1, 2, 2]
+        assert galois_group(quartic, by_name=True)[0].name == "V"
+        assert str(galois_class(IntPoly(_ascending(quartic)))) == "V4"
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +444,19 @@ class TestMultiplicities:
         assert result.integral
 
     def test_order_35_orbits(self):
-        _, factors, perron, D, rows, mu = _orbit_solve(N35)
+        _, factors, perron, D, rows, mu, roots, classes = _orbit_solve(N35)
         assert perron == 160
         assert [(f.coeffs, d, m) for f, d, m in zip(factors, D, mu)] == [
             ((-160, 1), 1, 1),
             ((25, 1), 1, 4),
             ((-1354, -306, 6, 1), 389, 10),
         ]
+        # one root solve of the whole generator: the integer roots exact,
+        # every root real (the table is symmetric), and each factor's
+        # Galois class read off it
+        assert roots[:2] == [[(160 << GRID_BITS, 0)], [(-25 << GRID_BITS, 0)]]
+        assert len(roots[2]) == 3 and all(y == 0 for _, y in roots[2])
+        assert [str(c) for c in classes] == ["C1", "C1", "S3"]
         # each orbit's exact row over Q[x]/(f), times its own least D: the
         # degree row first; the cubic's W_0 = D because b_0 = 1, and b_2
         # takes the rational value -1
@@ -700,6 +738,22 @@ class TestStoredSolve:
         multiplicities(canon)
         is_cyclotomic(canon)
         assert [s for s in solves if s is canon] == [canon]
+
+    def test_each_factor_is_classified_once(self, monkeypatch):
+        # is_cyclotomic reads the classes the orbit solve keeps
+        calls = []
+        real = structcheck._galois_class
+
+        def spy(f, disks):
+            calls.append(f)
+            return real(f, disks)
+
+        monkeypatch.setattr(structcheck, "_galois_class", spy)
+        inst = Instance(A2_13_MATRICES, "5A2")
+        first, again = is_cyclotomic(inst), is_cyclotomic(inst)
+        assert first == again
+        assert calls == [f for f, _ in first.factors]
+        assert [str(c) for _, c in first.factors] == ["C1", "D4"]
 
     def test_refusal_is_raised_again_not_kept(self, solves):
         # a non-table whose Krylov matrix of e_0 is singular
