@@ -10,8 +10,9 @@ The package follows the pipeline of a structure-constant analysis:
 - :mod:`sitawim.solver` — specialization to integer points, zero-dimensional
   solving, and deterministic parallel grid searches.
 - :mod:`sitawim.intpoly` — dense integer polynomials in one variable:
-  characteristic polynomials, certified complex roots, factorization and
-  Galois classification read off those roots, and integer roots.
+  characteristic polynomials, certified complex roots, the factors of a
+  squarefree characteristic polynomial and their Galois classes read off
+  those roots, and integer roots.
 - :mod:`sitawim.structcheck` — exact invariants of a realized table: the
   axiom check, cyclotomy, and standard-module multiplicities.
 - :mod:`sitawim.spectra` — eigenmatrices and dual intersection numbers on

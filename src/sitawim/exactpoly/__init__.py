@@ -6,7 +6,6 @@ from .core import (
     MPoly,
     Monomial,
     MonomialOrder,
-    Q0,
     Q1,
     Ring,
     format_poly,
@@ -32,7 +31,6 @@ __all__ = [
     "MPoly",
     "Monomial",
     "MonomialOrder",
-    "Q0",
     "Q1",
     "Ring",
     "format_poly",

@@ -25,19 +25,18 @@ The hot loops stay on ints wherever they can:
   leading-monomial function once, from ``operator.itemgetter`` over its
   priority permutation;
 - :func:`cleared_terms` is the one place where ``Fraction`` coefficients
-  are cleared to ints; ``normalize``, ``content_and_primitive``,
-  ``emit_structure_polys``, ``linear_reduce``, ``rational_span_basis``,
-  ``normal_form`` and ``buchberger`` start from it, run fraction-free
-  (:func:`mul_terms_into`, :func:`primitive_terms`), and store the ints
-  they compute;
+  are cleared to ints; ``normalize``, ``emit_structure_polys``,
+  ``linear_reduce``, ``rational_span_basis``, ``normal_form`` and
+  ``buchberger`` start from it, run fraction-free (:func:`mul_terms_into`,
+  :func:`primitive_terms`), and store the ints they compute;
 - ``subs`` with constant values runs one loop, :func:`_subs_values`,
   which works on int and ``Fraction`` coefficients and values alike;
 - a polynomial that is evaluated many times is compiled once, by
   :func:`term_table`, into its cleared integer terms with each monomial
   written as the list of variable positions it multiplies, and
   :func:`table_value` evaluates that table on a vector of values;
-  ``evaluate``, ``Template.instantiate`` and the solver's per-point and
-  per-solution work all go through it.
+  ``Template.instantiate_at`` and the solver's per-point and per-solution
+  work all go through it.
 
 Monomials stay exponent tuples everywhere a polynomial is stored or
 returned, and in ``buchberger``, ``normal_form``, ``subs`` and
@@ -64,8 +63,7 @@ from typing import Mapping, Sequence
 #: always ints and ``fractions.Fraction``
 HAVE_GMPY2 = False
 
-#: exact rational zero/one
-Q0 = Fraction(0)
+#: exact rational one
 Q1 = Fraction(1)
 
 _RAT_TYPES = (Fraction, int)
@@ -434,20 +432,13 @@ class MPoly:
             return self * (Q1 / c)
         return NotImplemented
 
-    def mul_term(self, mono: Monomial, coeff: object) -> "MPoly":
-        """Multiply by a single term ``coeff * x^mono`` (exact, no checks on sign)."""
-        c = _coeff(coeff)
-        if not c:
-            return self.ring.zero()
-        return MPoly(self.ring, {mono_mul(m, mono): v * c for m, v in self.terms.items()})
-
-    # -- substitution / evaluation ---------------------------------------------
+    # -- substitution ----------------------------------------------------------
 
     def subs(self, mapping: Mapping[str, object]) -> "MPoly":
         """Substitute polynomials or rationals for variables (by name).
 
         Returns ``self`` when no substituted variable occurs.  Constant
-        values are put in by the loop ``evaluate`` runs.  Otherwise the
+        values are put in by one loop, :func:`_subs_values`.  Otherwise the
         expansion of each term is merged into one accumulating dictionary, so
         the cost is linear in the number of terms produced; each power of a
         replacement is computed once.
@@ -496,18 +487,6 @@ class MPoly:
                     del out[m]
         return MPoly(ring, out)
 
-    def evaluate(self, point: Mapping[str, object]) -> int | Fraction:
-        """Exact value at a full rational point (every used variable must be given)."""
-        ring = self.ring
-        values = [None] * ring.nvars
-        for name, value in point.items():
-            values[ring.index[name]] = _coeff(value)
-        for i, col in enumerate(zip(*self.terms)):
-            if values[i] is None and any(col):
-                raise ValueError(f"no value supplied for {ring.names[i]}")
-        table, den = term_table(self.terms)
-        return _coeff(Fraction(table_value(table, values), den))
-
     # -- linear structure ---------------------------------------------------------
 
     def as_univariate(self, name: str) -> list:
@@ -521,14 +500,6 @@ class MPoly:
         return coeffs
 
     # -- normalization ---------------------------------------------------------
-
-    def content_and_primitive(self) -> tuple[Fraction, "MPoly"]:
-        """Positive rational c and primitive integer-coefficient p with self = c*p."""
-        if not self.terms:
-            return Q1, self
-        ints, den = cleared_terms(self.terms)
-        g = math.gcd(*ints.values())
-        return Fraction(g, den), MPoly(self.ring, {m: c // g for m, c in ints.items()})
 
     def normalize(self, order: MonomialOrder | None = None) -> "MPoly":
         """Canonical representative: integer coefficients, content 1, positive

@@ -18,10 +18,11 @@ the two roots of a monic quadratic factor, and each root z1 z2 + z3 z4 of
 a quartic's resolvent cubic round to the integers they are under an error
 bound taken from the radii (refused once it reaches 1/2), and an exact
 division checks every rounded candidate, so no running time grows with the
-value of a coefficient.  Factorization and Galois classes take monic input
-only: every polynomial a stage hands them is a characteristic polynomial
-or a monic factor of one, so rational roots are integer roots and a
-quadratic factor is monic.
+value of a coefficient.  Factorization and Galois classes take squarefree
+monic input only: the one polynomial a stage hands them is the
+characteristic polynomial of a squarefree generator
+(:func:`sitawim.structcheck._orbit_solve`), so rational roots are integer
+roots and a quadratic factor is monic.
 
 One fraction-free long-division loop on integers (:func:`_pdivrem`)
 serves exact division, the gcd (:func:`_poly_gcd`) and the product modulo
@@ -47,8 +48,6 @@ __all__ = [
     "GaloisClass",
     "IntPoly",
     "charpoly",
-    "factor_int_poly",
-    "galois_class",
 ]
 
 PRECISION = 256
@@ -120,24 +119,10 @@ def _mulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int]) -> list:
     return _pdivrem(prod, f)[1]
 
 
-def _pdivexact(a: Sequence[int], b: Sequence[int]) -> list:
-    """Quotient of ``a`` by ``b`` when the division is exact over Z.
-
-    Raises :class:`SitawimError` if it is not (that would be a logic error
-    in a fraction-free elimination, or a non-factor in a trial division).
-    """
-    quo, rem, scale = _pdivrem(a, b)
-    if rem or scale != 1:
-        raise SitawimError("inexact polynomial division")
-    return _ptrim(quo)
-
-
 def _pdivides(g: Sequence[int], p: Sequence[int]) -> Optional[list]:
     """Integer quotient ``p // g`` if ``g`` divides ``p`` over Z, else None."""
-    try:
-        return _pdivexact(p, g)
-    except SitawimError:
-        return None
+    quo, rem, scale = _pdivrem(p, g)
+    return None if rem or scale != 1 else _ptrim(quo)
 
 
 def _content(c: Sequence[int]) -> int:
@@ -171,18 +156,27 @@ def _is_square(v: int) -> bool:
     return v >= 0 and isqrt(v) ** 2 == v
 
 
+def _as_int(v: object, what: str = "structure constant") -> int:
+    """``v`` as an int; SitawimError naming ``what`` unless it is integral."""
+    i = int(v)
+    if i != v:
+        raise SitawimError(f"{what} {v!r} is not an integer")
+    return i
+
+
 @dataclass(frozen=True)
 class IntPoly:
     """A nonzero integer polynomial of degree at most 5.
 
     ``coeffs`` is ascending; the leading coefficient is normalized to be
-    positive (characteristic polynomials come out monic).
+    positive (characteristic polynomials come out monic).  A coefficient
+    that is not integral is refused.
     """
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        c = _ptrim([int(v) for v in self.coeffs])
+        c = _ptrim([_as_int(v, "coefficient") for v in self.coeffs])
         if not c:
             raise SitawimError("the zero polynomial has no factorization data")
         if len(c) - 1 > 5:
@@ -194,10 +188,6 @@ class IntPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> int:
-        return self.coeffs[-1]
 
     def derivative(self) -> "IntPoly":
         if self.degree == 0:
@@ -544,25 +534,6 @@ def _factor_squarefree(f: IntPoly, real: bool = False) -> list[tuple]:
     return sorted(out, key=lambda piece: (piece[0].degree, piece[0].coeffs))
 
 
-def factor_int_poly(p: IntPoly) -> list[IntPoly]:
-    """Complete irreducible factorization of a monic polynomial over the
-    integers, sorted by degree then coefficients: the factors of the
-    squarefree part p / gcd(p, p') (:func:`_factor_squarefree`), each
-    repeated by its multiplicity, which exact division of p counts."""
-    if p.lead != 1:
-        raise SitawimError("factorization expects a monic polynomial")
-    if p.degree == 0:
-        return []
-    c = list(p.coeffs)
-    part = IntPoly(tuple(_pdivexact(c, _poly_gcd(c, p.derivative().coeffs))))
-    factors = []
-    for f, _ in _factor_squarefree(part):
-        quo = c
-        while (quo := _pdivides(f.coeffs, quo)) is not None:
-            factors.append(f)
-    return factors
-
-
 # ---------------------------------------------------------------------------
 # Galois classification of irreducible factors, degree <= 4
 # ---------------------------------------------------------------------------
@@ -637,15 +608,3 @@ def _galois_class(p: IntPoly, disks: list) -> GaloisClass:
     def splits(t) -> bool:
         return _is_square(t) or _is_square(t * disc)
     return GaloisClass("C4" if splits(t1) and splits(t2) else "D4")
-
-
-def galois_class(p: IntPoly) -> GaloisClass:
-    """Galois group of an irreducible monic polynomial of degree at most 4
-    (:func:`_galois_class`), from its roots (:func:`_factor_roots`) at
-    degree 4."""
-    if p.lead != 1:
-        raise SitawimError("Galois classification expects a monic polynomial")
-    if p.degree != 4:
-        return _galois_class(p, [])
-    roots = _factor_roots(p)
-    return _galois_class(p, list(zip(roots, _inclusion_radii(p, roots))))

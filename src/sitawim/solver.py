@@ -65,10 +65,15 @@ A pooled search ships the prepared system, tables included, to its
 workers pickled; ``concurrent.futures`` is imported only then, so a
 serial search never loads :mod:`multiprocessing`.
 
-Per-point diagnostics stream to the ``sitawim.solver`` logger with the
-stable line format ``point=<assignment> status=<sol|empty|posdim|cap>``;
-positive-dimensional and capped points are additionally raised to WARNING
-so they stand out as candidates for widening the enumerated set.
+Per-point diagnostics go to the ``sitawim.solver`` logger with the
+stable line format ``point=<assignment> status=<sol|empty|posdim|cap>``.
+:func:`run_search` logs these lines in grid order once the whole sweep is
+solved, serial or pooled, so none of them appears while a sweep runs.
+Positive-dimensional and capped points are logged at WARNING, so they
+stand out as candidates for widening the enumerated set.  A solution
+refused by the axiom check is logged as ``point=<assignment> rejected:
+axiom <name> failed`` as soon as its point is solved, by the process that
+solves it.
 """
 
 from __future__ import annotations
@@ -92,8 +97,8 @@ from .exactpoly import MonomialOrder, MPoly, Ring
 from .exactpoly.core import cleared_terms, table_value, term_table
 from .exactpoly.groebner import DEFAULT_MAX_DEGREE, DEFAULT_MAX_TERMS, _check_caps, buchberger
 from .exactpoly.linear import linear_reduce, rational_span_basis
-from .intpoly import _integer_roots, _poly_gcd
-from .structcheck import Instance, _as_int, verify_sita
+from .intpoly import _as_int, _integer_roots, _poly_gcd
+from .structcheck import Instance, verify_sita
 from .varietygen import (
     INVOLUTION_TYPES,
     RationalCharTable,

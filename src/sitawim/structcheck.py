@@ -43,8 +43,8 @@ from operator import mul
 from typing import Optional
 
 from .errors import SitawimError
-from .intpoly import IntPoly, _factor_squarefree, _galois_class, _matmul, _mulmod, _pdivrem
-from .intpoly import _poly_gcd, _ptrim, charpoly
+from .intpoly import IntPoly, _as_int, _factor_squarefree, _galois_class, _matmul, _mulmod
+from .intpoly import _pdivrem, _poly_gcd, _ptrim, charpoly
 from .varietygen import INVOLUTION_TYPES, InvolutionType
 
 __all__ = [
@@ -62,14 +62,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # instances and axiom checking
 # ---------------------------------------------------------------------------
-
-
-def _as_int(v: object, what: str = "structure constant") -> int:
-    """``v`` as an int; SitawimError naming ``what`` unless it is integral."""
-    i = int(v)
-    if i != v:
-        raise SitawimError(f"{what} {v!r} is not an integer")
-    return i
 
 
 @dataclass(frozen=True)
@@ -202,24 +194,19 @@ def verify_sita(inst: Instance) -> AxiomReport:
     add("row0-col0", w)
 
     w = None
-    prods = {}
     for j in range(r):
         for k in range(j + 1, r):
-            jk = _matmul(mats[j], mats[k])
-            kj = _matmul(mats[k], mats[j])
-            prods[(j, k)] = jk
-            if jk != kj:
+            if _matmul(mats[j], mats[k]) != _matmul(mats[k], mats[j]):
                 w = w or (j, k)
     add("commuting", w)
 
+    # (b_j b_k)[0][0]: row 0 of M_j against column 0 of M_k
     w = None
     for j in range(r):
         for k in range(r):
-            jk = prods.get((j, k)) or prods.get((k, j))
-            if jk is None:
-                jk = _matmul(mats[j], mats[k])
             want = deg[j] if k == star[j] else 0
-            if jk[0][0] != want or (k == star[j] and deg[j] <= 0):
+            value = sum(mats[j][0][l] * mats[k][l][0] for l in range(r))
+            if value != want or (k == star[j] and deg[j] <= 0):
                 w = w or (j, k)
     add("pseudo-inverse", w)
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import SitawimError
 from .exactpoly import MPoly, Ring
@@ -269,9 +269,7 @@ class Template:
 
     ``matrices[j][i][k]`` is the polynomial entry ``lam(j, k, i)``;
     ``matrices[0]`` is the identity.  ``degrees[j]`` is the (symbolic or
-    constant) degree of ``b_j``.  ``var_positions`` maps each variable
-    name to every ``(j, k, i)`` position carrying it — eliminated columns
-    excluded.
+    constant) degree of ``b_j``.
     """
 
     itype: InvolutionType
@@ -282,7 +280,6 @@ class Template:
     matrices: tuple[tuple[tuple[MPoly, ...], ...], ...]
     nvars: int
     degree_symbols: tuple[str, ...]
-    var_positions: Mapping[str, tuple[tuple[int, int, int], ...]]
 
     def trace(self, j: int) -> MPoly:
         rows = self.matrices[j]
@@ -290,14 +287,6 @@ class Template:
         for i in range(self.itype.rank):
             acc = acc + rows[i][i]
         return acc
-
-    def instantiate(self, assignment: Mapping[str, object]) -> list[list[list[int]]]:
-        """Integer regular matrices at a full assignment of the ring
-        variables (structure variables and degree symbols alike)."""
-        missing = [name for name in self.ring.names if name not in assignment]
-        if missing:
-            raise ValueError(f"no value supplied for {missing[0]}")
-        return self.instantiate_at([assignment[name] for name in self.ring.names])
 
     def instantiate_at(self, values: Sequence[int]) -> list[list[list[int]]]:
         """Integer regular matrices at the values of the ring variables,
@@ -429,7 +418,6 @@ def build_template(
         tuple(one if i == k else zero for k in range(r)) for i in range(r)
     )
     mats.append(ident)
-    positions: dict[str, list[tuple[int, int, int]]] = {nm: [] for nm in xnames}
     for j in range(1, r):
         c = elim[j - 1]
         dj = degrees[j]
@@ -440,9 +428,7 @@ def build_template(
             for k in range(1, r):
                 if k == c:
                     continue
-                name = f"x{var_of[(j, k, i)]}"
-                rows[i][k] = ring.var(name)
-                positions[name].append((j, k, i))
+                rows[i][k] = ring.var(f"x{var_of[(j, k, i)]}")
         # row-sum identity fills the eliminated column
         for i in range(1, r):
             acc = dj
@@ -461,7 +447,6 @@ def build_template(
         matrices=tuple(mats),
         nvars=nvars,
         degree_symbols=deg_names,
-        var_positions={nm: tuple(pos) for nm, pos in positions.items()},
     )
 
 

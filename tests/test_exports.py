@@ -1,10 +1,12 @@
-"""Every public name a module exports resolves, and every module uses
-what it imports.
+"""Every public name a module exports resolves and has a reader, and
+every module uses what it imports.
 
 A name left in ``__all__`` after its definition is deleted makes
 ``from <module> import *`` raise; this walks the whole package so that no
 module can carry such an entry.  An import left behind after the code that
-used it is deleted is caught the same way, from each module's syntax tree.
+used it is deleted is caught the same way, from each module's syntax tree,
+and so is an exported name that no code in the package or the benchmark
+reads any more.
 """
 
 import ast
@@ -13,6 +15,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -103,3 +106,42 @@ def test_every_top_level_import_is_used():
                 used.update(ast.literal_eval(node.value))
         unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
     assert unused == []
+
+
+# exported with no reader yet: the planned ideal-membership callers
+UNREAD_EXPORTS = {"ideal_contains"}
+
+
+def _reads(node) -> Counter:
+    """How often each name is read under ``node``, as a variable or as an
+    attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def test_every_export_is_read():
+    """Every name in a module's ``__all__`` is read somewhere in the
+    package or the benchmark outside its own top-level definition; an
+    import, a string and a read inside the definition (a recursive call, a
+    method naming its class) do not count."""
+    root = Path(sitawim.__file__).resolve().parents[2]
+    paths = sorted(Path(sitawim.__file__).parent.rglob("*.py")) + sorted(
+        (root / "bench").rglob("*.py")
+    )
+    reads: Counter = Counter()
+    exported: set = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        reads.update(_reads(tree))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                reads[node.name] -= _reads(node)[node.name]
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+    assert len(exported) > 40
+    assert sorted(name for name in exported if reads[name] <= 0) == sorted(UNREAD_EXPORTS)

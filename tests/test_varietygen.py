@@ -471,14 +471,26 @@ N35_TABLE = RationalCharTable(
 
 def assignment_from_matrices(template, matrices, degree_values):
     """Read one value per template variable off integer matrices
-    (index j-1 in ``matrices`` holds the matrix of b_j), checking that
-    shared positions agree."""
+    (index j-1 in ``matrices`` holds the matrix of b_j), at every entry of
+    the template that is a bare variable, checking that the entries
+    sharing a variable agree."""
     assignment = dict(degree_values)
-    for name, positions in template.var_positions.items():
-        vals = {matrices[j - 1][i][k] for (j, k, i) in positions}
-        assert len(vals) == 1, f"{name} inconsistent across {positions}"
-        assignment[name] = vals.pop()
+    ring = template.ring
+    for j, rows in enumerate(template.matrices[1:], start=1):
+        for i, row in enumerate(rows):
+            for k, entry in enumerate(row):
+                names = entry.variables()
+                if len(names) == 1 and entry == ring.var(*names):
+                    [name] = names
+                    value = matrices[j - 1][i][k]
+                    assert assignment.setdefault(name, value) == value, f"{name} inconsistent"
+    assert set(assignment) == set(ring.names)
     return assignment
+
+
+def values_at(template, point):
+    """The point's values in ring order, as ``instantiate_at`` takes them."""
+    return [point[name] for name in template.ring.names]
 
 
 def test_n35_instance_zeroes_the_5s_table_system():
@@ -486,8 +498,8 @@ def test_n35_instance_zeroes_the_5s_table_system():
     assignment = assignment_from_matrices(t, N35_MATRICES, {})
     gens = emit_structure_polys(t) + trace_constraints(t)
     assert gens, "system should not be empty"
-    assert all(g.evaluate(assignment) == 0 for g in gens)
-    mats = t.instantiate(assignment)
+    assert all(g.subs(assignment).is_zero for g in gens)
+    mats = t.instantiate_at(values_at(t, assignment))
     assert [row[:] for row in mats[1]] == N35_MATRICES[0]
     assert [row[:] for row in mats[4]] == N35_MATRICES[3]
 
@@ -501,8 +513,8 @@ def test_4a1_known_point_zeroes_the_system():
         + trace_constraints(t)
         + homogeneity_constraints(t)
     )
-    assert all(g.evaluate(point) == 0 for g in gens)
-    mats = t.instantiate(point)
+    assert all(g.subs(point).is_zero for g in gens)
+    mats = t.instantiate_at(values_at(t, point))
     assert mats[1][0] == [0, 5, 0, 0]
     for j in range(1, 4):
         for row in mats[j]:
@@ -513,7 +525,7 @@ def test_4a1_known_point_zeroes_the_system():
 def test_instantiate_rejects_fractional_points():
     t = build_template("R3S", "none")
     with pytest.raises(SitawimError):
-        t.instantiate({"x1": qq("1/2"), "x2": 0, "k1": 3, "k2": 3})
+        t.instantiate_at(values_at(t, {"x1": qq("1/2"), "x2": 0, "k1": 3, "k2": 3}))
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +671,7 @@ def test_instantiated_matrices_keep_shape_conventions(xs, k1, k2):
     t = build_template("4A1", "none")
     point = {f"x{i}": v for i, v in enumerate(xs, start=1)}
     point.update(k1=k1, k2=k2)
-    mats = t.instantiate(point)
+    mats = t.instantiate_at(values_at(t, point))
     star = t.itype.star
     degs = [1, k1, k2, k2]
     for j in range(1, 4):
